@@ -24,7 +24,6 @@ from .cohomology import (
 from .koszul import (
     CochainComplex,
     GModule,
-    SuperExtMonomial,
     dual_module,
     lambda_s_module,
     monomial_words,
@@ -62,7 +61,6 @@ __all__ = [
     "NilpotentAlgebra",
     "Parity",
     "Rational",
-    "SuperExtMonomial",
     "SuperMatrix",
     "Weight",
     "build_exceptional",

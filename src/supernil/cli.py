@@ -8,9 +8,13 @@ Subcommands:
 * extension-check  -- central-extension Jacobi <=> cocycle scan
 * dump-algebra     -- serialized basis/bracket data
 
-Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input,
-3 internal invariant violation.  Output is deterministic: repeated runs
-and different --workers counts produce byte-identical bytes.
+Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
+(including a negative --degree, --K or --j), 3 internal invariant
+violation.  Output is deterministic: repeated runs and different --workers
+counts produce byte-identical bytes.  A cache entry that cannot be read or
+parsed is reported on stderr and recomputed; entries are written to a
+temporary file and renamed into place.  A closed stdout ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _family_params(args) -> tuple[str, tuple]:
     fam = args.family
     if fam == "exc":
         if not args.name:
-            raise SystemExit(2)
+            _fail_input("exc needs --name")
         return fam, (args.name,)
     if fam == "q":
         if args.n is None:
@@ -87,10 +91,14 @@ def _cache_lookup(cache_dir, key):
     if not cache_dir:
         return None
     path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
+    if not os.path.exists(path):
+        return None
+    try:
         with open(path) as fh:
             return json.load(fh)
-    return None
+    except (OSError, ValueError) as exc:
+        print(f"warning: recomputing unreadable cache entry {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cache_store(cache_dir, key, payload) -> None:
@@ -98,8 +106,12 @@ def _cache_store(cache_dir, key, payload) -> None:
         return
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
-    with open(path, "w") as fh:
+    # write a per-process temporary file and rename it into place, so no
+    # reader ever sees a partial entry
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def _cache_key(**parts) -> str:
@@ -268,6 +280,13 @@ def cmd_dump_algebra(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    choices=["gl", "sl", "q", "osp_even", "osp_odd", "exc"])
@@ -298,10 +317,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("compute", help="compute H^k(n, M)")
     _add_family_flags(p)
     _add_common_flags(p)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=nonnegative_int, required=True)
     p.add_argument("--coefficients", default="trivial",
                    choices=["trivial", "ideal-dual", "lambda-s-j"])
-    p.add_argument("--j", type=int, default=2, help="j for lambda-s-j coefficients")
+    p.add_argument("--j", type=nonnegative_int, default=2, help="j for lambda-s-j coefficients")
     p.add_argument("--routes", action="store_true",
                    help="also report the independent H^1 routes")
     p.set_defaults(func=cmd_compute)
@@ -321,7 +340,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("spectral", help="Hochschild-Serre collapse report")
     _add_family_flags(p)
     _add_common_flags(p)
-    p.add_argument("--K", type=int, default=2)
+    p.add_argument("--K", type=nonnegative_int, default=2)
     p.add_argument("--recursive", action="store_true",
                    help="also compare recursive vs direct H^2")
     p.set_defaults(func=cmd_spectral)
@@ -340,10 +359,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); send what is still
+        # buffered to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -93,9 +93,6 @@ class CohomologyResult:
     def dumps(self, symbols=None) -> str:
         return json.dumps(self.to_json(symbols), sort_keys=True, indent=2)
 
-    def same_blocks(self, other: "CohomologyResult") -> bool:
-        return self.blocks == other.blocks
-
 
 def _rank_of(rows) -> int:
     if not rows or not rows[0]:
@@ -223,8 +220,7 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
 
                 def put(r, u, val):
                     if u in cpos and val:
-                        row = rows.setdefault(r, {})
-                        row[cpos[u]] = row.get(cpos[u], Fraction(0)) + val
+                        linalg.add_to(rows.setdefault(r, {}), cpos[u], val)
 
                 for t, c in alg.bracket(i, j).items():
                     for w in range(module.dim):
@@ -316,11 +312,7 @@ class CentralExtension:
                     lhs_vec, lhs_z = v1, z1
                     rhs_vec = dict(v2)
                     for t, c in v3.items():
-                        new = rhs_vec.get(t, Fraction(0)) + sgn * c
-                        if new:
-                            rhs_vec[t] = new
-                        else:
-                            rhs_vec.pop(t, None)
+                        linalg.add_to(rhs_vec, t, sgn * c)
                     rhs_z = z2 + sgn * z3
                     if lhs_vec != rhs_vec or lhs_z != rhs_z:
                         bad.append((i, j, k))
@@ -342,11 +334,7 @@ def cocycle_defect(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) ->
     out: dict[int, Fraction] = {}
     for (r, c), v in d2.items():
         if c in vec:
-            new = out.get(r, Fraction(0)) + v * vec[c]
-            if new:
-                out[r] = new
-            else:
-                out.pop(r, None)
+            linalg.add_to(out, r, v * vec[c])
     return out
 
 

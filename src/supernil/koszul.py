@@ -31,43 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .linalg import Sparse, add_to, sparse_matmul
 from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
 from .supercore import EVEN, ODD, Parity, Weight, parity_sum, swap_sign
 
 Word = tuple[int, ...]
-Sparse = dict[tuple[int, int], Fraction]
-
-
-@dataclass(frozen=True)
-class SuperExtMonomial:
-    """Structured view of a canonical monomial word.
-
-    even_part is strictly increasing (exterior factors), odd_part is
-    non-decreasing (symmetric factors); degree is the total length.
-    """
-
-    even_part: tuple[int, ...]
-    odd_part: tuple[int, ...]
-
-    @staticmethod
-    def from_word(parities: Sequence[Parity], word: Word) -> "SuperExtMonomial":
-        ev = tuple(x for x in word if parities[x] == EVEN)
-        od = tuple(x for x in word if parities[x] == ODD)
-        return SuperExtMonomial(ev, od)
-
-    @property
-    def degree(self) -> int:
-        return len(self.even_part) + len(self.odd_part)
-
-    @property
-    def parity(self) -> Parity:
-        return len(self.odd_part) % 2
-
-    def word(self) -> Word:
-        return self.even_part + self.odd_part
-
-    def weight(self, weights: Sequence[Weight], zero: Weight) -> Weight:
-        return sum((weights[x] for x in self.word()), zero)
 
 
 # -- monomials -----------------------------------------------------------------
@@ -155,43 +123,16 @@ class GModule:
             for j in range(alg.dim):
                 lhs: Sparse = {}
                 for t, c in alg.bracket(i, j).items():
-                    _acc(lhs, self.action[t], c)
-                rhs = _matmul_sparse(self.action[i], self.action[j])
+                    for pos, val in self.action[t].items():
+                        add_to(lhs, pos, c * val)
+                rhs = sparse_matmul(self.action[i], self.action[j])
                 sign = Fraction(1 if (alg.parities[i] and alg.parities[j]) else -1)
-                _acc_mat(rhs, _matmul_sparse(self.action[j], self.action[i]), sign)
+                for pos, val in sparse_matmul(self.action[j], self.action[i]).items():
+                    add_to(rhs, pos, sign * val)
                 if lhs != rhs:
                     raise AssertionError(
                         f"{self.name}: representation identity fails on ({i},{j})"
                     )
-
-
-def _acc(target: Sparse, mat: Sparse, scale: Fraction) -> None:
-    for pos, val in mat.items():
-        new = target.get(pos, Fraction(0)) + scale * val
-        if new:
-            target[pos] = new
-        else:
-            target.pop(pos, None)
-
-
-def _acc_mat(target: Sparse, mat: Sparse, scale: Fraction) -> None:
-    _acc(target, mat, scale)
-
-
-def _matmul_sparse(a: Sparse, b: Sparse) -> Sparse:
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in b.items():
-        rows.setdefault(r, []).append((c, v))
-    out: Sparse = {}
-    for (r, c), v in a.items():
-        for c2, v2 in rows.get(c, ()):
-            pos = (r, c2)
-            new = out.get(pos, Fraction(0)) + v * v2
-            if new:
-                out[pos] = new
-            else:
-                out.pop(pos, None)
-    return out
 
 
 def trivial_module(alg: NilpotentAlgebra) -> GModule:
@@ -225,12 +166,10 @@ def dual_module(
         direct: Sparse = {}
         for b, mid in enumerate(members):
             for t, c in parent.bracket(pid, mid).items():
-                direct[(pos_of[t], b)] = direct.get((pos_of[t], b), Fraction(0)) + c
+                add_to(direct, (pos_of[t], b), c)
         # contragredient: (x.m_b*)(m_a) = dual_sign*(-1)^{|x||m_b*|} m_b*(x.m_a)
         mat: Sparse = {}
         for (a, b), val in direct.items():
-            if val == 0:
-                continue
             sgn = Fraction(dual_sign if not (px and parities[b]) else -dual_sign)
             mat[(b, a)] = sgn * val
         action.append(mat)
@@ -265,12 +204,7 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
                 for r, v in cols.get(x, ()):
                     s, canon = normalize_word(module.parities, w[:t] + (r,) + w[t + 1 :])
                     if s:
-                        pos = (index[canon], widx)
-                        new = mat.get(pos, Fraction(0)) + Fraction(sgn_pre * s) * v
-                        if new:
-                            mat[pos] = new
-                        else:
-                            mat.pop(pos, None)
+                        add_to(mat, (index[canon], widx), Fraction(sgn_pre * s) * v)
                 pre ^= module.parities[x]
         action.append(mat)
     mod = GModule(alg, f"L^{j}({module.name})", parities, weights, action)
@@ -342,17 +276,6 @@ class CochainComplex:
         dst = self.degree(k + 1)
         nm = m.dim
         d: Sparse = {}
-
-        def add(row: int, col: int, val: Fraction) -> None:
-            if not val:
-                return
-            pos = (row, col)
-            new = d.get(pos, Fraction(0)) + val
-            if new:
-                d[pos] = new
-            else:
-                d.pop(pos, None)
-
         for hidx, word in enumerate(dst.words):
             pars = [alg.parities[x] for x in word]
             prefix = [0] * (len(word) + 1)
@@ -368,7 +291,7 @@ class CochainComplex:
                     f_par = (rest_par + m.parities[c]) % 2
                     tau = i + pars[i] * (prefix[i] + f_par)
                     sgn = Fraction(-1 if tau % 2 else 1)
-                    add(hidx * nm + r, xi * nm + c, sgn * val)
+                    add_to(d, (hidx * nm + r, xi * nm + c), sgn * val)
             # bracket terms
             for i in range(len(word)):
                 for j in range(i + 1, len(word)):
@@ -390,7 +313,7 @@ class CochainComplex:
                             continue
                         zi = src.word_index[canon]
                         for w in range(nm):
-                            add(hidx * nm + w, zi * nm + w, sgn * Fraction(s) * cval)
+                            add_to(d, (hidx * nm + w, zi * nm + w), sgn * Fraction(s) * cval)
 
         # the differential must preserve (weight, parity) blocks
         for (row, col) in d:
@@ -401,21 +324,7 @@ class CochainComplex:
 
     def check_d_squared(self, k: int) -> bool:
         """Exact check that d^{k+1} o d^k = 0."""
-        d1 = self.differential(k)
-        d2 = self.differential(k + 1)
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in d2.items():
-            by_col.setdefault(c, []).append((r, v))
-        acc: Sparse = {}
-        for (r, c), v in d1.items():
-            for r2, v2 in by_col.get(r, ()):
-                pos = (r2, c)
-                new = acc.get(pos, Fraction(0)) + v2 * v
-                if new:
-                    acc[pos] = new
-                else:
-                    acc.pop(pos, None)
-        return not acc
+        return not sparse_matmul(self.differential(k + 1), self.differential(k))
 
     def block_matrix(self, k: int, key: BlockKey) -> list[list[Fraction]]:
         """Dense d^k block: rows over degree k+1 in `key`, cols degree k."""

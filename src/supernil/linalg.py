@@ -1,6 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices here are small dense blocks carved out of weight-graded sparse
+Every layer shares one sparse format: a dict `{(row, col): Fraction}` that
+stores no zeros (sparse vectors are dicts keyed by index under the same
+rule).  `add_to` is the one place an entry is accumulated and pruned, and
+`sparse_matmul` the one sparse product.
+
+Dense matrices here are small blocks carved out of weight-graded sparse
 differentials, so the routines favour exactness and determinism over
 asymptotics.  Ranks are computed by fraction-free (Bareiss) elimination on
 an integer rescaling of the input; kernels and row spaces by ordinary
@@ -15,6 +20,31 @@ from math import gcd
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
+Sparse = dict[tuple[int, int], Fraction]
+
+
+def add_to(target: dict, key, val: Fraction) -> None:
+    """target[key] += val, dropping the key when the sum is zero."""
+    if key in target:
+        new = target[key] + val
+        if new:
+            target[key] = new
+        else:
+            del target[key]
+    elif val:
+        target[key] = val
+
+
+def sparse_matmul(a: Sparse, b: Sparse) -> Sparse:
+    """The product a @ b of two sparse matrices."""
+    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    for (r, c), v in b.items():
+        rows.setdefault(r, []).append((c, v))
+    out: Sparse = {}
+    for (r, c), v in a.items():
+        for c2, v2 in rows.get(c, ()):
+            add_to(out, (r, c2), v * v2)
+    return out
 
 
 def _integerize(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:

@@ -89,11 +89,7 @@ class SuperMatrix:
             raise ValueError("block shape mismatch")
         out = dict(self.entries)
         for pos, val in other.entries.items():
-            new = out.get(pos, Fraction(0)) + val
-            if new:
-                out[pos] = new
-            else:
-                out.pop(pos, None)
+            linalg.add_to(out, pos, val)
         return SuperMatrix(self.block_shape, out)
 
     def scale(self, c: Fraction) -> "SuperMatrix":
@@ -107,22 +103,7 @@ class SuperMatrix:
     def matmul(self, other: "SuperMatrix") -> "SuperMatrix":
         if self.block_shape != other.block_shape:
             raise ValueError("block shape mismatch")
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in other.entries.items():
-            rows.setdefault(r, []).append((c, v))
-        out: dict[Entry, Fraction] = {}
-        for (r, c), v in self.entries.items():
-            for c2, v2 in rows.get(c, ()):
-                pos = (r, c2)
-                new = out.get(pos, Fraction(0)) + v * v2
-                if new:
-                    out[pos] = new
-                else:
-                    out.pop(pos, None)
-        return SuperMatrix(self.block_shape, out)
-
-    def key(self) -> tuple:
-        return tuple(sorted((r, c, v) for (r, c), v in self.entries.items()))
+        return SuperMatrix(self.block_shape, linalg.sparse_matmul(self.entries, other.entries))
 
 
 def elementary(block_shape: tuple[int, int], r: int, c: int, val=1) -> SuperMatrix:
@@ -202,11 +183,7 @@ class NilpotentAlgebra:
         for i, ci in u.items():
             for j, cj in w.items():
                 for t, c in self.bracket(i, j).items():
-                    new = out.get(t, Fraction(0)) + ci * cj * c
-                    if new:
-                        out[t] = new
-                    else:
-                        out.pop(t, None)
+                    linalg.add_to(out, t, ci * cj * c)
         return out
 
     @property
@@ -259,11 +236,7 @@ class NilpotentAlgebra:
                     rhs = self.bracket_vectors(self.bracket(i, j), {k: Fraction(1)})
                     sign = Fraction(-1 if (pi and pj) else 1)
                     for t, c in self.bracket_vectors({j: Fraction(1)}, self.bracket(i, k)).items():
-                        new = rhs.get(t, Fraction(0)) + sign * c
-                        if new:
-                            rhs[t] = new
-                        else:
-                            rhs.pop(t, None)
+                        linalg.add_to(rhs, t, sign * c)
                     if lhs != rhs:
                         raise AssertionError(f"{self.name}: Jacobi fails on triple ({i},{j},{k})")
 
@@ -568,10 +541,6 @@ def _osp_raw(m: int, n: int, odd_case: bool):
     return torus, raw
 
 
-def _osp_grading(m: int, n: int) -> tuple[Fraction, ...]:
-    return _gl_grading(m, n)
-
-
 def build_osp_odd(
     m: int, n: int, ideal_reading: str = "auto"
 ) -> tuple[NilpotentAlgebra, IdealDesignation]:
@@ -595,7 +564,7 @@ def build_osp_odd(
         _gl_symbols(m, n),
         torus,
         raw,
-        _osp_grading(m, n),
+        _gl_grading(m, n),
     )
     ideal = _osp_ideal(alg, m, n, ideal_reading)
     return alg, ideal
@@ -620,9 +589,9 @@ def build_osp_even(
         _gl_symbols(m, n),
         torus,
         raw,
-        _osp_grading(m, n),
+        _gl_grading(m, n),
     )
-    ideal = _osp_ideal(alg, m, n, "auto" if ideal_reading == "auto" else ideal_reading)
+    ideal = _osp_ideal(alg, m, n, ideal_reading)
     return alg, ideal
 
 
@@ -745,15 +714,16 @@ def derived_subalgebra(alg: NilpotentAlgebra) -> dict:
     return {"dim": len(vectors), "blocks": blocks, "vectors": vectors}
 
 
-def quotient_algebra(alg: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
-    """Quotient n/I on the complementary basis vectors.
+def restrict_algebra(
+    alg: NilpotentAlgebra, ids: list[int], name: str, family: str
+) -> NilpotentAlgebra:
+    """The basis vectors `ids` (ascending), renumbered from 0, with bracket
+    components outside `ids` projected away; the result is re-verified.
 
-    Brackets are the parent brackets with ideal components projected away;
-    the result is re-verified (Jacobi holds because I is an ideal).
+    On an ideal I this is I as a subalgebra (nothing is projected away); on
+    the complement of I it is the quotient n/I.
     """
-    verify_ideal(alg, ideal)
-    keep = [b.id for b in alg.basis if b.id not in ideal.member_ids]
-    remap = {old: new for new, old in enumerate(keep)}
+    remap = {old: new for new, old in enumerate(ids)}
     basis = [
         BasisVector(remap[b.id], b.label, b.parity, b.weight, b.realization)
         for b in alg.basis
@@ -765,11 +735,20 @@ def quotient_algebra(alg: NilpotentAlgebra, ideal: IdealDesignation) -> Nilpoten
             reduced = {remap[t]: c for t, c in terms.items() if t in remap}
             if reduced:
                 table[(remap[i], remap[j])] = reduced
-    quo = NilpotentAlgebra(
-        f"{alg.name}/I", alg.family + "_quotient", alg.params, alg.symbols, basis, table, alg.grading
-    )
-    quo.verify()
-    return quo
+    out = NilpotentAlgebra(name, family, alg.params, alg.symbols, basis, table, alg.grading)
+    out.verify()
+    return out
+
+
+def quotient_algebra(alg: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
+    """Quotient n/I on the complementary basis vectors.
+
+    Brackets are the parent brackets with ideal components projected away;
+    the result is re-verified (Jacobi holds because I is an ideal).
+    """
+    verify_ideal(alg, ideal)
+    keep = [b.id for b in alg.basis if b.id not in ideal.member_ids]
+    return restrict_algebra(alg, keep, f"{alg.name}/I", alg.family + "_quotient")
 
 
 # -- family registry -----------------------------------------------------------

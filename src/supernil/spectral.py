@@ -28,13 +28,24 @@ from .cohomology import (
     cohomology,
     h0_fixed_points,
 )
-from .koszul import CochainComplex, GModule, dual_module, lambda_s_module, trivial_module
+from .koszul import (
+    BlockKey,
+    CochainComplex,
+    DegreeData,
+    GModule,
+    dual_module,
+    lambda_s_module,
+    normalize_word,
+    trivial_module,
+)
+from .linalg import Sparse, add_to, sparse_matmul
 from .realize import (
     IdealDesignation,
     NilpotentAlgebra,
     build_family,
     ideal_is_abelian,
     quotient_algebra,
+    restrict_algebra,
     verify_ideal,
 )
 from .supercore import Weight
@@ -43,28 +54,9 @@ from .supercore import Weight
 def ideal_subalgebra(parent: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
     """The ideal as an algebra in its own right (brackets restricted)."""
     verify_ideal(parent, ideal)
-    members = ideal.sorted_ids()
-    remap = {mid: a for a, mid in enumerate(members)}
-    basis = [
-        parent.basis[mid] for mid in members
-    ]
-    from .realize import BasisVector
-
-    basis = [
-        BasisVector(remap[b.id], b.label, b.parity, b.weight, b.realization) for b in basis
-    ]
-    table = {}
-    for a, mi in enumerate(members):
-        for mj in members[a:]:
-            terms = parent.bracket(mi, mj)
-            if terms:
-                table[(remap[mi], remap[mj])] = {remap[t]: c for t, c in terms.items()}
-    sub = NilpotentAlgebra(
-        f"{parent.name}|I", parent.family + "_ideal", parent.params,
-        parent.symbols, basis, table, parent.grading,
+    return restrict_algebra(
+        parent, ideal.sorted_ids(), f"{parent.name}|I", parent.family + "_ideal"
     )
-    sub.verify()
-    return sub
 
 
 def _cochain_action(
@@ -73,26 +65,24 @@ def _cochain_action(
     words,
     parities,
     dual_sign: int = -1,
-) -> list[dict[int, dict[int, Fraction]]]:
+) -> list[Sparse]:
     """Lie-derivative action of parent basis vectors on C^j(I, C).
 
     Defined on the evaluation side, matching the differential's
     conventions: (x.f)(w_0 ^ .. ^ w_{j-1}) =
     dual_sign * sum_t (-1)^{|x|(|f| + |w_0|+..+|w_{t-1}|)} f(.. [x, w_t] ..).
-    Returns per parent id a map col -> {row: coeff} on the word index.
+    Returns per parent id the sparse matrix of the action on the word index.
 
     This action commutes with d_I exactly (asserted by the caller), which
     is what makes the Hochschild-Serre coefficient modules well defined.
     """
-    from .koszul import normalize_word
-
     members = ideal.sorted_ids()
     local = {mid: a for a, mid in enumerate(members)}
     index = {w: i for i, w in enumerate(words)}
     out = []
     for pid in range(parent.dim):
         px = parent.parities[pid]
-        act: dict[int, dict[int, Fraction]] = {}
+        act: Sparse = {}
         for ridx, w in enumerate(words):
             pre = 0
             for t, x in enumerate(w):
@@ -102,20 +92,20 @@ def _cochain_action(
                     )
                     if not s:
                         continue
-                    cidx = index[canon]
                     f_par = sum(parities[y] for y in canon) % 2
                     sgn = Fraction(
                         dual_sign * (-1 if (px and (f_par + pre) % 2) else 1) * s
                     )
-                    col = act.setdefault(cidx, {})
-                    new = col.get(ridx, Fraction(0)) + sgn * c
-                    if new:
-                        col[ridx] = new
-                    else:
-                        col.pop(ridx, None)
+                    add_to(act, (ridx, index[canon]), sgn * c)
                 pre ^= parities[x]
-        out.append({c: col for c, col in act.items() if col})
+        out.append(act)
     return out
+
+
+# per block of C^j(I): (position of each cochain in the block, index of the
+# block's first class, number of image basis vectors, the transposed system
+# whose columns are the image basis followed by the class representatives)
+_Block = tuple[dict[int, int], int, int, list[list[Fraction]]]
 
 
 def hj_ideal_module(
@@ -140,41 +130,16 @@ def hj_ideal_module(
 
     # Lie-derivative action of every parent basis vector on C^j(I)
     lam = _cochain_action(parent, ideal, deg.words, sub.parities, dual_sign)
-    _assert_commutes_with_d(parent, ideal, cx, j, dual_sign)
+    _assert_commutes_with_d(parent, ideal, cx, j, lam, dual_sign)
 
-    d_out = cx.differential(j)
-    d_in = cx.differential(j - 1) if j > 0 else {}
-
-    members = ideal.sorted_ids()
-    keep = [b.id for b in parent.basis if b.id not in ideal.member_ids]
-
-    rep_rows: list[list[Fraction]] = []
-    rep_keys: list[tuple] = []
-    rep_weights: list[Weight] = []
-    rep_blocks: list[tuple[int, int]] = []  # (block id, position) bookkeeping
-    block_data = []
+    blocks: dict[BlockKey, _Block] = {}
+    classes: Sparse = {}  # class representatives as columns over C^j(I)
+    parities = []
+    weights = []
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
-        cpos = {c: i for i, c in enumerate(cols)}
-        # kernel of d^j restricted to the block
-        rows_out: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in d_out.items():
-            if c in cpos:
-                rows_out.setdefault(r, {})[cpos[c]] = v
-        mat_out = [
-            [row.get(i, Fraction(0)) for i in range(len(cols))]
-            for _, row in sorted(rows_out.items())
-        ]
-        kernel = linalg.nullspace(mat_out, len(cols))
-        # image of d^{j-1} inside the block
-        img_rows = []
-        cols_in: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in d_in.items():
-            if r in cpos:
-                cols_in.setdefault(c, {})[cpos[r]] = v
-        for _, col in sorted(cols_in.items()):
-            img_rows.append([col.get(i, Fraction(0)) for i in range(len(cols))])
-        img_basis = linalg.row_space_basis(img_rows)
+        kernel = linalg.nullspace(cx.block_matrix(j, key), len(cols))
+        img_basis = linalg.row_space_basis(list(zip(*cx.block_matrix(j - 1, key))))
         # representatives: kernel vectors independent modulo the image
         reps = []
         stack = [list(r) for r in img_basis]
@@ -185,97 +150,29 @@ def hj_ideal_module(
                 stack.append(vec)
                 rk += 1
                 reps.append(vec)
-        block_data.append((key, cols, cpos, img_basis, reps))
-
-    # assemble global data
-    index_of: dict[tuple[tuple, int], int] = {}
-    parities = []
-    weights = []
-    for key, cols, cpos, img_basis, reps in block_data:
-        for a, vec in enumerate(reps):
-            index_of[(key, a)] = len(parities)
+        system = [list(col) for col in zip(*(img_basis + reps))]
+        blocks[key] = ({c: i for i, c in enumerate(cols)}, len(parities), len(img_basis), system)
+        for vec in reps:
+            for c, x in zip(cols, vec):
+                if x:
+                    classes[(c, len(parities))] = x
             parities.append(key[1])
             weights.append(deg.weights[key])
-    dimH = len(parities)
 
-    def reduce_in_block(key, cols, cpos, img_basis, reps, vec_cells):
-        """Express a kernel vector (dense over cols) in reps modulo image."""
-        cols_mat = [list(r) for r in img_basis] + [list(r) for r in reps]
-        if not cols_mat:
-            if any(vec_cells):
-                raise AssertionError("vector outside H-class span")
-            return []
-        sol = linalg.solve([list(col) for col in zip(*cols_mat)], vec_cells)
-        if sol is None:
-            raise AssertionError("action leaves the cohomology subquotient")
-        return sol[len(img_basis):]
-
+    keep = [b.id for b in parent.basis if b.id not in ideal.member_ids]
     action = []
-    for qid, pid in enumerate(keep):
-        mat: dict[tuple[int, int], Fraction] = {}
-        act = lam[pid]
-        for bidx, (key, cols, cpos, img_basis, reps) in enumerate(block_data):
-            for a, vec in enumerate(reps):
-                # vec is in C^j coords restricted to block cols
-                out_cells: dict[int, Fraction] = {}
-                for i, c in enumerate(cols):
-                    if vec[i]:
-                        for r, v in act.get(c, {}).items():
-                            new = out_cells.get(r, Fraction(0)) + v * vec[i]
-                            if new:
-                                out_cells[r] = new
-                            else:
-                                out_cells.pop(r, None)
-                if not out_cells:
-                    continue
-                # the image must stay in the same block
-                tkey = None
-                for r in out_cells:
-                    if tkey is None:
-                        tkey = deg.keys[r]
-                    elif deg.keys[r] != tkey:
-                        raise AssertionError("coadjoint action crosses blocks")
-                tblock = next(
-                    (bd for bd in block_data if bd[0] == tkey), None
-                )
-                if tblock is None:
-                    raise AssertionError("action leaves computed blocks")
-                tk, tcols, tcpos, timg, treps = tblock
-                dense = [Fraction(0)] * len(tcols)
-                for r, v in out_cells.items():
-                    dense[tcpos[r]] = v
-                coeffs = reduce_in_block(tk, tcols, tcpos, timg, treps, dense)
-                col_idx = index_of[(key, a)]
-                for b, cval in enumerate(coeffs):
-                    if cval:
-                        mat[(index_of[(tk, b)], col_idx)] = cval
+    for pid in keep:
+        mat: Sparse = {}
+        for col, first, coeffs in _act_on_classes(lam[pid], classes, deg, blocks):
+            for b, cval in enumerate(coeffs):
+                if cval:
+                    mat[(first + b, col)] = cval
         action.append(mat)
-
     # ideal members must act trivially on the subquotient
-    for mid in members:
-        act = lam[mid]
-        for key, cols, cpos, img_basis, reps in block_data:
-            for vec in reps:
-                out_cells: dict[int, Fraction] = {}
-                for i, c in enumerate(cols):
-                    if vec[i]:
-                        for r, v in act.get(c, {}).items():
-                            new = out_cells.get(r, Fraction(0)) + v * vec[i]
-                            if new:
-                                out_cells[r] = new
-                            else:
-                                out_cells.pop(r, None)
-                if not out_cells:
-                    continue
-                tkey = deg.keys[next(iter(out_cells))]
-                tblock = next((bd for bd in block_data if bd[0] == tkey), None)
-                tk, tcols, tcpos, timg, treps = tblock
-                dense = [Fraction(0)] * len(tcols)
-                for r, v in out_cells.items():
-                    dense[tcpos[r]] = v
-                coeffs = reduce_in_block(tk, tcols, tcpos, timg, treps, dense)
-                if any(coeffs):
-                    raise AssertionError("ideal does not act trivially on H^j(I)")
+    for mid in ideal.sorted_ids():
+        for _, _, coeffs in _act_on_classes(lam[mid], classes, deg, blocks):
+            if any(coeffs):
+                raise AssertionError("ideal does not act trivially on H^j(I)")
 
     mod = GModule(
         quotient, f"H^{j}(I)", tuple(parities), tuple(weights), action
@@ -284,36 +181,55 @@ def hj_ideal_module(
     return mod
 
 
+def _act_on_classes(
+    act: Sparse, classes: Sparse, deg: DegreeData, blocks: dict[BlockKey, _Block]
+) -> list[tuple[int, int, list[Fraction]]]:
+    """Apply `act` to every class and express each nonzero image in the
+    classes of its block, modulo the image of d.
+
+    Returns (class index, index of the target block's first class,
+    coefficients on the target block's classes) per class.
+    """
+    images: dict[int, dict[int, Fraction]] = {}
+    for (r, col), v in sparse_matmul(act, classes).items():
+        images.setdefault(col, {})[r] = v
+    out = []
+    for col in sorted(images):
+        cells = images[col]
+        # the image must stay in one block
+        tkeys = {deg.keys[r] for r in cells}
+        if len(tkeys) > 1:
+            raise AssertionError("coadjoint action crosses blocks")
+        block = blocks.get(tkeys.pop())
+        if block is None:
+            raise AssertionError("action leaves computed blocks")
+        cpos, first, n_img, system = block
+        dense = [Fraction(0)] * len(cpos)
+        for r, v in cells.items():
+            dense[cpos[r]] = v
+        sol = linalg.solve(system, dense)
+        if sol is None:
+            raise AssertionError("action leaves the cohomology subquotient")
+        out.append((col, first, sol[n_img:]))
+    return out
+
+
 def _assert_commutes_with_d(
     parent: NilpotentAlgebra,
     ideal: IdealDesignation,
     cx: CochainComplex,
     j: int,
+    lam: list[Sparse],
     dual_sign: int,
 ) -> None:
-    """Exact check that the Lie derivative commutes with d_I into degree j+1."""
-    sub = cx.alg
-    src = cx.degree(j)
-    dst = cx.degree(j + 1)
-    lam_s = _cochain_action(parent, ideal, src.words, sub.parities, dual_sign)
-    lam_t = _cochain_action(parent, ideal, dst.words, sub.parities, dual_sign)
+    """Exact check that the Lie derivative `lam` on C^j(I) commutes with d_I."""
+    lam_t = _cochain_action(parent, ideal, cx.degree(j + 1).words, cx.alg.parities, dual_sign)
     d = cx.differential(j)
-    dc: dict[int, dict[int, Fraction]] = {}
-    for (r, c), v in d.items():
-        dc.setdefault(c, {})[r] = v
     for pid in range(parent.dim):
-        for c in range(len(src.words)):
-            acc: dict[int, Fraction] = {}
-            for r1, v1 in lam_s[pid].get(c, {}).items():
-                for r2, v2 in dc.get(r1, {}).items():
-                    acc[r2] = acc.get(r2, Fraction(0)) + v2 * v1
-            for r1, v1 in dc.get(c, {}).items():
-                for r2, v2 in lam_t[pid].get(r1, {}).items():
-                    acc[r2] = acc.get(r2, Fraction(0)) - v2 * v1
-            if any(acc.values()):
-                raise AssertionError(
-                    f"Lie derivative of x_{pid} does not commute with d_I"
-                )
+        if sparse_matmul(d, lam[pid]) != sparse_matmul(lam_t[pid], d):
+            raise AssertionError(
+                f"Lie derivative of x_{pid} does not commute with d_I"
+            )
 
 
 @dataclass

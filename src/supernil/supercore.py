@@ -115,7 +115,7 @@ class Weight:
             elif c == -1:
                 term = f"-{s}"
             else:
-                term = f"{c}{s}" if c < 0 else f"{c}{s}"
+                term = f"{c}{s}"
             if parts and not term.startswith("-"):
                 parts.append(f"+{term}")
             else:

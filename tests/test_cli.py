@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from supernil.cli import main
 
 
@@ -177,3 +179,47 @@ def test_ideal_reading_flag():
     proc = run_cli("spectral", "--family", "osp_odd", "--m", "3", "--n", "1",
                    "--K", "1", "--ideal-reading", "eps_or_delta")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "-1"),
+        ("spectral", "--family", "gl", "--m", "2", "--n", "2", "--K", "-1"),
+        ("compute", "--family", "gl", "--m", "3", "--n", "3", "--degree", "1",
+         "--coefficients", "lambda-s-j", "--j", "-2"),
+        ("compute", "--family", "exc", "--degree", "1"),
+    ],
+    ids=["degree", "K", "j", "exc-without-name"],
+)
+def test_bad_numbers_and_missing_name_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path):
+    args = ("compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "2",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    first = run_cli(*args)
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(entry.read_text()[:20])
+    again = run_cli(*args)
+    assert again.returncode == 0
+    assert again.stdout == first.stdout
+    assert "cache" in again.stderr and "Traceback" not in again.stderr
+    # the bad entry was overwritten with a good one
+    assert json.loads(entry.read_text())["total"] == json.loads(first.stdout)["total"]
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supernil.cli", "compute", "--family", "gl",
+         "--m", "3", "--n", "3", "--degree", "2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert "Traceback" not in err

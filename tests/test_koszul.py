@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from supernil import realize
 from supernil.koszul import (
     CochainComplex,
+    GModule,
     dual_module,
     lambda_s_module,
     monomial_words,
@@ -142,6 +143,31 @@ def test_d_squared_zero_module_coefficients(built, family, params):
         cx = CochainComplex(quo, module)
         for k in range(2):
             assert cx.check_d_squared(k)
+
+
+def test_check_d_squared_detects_a_perturbed_entry(built):
+    alg, _ = built("osp_odd", (2, 1))
+    cx = CochainComplex(alg, trivial_module(alg))
+    d1, d2 = cx.differential(1), cx.differential(2)
+    assert cx.check_d_squared(1)
+    # an entry of d^1 whose row feeds d^2: doubling it breaks d o d = 0
+    used = {c for (_, c) in d2}
+    pos = next(p for p in sorted(d1) if p[0] in used)
+    d1[pos] *= 2
+    assert not cx.check_d_squared(1)
+
+
+def test_module_verify_detects_a_perturbed_action_entry(built):
+    alg, ideal = built("osp_odd", (2, 1))
+    quo = realize.quotient_algebra(alg, ideal)
+    dm = dual_module(alg, ideal, quo)
+    action = [dict(mat) for mat in dm.action]
+    i = next(i for i, mat in enumerate(action) if mat)
+    pos = min(action[i])
+    action[i][pos] *= 2
+    bad = GModule(quo, "I*", dm.parities, dm.weights, action)
+    with pytest.raises(AssertionError, match="representation identity"):
+        bad.verify()
 
 
 def test_abelian_algebra_all_differentials_vanish():

@@ -85,3 +85,30 @@ def test_solve_roundtrip():
 def test_solve_inconsistent():
     a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
     assert linalg.solve(a, [Fraction(1), Fraction(2)]) is None
+
+
+def test_add_to_prunes_cancelled_entries():
+    acc = {}
+    linalg.add_to(acc, (0, 1), Fraction(3, 2))
+    linalg.add_to(acc, (2, 2), Fraction(1))
+    linalg.add_to(acc, (0, 1), Fraction(-3, 2))
+    assert acc == {(2, 2): Fraction(1)}
+    linalg.add_to(acc, (5, 5), Fraction(0))
+    assert acc == {(2, 2): Fraction(1)}
+
+
+def to_sparse(a):
+    return {(i, j): x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+
+
+def test_sparse_matmul_matches_dense_product():
+    rng = random.Random(19)
+    for _ in range(60):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        # small integers, so that products often cancel
+        a = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(m)]
+        b = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)]
+        dense = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        prod = linalg.sparse_matmul(to_sparse(a), to_sparse(b))
+        assert prod == to_sparse(dense)
+        assert all(prod.values())

@@ -4,7 +4,7 @@ import pytest
 
 from supernil import realize, spectral
 from supernil.cohomology import cohomology
-from supernil.koszul import dual_module, lambda_s_module
+from supernil.koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
 from supernil.spectral import collapse_check, e2_page, h2_recursive, hj_ideal_module
 
 
@@ -130,6 +130,23 @@ def test_ideal_subalgebra(built):
     sub = spectral.ideal_subalgebra(alg, ideal)
     assert not sub.abelian
     sub.verify()
+
+
+def test_commutes_with_d_detects_a_corrupted_action(built):
+    alg, ideal = built("osp_even", (1, 2))
+    sub = spectral.ideal_subalgebra(alg, ideal)
+    cx = CochainComplex(sub, trivial_module(sub))
+    j = 2
+    lam = spectral._cochain_action(alg, ideal, cx.degree(j).words, sub.parities)
+    spectral._assert_commutes_with_d(alg, ideal, cx, j, lam, -1)
+    # an action entry whose row feeds d^j: doubling it breaks commutation
+    used = {c for (_, c) in cx.differential(j)}
+    pid, pos = next(
+        (pid, pos) for pid, act in enumerate(lam) for pos in sorted(act) if pos[0] in used
+    )
+    lam[pid][pos] *= 2
+    with pytest.raises(AssertionError, match="does not commute"):
+        spectral._assert_commutes_with_d(alg, ideal, cx, j, lam, -1)
 
 
 def test_opposite_dual_sign_gives_same_dimensions(built):

@@ -11,10 +11,12 @@ Subcommands:
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
 (including a negative --degree, --K or --j), 3 internal invariant
 violation.  Output is deterministic: repeated runs and different --workers
-counts produce byte-identical bytes.  A cache entry that cannot be read or
-parsed is reported on stderr and recomputed; entries are written to a
-temporary file and renamed into place.  A closed stdout ends the run
-quietly with exit 0.
+counts produce byte-identical bytes.  Cache entries are keyed by the
+arguments, the package version and a digest of the package source.  A
+cache directory that cannot be created is bad input.  A cache entry that
+cannot be read or parsed is reported on stderr and recomputed; entries are
+written to a temporary file and renamed into place.  A closed stdout ends
+the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -84,7 +86,14 @@ def _estimate_cochains(alg, k: int, mod_dim: int) -> int:
 
 
 def _cache_dir(args) -> str | None:
-    return getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+    """The cache directory in use, created if missing; exit 2 if it cannot be."""
+    path = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            _fail_input(f"cannot create cache directory {path}: {exc}")
+    return path
 
 
 def _cache_lookup(cache_dir, key):
@@ -104,7 +113,6 @@ def _cache_lookup(cache_dir, key):
 def _cache_store(cache_dir, key, payload) -> None:
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
     # write a per-process temporary file and rename it into place, so no
     # reader ever sees a partial entry
@@ -114,8 +122,22 @@ def _cache_store(cache_dir, key, payload) -> None:
     os.replace(tmp, path)
 
 
+def _source_digest() -> str:
+    """sha256 of the package's own .py files, so a code change is a cache miss."""
+    digest = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            digest.update(name.encode() + b"\0")
+            with open(os.path.join(here, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def _cache_key(**parts) -> str:
-    blob = json.dumps({"version": __version__, **parts}, sort_keys=True)
+    blob = json.dumps(
+        {"version": __version__, "source": _source_digest(), **parts}, sort_keys=True
+    )
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
@@ -139,6 +161,7 @@ def _render_text(payload: dict) -> None:
 
 
 def cmd_compute(args) -> int:
+    cache_dir = _cache_dir(args)
     alg, ideal = _build(args)
     mod_name = args.coefficients
     if mod_name == "trivial":
@@ -154,13 +177,14 @@ def cmd_compute(args) -> int:
         _fail_input(
             f"estimated cochain count {est} exceeds {MONOMIAL_GUARD}; pass --force"
         )
-    cache_dir = _cache_dir(args)
-    key = _cache_key(
-        cmd="compute", family=alg.family, params=list(alg.params),
-        degree=args.degree, coefficients=mod_name, j=args.j,
-        dual_sign=args.dual_sign, ideal_reading=args.ideal_reading,
-        routes=args.routes,
-    )
+    key = None
+    if cache_dir:
+        key = _cache_key(
+            cmd="compute", family=alg.family, params=list(alg.params),
+            degree=args.degree, coefficients=mod_name, j=args.j,
+            dual_sign=args.dual_sign, ideal_reading=args.ideal_reading,
+            routes=args.routes,
+        )
     payload = _cache_lookup(cache_dir, key)
     if payload is None:
         res = cohomology(target, module, args.degree, workers=args.workers)

@@ -19,6 +19,17 @@ Every entry is an exact rational.  Because the torus action commutes with
 d, the matrices are block diagonal over (weight, parity) keys; d od = 0 is
 checked as an exact sparse product wherever a test asks for it.
 
+Block bookkeeping is done in integers.  Each complex scales the algebra
+and module weights once by the lcm of their denominators, so a cochain's
+block comes from a sum of int tuples.  The `Weight` and `BlockKey` of a
+block are made once, when the block is first met, and every cochain of
+that block in every degree shares the one key object; `DegreeData.pos`
+records each cochain's place in its block.  Building d^k visits every
+nonzero once to assert that it stays in its block and, in the same pass,
+files it under that block, so `block_matrix` fills a dense block from that
+block's entries alone: extracting all blocks of a degree costs
+O(nnz(d^k) + cells).
+
 The dual-action convention, chosen once and validated end to end, is
 (x.f)(v) = -(-1)^{|x||f|} f(x.v); the opposite global sign is available
 behind the `dual_sign` flag and produces an isomorphic complex.
@@ -29,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import Sparse, add_to, sparse_matmul
@@ -225,6 +237,12 @@ class DegreeData:
     keys: list[BlockKey]           # per cochain index
     blocks: dict[BlockKey, list[int]]
     weights: dict[BlockKey, Weight]
+    pos: list[int]                 # per cochain index: its position in blocks[key]
+
+
+def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
+    """The integer vector scale * w (scale a multiple of every denominator)."""
+    return tuple(c.numerator * (scale // c.denominator) for c in w.coeffs)
 
 
 class CochainComplex:
@@ -235,32 +253,70 @@ class CochainComplex:
             raise ValueError("module is not over this algebra's symbol system")
         self.alg = alg
         self.module = module
+        weights = alg.weights + module.weights
+        for w in weights:
+            if w.basis_tag != alg.wtag:
+                raise ValueError(
+                    f"weight symbol systems differ: {w.basis_tag!r} vs {alg.wtag!r}"
+                )
+        self._scale = lcm(*(c.denominator for w in weights for c in w.coeffs))
+        self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
+        self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
+        # (scaled weight, parity) -> the one BlockKey object and Weight for it
+        self._keys: dict[tuple[tuple[int, ...], Parity], tuple[BlockKey, Weight]] = {}
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, Sparse] = {}
+        # per differential: id(block key) -> [(row pos, col pos, value)]
+        self._buckets: dict[int, dict[int, list[tuple[int, int, Fraction]]]] = {}
+
+    def _key(self, ikey: tuple[tuple[int, ...], Parity]) -> tuple[BlockKey, Weight]:
+        """The complex's one BlockKey object, and its Weight, for a scaled key."""
+        found = self._keys.get(ikey)
+        if found is None:
+            wt = Weight(self.alg.wtag, tuple(Fraction(v, self._scale) for v in ikey[0]))
+            found = self._keys[ikey] = ((wt.sort_key(), ikey[1]), wt)
+        return found
 
     # cochain index = word_index * dim(M) + module_index
     def degree(self, k: int) -> DegreeData:
         if k in self._degrees:
             return self._degrees[k]
-        words = monomial_words(self.alg.parities, k)
+        alg, m = self.alg, self.module
+        words = monomial_words(alg.parities, k)
         word_index = {w: i for i, w in enumerate(words)}
-        zero = Weight.zero(self.alg.wtag, len(self.alg.symbols))
+        zero = (0,) * len(alg.symbols)
         keys: list[BlockKey] = []
+        pos: list[int] = []
         blocks: dict[BlockKey, list[int]] = {}
         weights: dict[BlockKey, Weight] = {}
-        m = self.module
-        for wi, w in enumerate(words):
-            mono_wt = sum((self.alg.weights[x] for x in w), zero)
-            mono_par = parity_sum(self.alg.parities[x] for x in w)
-            for c in range(m.dim):
-                wt = m.weights[c] - mono_wt
-                par = (mono_par + m.parities[c]) % 2
-                key = (wt.sort_key(), par)
-                idx = wi * m.dim + c
+        # (key, member list) per scaled key, and per c for each distinct
+        # (monomial weight, parity); hashing a BlockKey hashes Fractions, so
+        # the per-cochain loop below hashes none
+        block_of: dict[tuple, tuple[BlockKey, list[int]]] = {}
+        by_mono: dict[tuple, list[tuple[BlockKey, list[int]]]] = {}
+        for w in words:
+            mono = (
+                tuple(map(sum, zip(zero, *(self._alg_iw[x] for x in w)))),
+                parity_sum(alg.parities[x] for x in w),
+            )
+            row = by_mono.get(mono)
+            if row is None:
+                row = by_mono[mono] = []
+                for c in range(m.dim):
+                    ikey = (
+                        tuple(a - b for a, b in zip(self._mod_iw[c], mono[0])),
+                        (mono[1] + m.parities[c]) % 2,
+                    )
+                    if ikey not in block_of:
+                        key, wt = self._key(ikey)
+                        block_of[ikey] = (key, blocks.setdefault(key, []))
+                        weights[key] = wt
+                    row.append(block_of[ikey])
+            for key, members in row:
+                pos.append(len(members))
+                members.append(len(keys))
                 keys.append(key)
-                blocks.setdefault(key, []).append(idx)
-                weights.setdefault(key, wt)
-        data = DegreeData(words, word_index, keys, blocks, weights)
+        data = DegreeData(words, word_index, keys, blocks, weights, pos)
         self._degrees[k] = data
         return data
 
@@ -290,8 +346,7 @@ class CochainComplex:
                     # |f| is the parity of the column cochain (rest, c)
                     f_par = (rest_par + m.parities[c]) % 2
                     tau = i + pars[i] * (prefix[i] + f_par)
-                    sgn = Fraction(-1 if tau % 2 else 1)
-                    add_to(d, (hidx * nm + r, xi * nm + c), sgn * val)
+                    add_to(d, (hidx * nm + r, xi * nm + c), -val if tau % 2 else val)
             # bracket terms
             for i in range(len(word)):
                 for j in range(i + 1, len(word)):
@@ -305,20 +360,27 @@ class CochainComplex:
                         + pars[i] * prefix[i]
                         + pars[j] * prefix[j]
                     )
-                    sgn = Fraction(-1 if sigma % 2 else 1)
+                    sgn = -1 if sigma % 2 else 1
                     rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
                     for t, cval in br.items():
                         s, canon = normalize_word(alg.parities, (t,) + rest)
                         if not s:
                             continue
                         zi = src.word_index[canon]
+                        val = cval if sgn * s > 0 else -cval
                         for w in range(nm):
-                            add_to(d, (hidx * nm + w, zi * nm + w), sgn * Fraction(s) * cval)
+                            add_to(d, (hidx * nm + w, zi * nm + w), val)
 
-        # the differential must preserve (weight, parity) blocks
-        for (row, col) in d:
-            if dst.keys[row] != src.keys[col]:
+        # the differential must preserve (weight, parity) blocks; file each
+        # entry under its block for block_matrix in the same pass, by id()
+        # because keys are interned per complex and hashing one is slow
+        buckets: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for (row, col), val in d.items():
+            key = src.keys[col]
+            if dst.keys[row] != key:
                 raise AssertionError("differential entry crosses weight blocks")
+            buckets.setdefault(id(key), []).append((dst.pos[row], src.pos[col], val))
+        self._buckets[k] = buckets
         self._diffs[k] = d
         return d
 
@@ -328,17 +390,14 @@ class CochainComplex:
 
     def block_matrix(self, k: int, key: BlockKey) -> list[list[Fraction]]:
         """Dense d^k block: rows over degree k+1 in `key`, cols degree k."""
-        d = self.differential(k)
+        self.differential(k)
         src = self.degree(k)
-        dst = self.degree(k + 1)
-        cols = src.blocks.get(key, [])
-        rows = dst.blocks.get(key, [])
-        rpos = {r: i for i, r in enumerate(rows)}
-        cpos = {c: i for i, c in enumerate(cols)}
+        cols = src.blocks.get(key, ())
+        rows = self.degree(k + 1).blocks.get(key, ())
         out = [[Fraction(0)] * len(cols) for _ in rows]
-        for (r, c), v in d.items():
-            if c in cpos:
-                out[rpos[r]][cpos[c]] = v
+        if cols:
+            for r, c, v in self._buckets[k].get(id(src.keys[cols[0]]), ()):
+                out[r][c] = v
         return out
 
     def export_triples(self, k: int) -> list[list]:

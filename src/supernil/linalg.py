@@ -16,7 +16,7 @@ repeated runs produce identical intermediate data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -50,10 +50,8 @@ def sparse_matmul(a: Sparse, b: Sparse) -> Sparse:
 def _integerize(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     out: list[list[int]] = []
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
+        denom = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (denom // x.denominator) for x in row])
     return out
 
 

@@ -267,14 +267,14 @@ def e2_page(
     abelian = ideal_is_abelian(alg, ideal)
     page = E2Page(alg.name, K, abelian)
     modules: dict[int, GModule] = {}
-    for j in range(K + 1):
-        if abelian:
-            if j == 0:
-                modules[j] = trivial_module(quo)
-            else:
-                dm = dual_module(alg, ideal, quo, dual_sign)
+    if abelian:
+        modules[0] = trivial_module(quo)
+        if K > 0:
+            dm = dual_module(alg, ideal, quo, dual_sign)
+            for j in range(1, K + 1):
                 modules[j] = lambda_s_module(quo, dm, j)
-        else:
+    else:
+        for j in range(K + 1):
             modules[j] = hj_ideal_module(alg, ideal, quo, j, dual_sign)
     for j in range(K + 1):
         cx = CochainComplex(quo, modules[j])

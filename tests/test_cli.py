@@ -223,3 +223,28 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait() == 0
     assert "Traceback" not in err
+
+
+def test_uncreatable_cache_dir_exit_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = run_cli("compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "1",
+                   "--cache-dir", str(blocker / "x"))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cache_key_covers_source_digest(tmp_path, monkeypatch, capsys):
+    import supernil.cli as cli
+
+    argv = ["compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "2",
+            "--format", "json", "--cache-dir", str(tmp_path)]
+    outs = []
+    for digest in ("old", "new"):
+        monkeypatch.setattr(cli, "_source_digest", lambda: digest)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    # the changed digest missed the first entry and wrote a second one
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert outs[0] == outs[1]

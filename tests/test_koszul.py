@@ -15,7 +15,7 @@ from supernil.koszul import (
     normalize_word,
     trivial_module,
 )
-from supernil.supercore import EVEN, ODD, swap_sign
+from supernil.supercore import EVEN, ODD, Weight, swap_sign
 
 
 def lambda_s_dim(d0, d1, k):
@@ -259,3 +259,77 @@ def test_export_triples_deterministic(built):
     rows = cx1.export_triples(1)
     assert all(len(r) == 5 for r in rows)
     Fraction(rows[0][4])
+
+
+def _fractional_module(alg):
+    """Two trivial summands at weights with denominators 2 and 3."""
+    rank = len(alg.symbols)
+    weights = (
+        Weight.make(alg.wtag, [Fraction(1, 2)] + [0] * (rank - 1)),
+        Weight.make(alg.wtag, [0, Fraction(-1, 3)] + [0] * (rank - 2)),
+    )
+    mod = GModule(alg, "C(1/2)+C(-1/3)", (EVEN, ODD), weights, [{} for _ in range(alg.dim)])
+    mod.verify()
+    return mod
+
+
+def _bookkeeping_cases(built):
+    cases = []
+    for family, params in [("gl", (3, 2)), ("osp_even", (2, 2)), ("q", (3,)),
+                           ("exc", ("F4",))]:
+        alg, _ = built(family, params)
+        cases.append((alg, trivial_module(alg)))
+    alg, ideal = built("gl", (3, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    cases.append((quo, lambda_s_module(quo, dual_module(alg, ideal, quo), 2)))
+    alg, _ = built("osp_odd", (2, 1))
+    cases.append((alg, _fractional_module(alg)))
+    return cases
+
+
+def test_block_matrix_matches_dense_cut_of_differential(built):
+    for alg, module in _bookkeeping_cases(built):
+        cx = CochainComplex(alg, module)
+        for k in range(3):
+            d = cx.differential(k)
+            src, dst = cx.degree(k), cx.degree(k + 1)
+            for key in set(src.blocks) | set(dst.blocks):
+                cols = src.blocks.get(key, [])
+                rows = dst.blocks.get(key, [])
+                cut = [[d.get((r, c), Fraction(0)) for c in cols] for r in rows]
+                assert cx.block_matrix(k, key) == cut, (module.name, k, key)
+
+
+def test_block_keys_and_weights_match_fraction_sums(built):
+    for alg, module in _bookkeeping_cases(built):
+        cx = CochainComplex(alg, module)
+        zero = Weight.zero(alg.wtag, len(alg.symbols))
+        for k in range(4):
+            data = cx.degree(k)
+            old_keys = []
+            for idx, key in enumerate(data.keys):
+                word, c = data.words[idx // module.dim], idx % module.dim
+                wt = module.weights[c] - sum((alg.weights[x] for x in word), zero)
+                par = (module.parities[c] + sum(alg.parities[x] for x in word)) % 2
+                old_keys.append((wt.sort_key(), par))
+                assert key == old_keys[-1]
+                assert data.weights[key] == wt
+                assert data.blocks[key][data.pos[idx]] == idx
+            assert list(data.blocks) == list(dict.fromkeys(old_keys))
+            assert sorted(data.blocks) == sorted(set(old_keys))
+
+
+def test_fractional_weights_keep_their_denominators(built):
+    alg, _ = built("osp_odd", (2, 1))
+    cx = CochainComplex(alg, _fractional_module(alg))
+    denominators = {c.denominator for key in cx.degree(2).blocks for c in key[0]}
+    assert denominators == {1, 2, 3}
+
+
+def test_complex_rejects_module_weights_of_another_symbol_system(built):
+    alg, _ = built("q", (3,))
+    other, _ = built("gl", (2, 2))
+    wt = Weight.zero(other.wtag, len(other.symbols))
+    mod = GModule(alg, "C'", (EVEN,), (wt,), [{} for _ in range(alg.dim)])
+    with pytest.raises(ValueError, match="symbol systems differ"):
+        CochainComplex(alg, mod).degree(1)

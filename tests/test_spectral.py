@@ -170,3 +170,17 @@ def test_e2_page_serialization(built):
     import json
 
     json.dumps(data)
+
+
+def test_abelian_e2_page_builds_the_dual_module_once(built, monkeypatch):
+    alg, ideal = built("gl", (3, 2))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dual_module(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "dual_module", counting)
+    page = e2_page(alg, ideal, 3)
+    assert page.abelian_ideal and len(calls) == 1
+    assert len(e2_page(alg, ideal, 0).terms) == 1 and len(calls) == 1

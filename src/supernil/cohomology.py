@@ -4,7 +4,9 @@ The Koszul route is authoritative: per (weight, parity) block,
 
     dim H^k = dim C^k - rank d^k - rank d^{k-1}
 
-with every rank computed by fraction-free elimination over the rationals.
+with every rank computed exactly by `linalg.rank` on the block's sparse
+rows, as `CochainComplex.block_matrix` returns them: integer elimination
+after each row's denominators are cleared, with no dense matrix built.
 Two independent degree-specific routes (dual of the abelianization for H^1
 with trivial coefficients, and the superderivation quotient for H^1 with
 any coefficients) plus the fixed-point route for H^0 serve as cross-checks;
@@ -94,17 +96,11 @@ class CohomologyResult:
         return json.dumps(self.to_json(symbols), sort_keys=True, indent=2)
 
 
-def _rank_of(rows) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return linalg.rank(rows)
-
-
-def _parallel_ranks(tasks: list, workers: int) -> list[int]:
+def _parallel_ranks(tasks: list[list[linalg.SparseRow]], workers: int) -> list[int]:
     if workers <= 1 or len(tasks) <= 1:
-        return [_rank_of(t) for t in tasks]
+        return [linalg.rank(t) for t in tasks]
     with Pool(processes=workers) as pool:
-        return pool.map(_rank_of, tasks)
+        return pool.map(linalg.rank, tasks)
 
 
 def cohomology(
@@ -159,11 +155,7 @@ def h0_fixed_points(alg: NilpotentAlgebra, module: GModule) -> CohomologyResult:
             for (r, c), v in module.action[i].items():
                 if c in cpos:
                     rows.setdefault((i, r), {})[cpos[c]] = v
-        mat = [
-            [row.get(j, Fraction(0)) for j in range(len(cols))]
-            for _, row in sorted(rows.items())
-        ]
-        h = len(cols) - _rank_of(mat)
+        h = len(cols) - linalg.rank(list(rows.values()))
         res.add(weights[key], key[1], h)
     return res
 
@@ -209,7 +201,7 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
         cols = unknowns[key]
         cpos = {u: a for a, u in enumerate(cols)}
         p = key[1]
-        eqs: list[list[Fraction]] = []
+        eqs: list[linalg.SparseRow] = []
         for i in range(alg.dim):
             pi = alg.parities[i]
             for j in range(i, alg.dim):
@@ -231,24 +223,18 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
                 s2 = Fraction(-1 if (pj * (pi + p)) % 2 else 1)
                 for (r, c), v in module.action[j].items():
                     put(r, (i, c), s2 * v)
-                for r in sorted(rows):
-                    eqs.append(
-                        [rows[r].get(a, Fraction(0)) for a in range(len(cols))]
-                    )
-        sd = len(cols) - _rank_of(eqs)
-        inner_rows: list[list[Fraction]] = []
+                eqs.extend(rows.values())
+        sd = len(cols) - linalg.rank(eqs)
+        inner_rows: list[linalg.SparseRow] = []
         for a in range(module.dim):
-            vec = [Fraction(0)] * len(cols)
-            hit = False
+            vec: linalg.SparseRow = {}
             for i in range(alg.dim):
                 sgn = Fraction(-1 if (alg.parities[i] * module.parities[a]) % 2 else 1)
                 for (r, c), v in module.action[i].items():
                     if c == a and (i, r) in cpos:
-                        vec[cpos[(i, r)]] += sgn * v
-                        hit = True
-            if hit:
-                inner_rows.append(vec)
-        inner = _rank_of(inner_rows)
+                        linalg.add_to(vec, cpos[(i, r)], sgn * v)
+            inner_rows.append(vec)
+        inner = linalg.rank(inner_rows)
         h = sd - inner
         if h:
             res.add(uw[key], p, h)

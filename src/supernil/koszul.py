@@ -26,9 +26,9 @@ block are made once, when the block is first met, and every cochain of
 that block in every degree shares the one key object; `DegreeData.pos`
 records each cochain's place in its block.  Building d^k visits every
 nonzero once to assert that it stays in its block and, in the same pass,
-files it under that block, so `block_matrix` fills a dense block from that
-block's entries alone: extracting all blocks of a degree costs
-O(nnz(d^k) + cells).
+files it under that block, so `block_matrix` builds a block's sparse rows
+from that block's entries alone: extracting all blocks of a degree costs
+O(nnz(d^k) + rows), and no zero entry is ever made.
 
 The dual-action convention, chosen once and validated end to end, is
 (x.f)(v) = -(-1)^{|x||f|} f(x.v); the opposite global sign is available
@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import Sparse, add_to, sparse_matmul
+from .linalg import Sparse, SparseRow, add_to, sparse_matmul
 from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
 from .supercore import EVEN, ODD, Parity, Weight, parity_sum, swap_sign
 
@@ -388,13 +388,14 @@ class CochainComplex:
         """Exact check that d^{k+1} o d^k = 0."""
         return not sparse_matmul(self.differential(k + 1), self.differential(k))
 
-    def block_matrix(self, k: int, key: BlockKey) -> list[list[Fraction]]:
-        """Dense d^k block: rows over degree k+1 in `key`, cols degree k."""
+    def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
+        """d^k block as sparse rows {col pos: value}, one per degree-(k+1)
+        cochain in `key` in block order (empty where the row is zero); the
+        columns are the degree-k cochains in `key`, by position."""
         self.differential(k)
         src = self.degree(k)
         cols = src.blocks.get(key, ())
-        rows = self.degree(k + 1).blocks.get(key, ())
-        out = [[Fraction(0)] * len(cols) for _ in rows]
+        out: list[SparseRow] = [{} for _ in self.degree(k + 1).blocks.get(key, ())]
         if cols:
             for r, c, v in self._buckets[k].get(id(src.keys[cols[0]]), ()):
                 out[r][c] = v

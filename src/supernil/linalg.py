@@ -3,24 +3,28 @@
 Every layer shares one sparse format: a dict `{(row, col): Fraction}` that
 stores no zeros (sparse vectors are dicts keyed by index under the same
 rule).  `add_to` is the one place an entry is accumulated and pruned, and
-`sparse_matmul` the one sparse product.
+`sparse_matmul` the one sparse product.  A matrix given to `rank` is a list
+of sparse rows `{col: Fraction}`, the form in which
+`CochainComplex.block_matrix` returns a weight block.
 
-Dense matrices here are small blocks carved out of weight-graded sparse
-differentials, so the routines favour exactness and determinism over
-asymptotics.  Ranks are computed by fraction-free (Bareiss) elimination on
-an integer rescaling of the input; kernels and row spaces by ordinary
-Gauss-Jordan over `Fraction`.  Pivoting is positional (first nonzero), so
-repeated runs produce identical intermediate data.
+`rank` is the one rank routine: integer elimination on the sparse rows
+once each row's denominators are cleared, with no dense matrix built.
+Kernels, row spaces and solutions (`nullspace`, `row_space_basis`,
+`solve`) take dense rows and use ordinary Gauss-Jordan over `Fraction`;
+their inputs are small blocks and systems.  Pivots are chosen by position
+(first nonzero, or smallest column index in `rank`), so repeated runs
+produce identical intermediate data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
 Sparse = dict[tuple[int, int], Fraction]
+SparseRow = dict[int, Fraction]
 
 
 def add_to(target: dict, key, val: Fraction) -> None:
@@ -47,37 +51,58 @@ def sparse_matmul(a: Sparse, b: Sparse) -> Sparse:
     return out
 
 
-def _integerize(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out: list[list[int]] = []
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """vec divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return vec if g == 1 else {c: x // g for c, x in vec.items()}
+
+
+def rank(rows: Sequence[SparseRow]) -> int:
+    """Exact rank of the matrix with the given sparse rows.
+
+    Each row is scaled to a primitive integer vector: its denominators are
+    cleared by their lcm and the result divided by the gcd of its entries.
+    Since rank(A) = rank(A^T), the elimination runs over the rows or over
+    the columns, whichever are fewer.  Vectors are taken sparsest first and
+    reduced against one pivot vector per leading (smallest) index, the
+    sparser of two vectors being kept as the pivot; the rank is the number
+    of pivots.  Integer arithmetic only, and deterministic.
+    """
+    vecs = []
     for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (denom // x.denominator) for x in row])
-    return out
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction-free Bareiss elimination."""
-    a = _integerize(rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    prev = 1
-    col = 0
-    while r < m and col < n:
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m):
-            for j in range(col + 1, n):
-                a[i][j] = (a[r][col] * a[i][j] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
-        r += 1
-        col += 1
-    return r
+        denom = lcm(*(x.denominator for x in row.values()))
+        vec = {c: x.numerator * (denom // x.denominator) for c, x in row.items() if x}
+        if vec:
+            vecs.append(vec)
+    if len({c for vec in vecs for c in vec}) < len(vecs):
+        cols: dict[int, dict[int, int]] = {}
+        for r, vec in enumerate(vecs):
+            for c, x in vec.items():
+                cols.setdefault(c, {})[r] = x
+        vecs = list(cols.values())
+    vecs = sorted(map(_primitive, vecs), key=len)
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vecs:
+        while vec:
+            lead = min(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = vec
+                break
+            if len(vec) < len(piv):
+                pivots[lead], vec, piv = vec, piv, vec
+            # vec <- a * vec - b * piv cancels the lead entry
+            g = gcd(piv[lead], vec[lead])
+            a, b = piv[lead] // g, vec[lead] // g
+            new = {c: a * x for c, x in vec.items()}
+            for c, x in piv.items():
+                y = new.get(c, 0) - b * x
+                if y:
+                    new[c] = y
+                else:
+                    del new[c]
+            vec = _primitive(new) if new else new
+    return len(pivots)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:

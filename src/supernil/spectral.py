@@ -102,53 +102,72 @@ def _cochain_action(
     return out
 
 
+class IdealComplex:
+    """The Koszul complex of an ideal I, taken as an algebra in its own
+    right, and the parent's Lie-derivative action on each of its degrees;
+    each is built once and shared by the H^j(I, C) of every j."""
+
+    def __init__(self, parent: NilpotentAlgebra, ideal: IdealDesignation, dual_sign: int = -1):
+        self.parent = parent
+        self.ideal = ideal
+        self.dual_sign = dual_sign
+        self.sub = ideal_subalgebra(parent, ideal)
+        self.cx = CochainComplex(self.sub, trivial_module(self.sub))
+        self._actions: dict[int, list[Sparse]] = {}
+
+    def action(self, j: int) -> list[Sparse]:
+        """Per parent basis vector, its Lie-derivative action on C^j(I)."""
+        if j not in self._actions:
+            self._actions[j] = _cochain_action(
+                self.parent, self.ideal, self.cx.degree(j).words, self.sub.parities,
+                self.dual_sign,
+            )
+        return self._actions[j]
+
+
 # per block of C^j(I): (position of each cochain in the block, index of the
 # block's first class, number of image basis vectors, the transposed system
 # whose columns are the image basis followed by the class representatives)
 _Block = tuple[dict[int, int], int, int, list[list[Fraction]]]
 
 
-def hj_ideal_module(
-    parent: NilpotentAlgebra,
-    ideal: IdealDesignation,
-    quotient: NilpotentAlgebra,
-    j: int,
-    dual_sign: int = -1,
-) -> GModule:
+def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GModule:
     """H^j(I, C) as a module over n/I, for a possibly non-abelian ideal I.
 
     Representatives are chosen per (weight, parity) block of the Koszul
     complex of I; the parent acts through the coadjoint derivation action,
     which commutes with d_I, and the ideal must act trivially on the
     subquotient (asserted) for the quotient action to be well defined.
+    j >= 1; H^0(I, C) is the trivial module.
     """
-    if j == 0:
-        return trivial_module(quotient)
-    sub = ideal_subalgebra(parent, ideal)
-    cx = CochainComplex(sub, trivial_module(sub))
+    cx = ic.cx
     deg = cx.degree(j)
-
-    # Lie-derivative action of every parent basis vector on C^j(I)
-    lam = _cochain_action(parent, ideal, deg.words, sub.parities, dual_sign)
-    _assert_commutes_with_d(parent, ideal, cx, j, lam, dual_sign)
+    lam = ic.action(j)
+    _assert_commutes_with_d(cx, j, lam, ic.action(j + 1))
 
     blocks: dict[BlockKey, _Block] = {}
     classes: Sparse = {}  # class representatives as columns over C^j(I)
     parities = []
     weights = []
+    zero = Fraction(0)
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
-        kernel = linalg.nullspace(cx.block_matrix(j, key), len(cols))
-        img_basis = linalg.row_space_basis(list(zip(*cx.block_matrix(j - 1, key))))
+        # nullspace and row_space_basis take dense rows; the image of d^{j-1}
+        # is the row space of its block's transpose
+        d_out = [[row.get(c, zero) for c in range(len(cols))] for row in cx.block_matrix(j, key)]
+        kernel = linalg.nullspace(d_out, len(cols))
+        d_in = cx.block_matrix(j - 1, key)
+        n_in = len(cx.degree(j - 1).blocks.get(key, ()))
+        img_basis = linalg.row_space_basis(
+            [[row.get(c, zero) for row in d_in] for c in range(n_in)]
+        )
         # representatives: kernel vectors independent modulo the image
         reps = []
-        stack = [list(r) for r in img_basis]
-        rk = len(img_basis)
+        stack = [_sparse_row(r) for r in img_basis]
         for vec in kernel:
-            test = stack + [vec]
-            if linalg.rank(test) > rk:
-                stack.append(vec)
-                rk += 1
+            test = stack + [_sparse_row(vec)]
+            if linalg.rank(test) > len(stack):
+                stack = test
                 reps.append(vec)
         system = [list(col) for col in zip(*(img_basis + reps))]
         blocks[key] = ({c: i for i, c in enumerate(cols)}, len(parities), len(img_basis), system)
@@ -159,7 +178,7 @@ def hj_ideal_module(
             parities.append(key[1])
             weights.append(deg.weights[key])
 
-    keep = [b.id for b in parent.basis if b.id not in ideal.member_ids]
+    keep = [b.id for b in ic.parent.basis if b.id not in ic.ideal.member_ids]
     action = []
     for pid in keep:
         mat: Sparse = {}
@@ -169,7 +188,7 @@ def hj_ideal_module(
                     mat[(first + b, col)] = cval
         action.append(mat)
     # ideal members must act trivially on the subquotient
-    for mid in ideal.sorted_ids():
+    for mid in ic.ideal.sorted_ids():
         for _, _, coeffs in _act_on_classes(lam[mid], classes, deg, blocks):
             if any(coeffs):
                 raise AssertionError("ideal does not act trivially on H^j(I)")
@@ -179,6 +198,10 @@ def hj_ideal_module(
     )
     mod.verify()
     return mod
+
+
+def _sparse_row(vec: list[Fraction]) -> linalg.SparseRow:
+    return {c: x for c, x in enumerate(vec) if x}
 
 
 def _act_on_classes(
@@ -215,18 +238,13 @@ def _act_on_classes(
 
 
 def _assert_commutes_with_d(
-    parent: NilpotentAlgebra,
-    ideal: IdealDesignation,
-    cx: CochainComplex,
-    j: int,
-    lam: list[Sparse],
-    dual_sign: int,
+    cx: CochainComplex, j: int, lam: list[Sparse], lam_next: list[Sparse]
 ) -> None:
-    """Exact check that the Lie derivative `lam` on C^j(I) commutes with d_I."""
-    lam_t = _cochain_action(parent, ideal, cx.degree(j + 1).words, cx.alg.parities, dual_sign)
+    """Exact check that d_I^j o lam = lam_next o d_I^j, for the Lie
+    derivative `lam` on C^j(I) and `lam_next` on C^{j+1}(I)."""
     d = cx.differential(j)
-    for pid in range(parent.dim):
-        if sparse_matmul(d, lam[pid]) != sparse_matmul(lam_t[pid], d):
+    for pid, (act, act_next) in enumerate(zip(lam, lam_next, strict=True)):
+        if sparse_matmul(d, act) != sparse_matmul(act_next, d):
             raise AssertionError(
                 f"Lie derivative of x_{pid} does not commute with d_I"
             )
@@ -266,16 +284,15 @@ def e2_page(
     quo = quotient_algebra(alg, ideal)
     abelian = ideal_is_abelian(alg, ideal)
     page = E2Page(alg.name, K, abelian)
-    modules: dict[int, GModule] = {}
-    if abelian:
-        modules[0] = trivial_module(quo)
-        if K > 0:
-            dm = dual_module(alg, ideal, quo, dual_sign)
-            for j in range(1, K + 1):
-                modules[j] = lambda_s_module(quo, dm, j)
-    else:
-        for j in range(K + 1):
-            modules[j] = hj_ideal_module(alg, ideal, quo, j, dual_sign)
+    modules: dict[int, GModule] = {0: trivial_module(quo)}
+    if K > 0 and abelian:
+        dm = dual_module(alg, ideal, quo, dual_sign)
+        for j in range(1, K + 1):
+            modules[j] = lambda_s_module(quo, dm, j)
+    elif K > 0:
+        ic = IdealComplex(alg, ideal, dual_sign)
+        for j in range(1, K + 1):
+            modules[j] = hj_ideal_module(ic, quo, j)
     for j in range(K + 1):
         cx = CochainComplex(quo, modules[j])
         for i in range(K + 1 - j):

@@ -66,8 +66,9 @@ class Weight:
 
     `basis_tag` pins the symbol system (e.g. "gl(3|2)" with symbols
     e1,e2,e3,d1,d2) so that weights from different algebras never compare
-    equal by accident.  Coefficients are exact rationals; F(4) genuinely
-    needs denominators.
+    equal by accident.  Coefficients are exact rationals.  Every algebra
+    the builders make, the exceptional F(4), G(3) and D(2,1;a) included,
+    has integer weights; a module may still carry fractional ones.
     """
 
     basis_tag: str

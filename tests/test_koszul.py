@@ -190,11 +190,7 @@ def test_rank_d0_with_ideal_dual_coefficients():
         rows: dict[int, dict[int, Fraction]] = {}
         for (r, c), v in d0.items():
             rows.setdefault(r, {})[c] = v
-        mat = [
-            [row.get(c, Fraction(0)) for c in range(cx.dim(0))]
-            for row in rows.values()
-        ]
-        assert linalg.rank(mat) == 4 * (n - 2)
+        assert linalg.rank(list(rows.values())) == 4 * (n - 2)
 
 
 def test_dual_module_weights_negated():
@@ -287,7 +283,7 @@ def _bookkeeping_cases(built):
     return cases
 
 
-def test_block_matrix_matches_dense_cut_of_differential(built):
+def test_block_matrix_matches_sparse_cut_of_differential(built):
     for alg, module in _bookkeeping_cases(built):
         cx = CochainComplex(alg, module)
         for k in range(3):
@@ -296,7 +292,9 @@ def test_block_matrix_matches_dense_cut_of_differential(built):
             for key in set(src.blocks) | set(dst.blocks):
                 cols = src.blocks.get(key, [])
                 rows = dst.blocks.get(key, [])
-                cut = [[d.get((r, c), Fraction(0)) for c in cols] for r in rows]
+                cut = [
+                    {a: d[(r, c)] for a, c in enumerate(cols) if (r, c) in d} for r in rows
+                ]
                 assert cx.block_matrix(k, key) == cut, (module.name, k, key)
 
 

@@ -5,7 +5,7 @@ from supernil import linalg
 
 
 def naive_rank(rows):
-    """Plain Gauss over Fraction, independent oracle for the Bareiss rank."""
+    """Plain Gauss over Fraction on dense rows, independent oracle for rank."""
     a = [list(r) for r in rows]
     if not a:
         return 0
@@ -33,17 +33,84 @@ def random_matrix(rng, m, n):
     ]
 
 
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def product(b, c):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+
+
 def test_rank_matches_naive_gauss():
     rng = random.Random(7)
     for _ in range(60):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         a = random_matrix(rng, m, n)
-        assert linalg.rank(a) == naive_rank(a)
+        assert linalg.rank(sparse_rows(a)) == naive_rank(a)
 
 
 def test_rank_degenerate():
     assert linalg.rank([]) == 0
-    assert linalg.rank([[Fraction(0), Fraction(0)]]) == 0
+    assert linalg.rank([{}]) == 0
+    assert linalg.rank(sparse_rows([[Fraction(0), Fraction(0)]])) == 0
+
+
+def test_rank_sparse_tall_and_wide():
+    # beyond 7x7, so both the row and the transposed (column) side run
+    rng = random.Random(23)
+    for _ in range(40):
+        m, n = rng.choice([(40, 9), (9, 40), (25, 25), (30, 3), (3, 30)])
+        density = rng.choice([0.05, 0.15, 0.4])
+        a = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density
+             else Fraction(0) for _ in range(n)]
+            for _ in range(m)
+        ]
+        assert linalg.rank(sparse_rows(a)) == naive_rank(a)
+
+
+def test_rank_of_low_rank_products():
+    # integer factors give rows with common divisors, so every elimination
+    # step has a gcd to divide out
+    rng = random.Random(29)
+    for _ in range(40):
+        m, n = rng.randint(1, 40), rng.randint(1, 15)
+        r = rng.randint(0, min(m, n))
+        b = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(m)]
+        c = [[Fraction(2 * rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+        a = product(b, c) if r else [[Fraction(0)] * n for _ in range(m)]
+        got = linalg.rank(sparse_rows(a))
+        assert got == naive_rank(a) and got <= r
+
+
+def test_rank_fractional_entries():
+    rng = random.Random(31)
+    for _ in range(30):
+        m, n = rng.randint(1, 20), rng.randint(1, 20)
+        a = [
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 6, 35, 97])) for _ in range(n)]
+            for _ in range(m)
+        ]
+        assert linalg.rank(sparse_rows(a)) == naive_rank(a)
+    # a row equal to a rescaled other row adds nothing
+    a = [{0: Fraction(1, 2), 3: Fraction(-2, 3)}, {0: Fraction(3, 4), 3: Fraction(-1)}]
+    assert linalg.rank(a) == 1
+
+
+def test_rank_zero_empty_and_duplicate_rows():
+    rng = random.Random(37)
+    for _ in range(30):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        a = random_matrix(rng, m, n)
+        a += [list(rng.choice(a)) for _ in range(rng.randint(1, 12))]
+        a += [[Fraction(0)] * n for _ in range(rng.randint(0, 3))]
+        rng.shuffle(a)
+        rows = sparse_rows(a)
+        copies = [dict(row) for row in rows]
+        assert linalg.rank(rows) == naive_rank(a)
+        assert rows == copies  # the input is left as it was
+    # stored zeros count as absent
+    assert linalg.rank([{0: Fraction(0)}, {}, {2: Fraction(0), 1: Fraction(5)}]) == 1
 
 
 def test_nullspace_is_kernel():
@@ -52,13 +119,13 @@ def test_nullspace_is_kernel():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n)
         basis = linalg.nullspace(a, n)
-        assert len(basis) == n - linalg.rank(a)
+        assert len(basis) == n - linalg.rank(sparse_rows(a))
         for v in basis:
             for row in a:
                 assert sum(x * y for x, y in zip(row, v)) == 0
         # kernel vectors are independent
         if basis:
-            assert linalg.rank(basis) == len(basis)
+            assert linalg.rank(sparse_rows(basis)) == len(basis)
 
 
 def test_row_space_basis_dimension():
@@ -66,7 +133,7 @@ def test_row_space_basis_dimension():
     for _ in range(30):
         a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         basis = linalg.row_space_basis(a)
-        assert len(basis) == linalg.rank(a)
+        assert len(basis) == linalg.rank(sparse_rows(a))
 
 
 def test_solve_roundtrip():

@@ -83,9 +83,10 @@ def test_hj_module_matches_lambda_route_for_abelian_ideal(built):
     alg, ideal = built("gl", (3, 3))
     quo = realize.quotient_algebra(alg, ideal)
     dm = dual_module(alg, ideal, quo)
+    ic = spectral.IdealComplex(alg, ideal)
     for j in (1, 2):
         lam = lambda_s_module(quo, dm, j)
-        gen = hj_ideal_module(alg, ideal, quo, j)
+        gen = hj_ideal_module(ic, quo, j)
         assert sorted(
             (w.sort_key(), p) for w, p in zip(lam.weights, lam.parities)
         ) == sorted((w.sort_key(), p) for w, p in zip(gen.weights, gen.parities))
@@ -138,7 +139,8 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
     cx = CochainComplex(sub, trivial_module(sub))
     j = 2
     lam = spectral._cochain_action(alg, ideal, cx.degree(j).words, sub.parities)
-    spectral._assert_commutes_with_d(alg, ideal, cx, j, lam, -1)
+    lam_next = spectral._cochain_action(alg, ideal, cx.degree(j + 1).words, sub.parities)
+    spectral._assert_commutes_with_d(cx, j, lam, lam_next)
     # an action entry whose row feeds d^j: doubling it breaks commutation
     used = {c for (_, c) in cx.differential(j)}
     pid, pos = next(
@@ -146,7 +148,7 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
     )
     lam[pid][pos] *= 2
     with pytest.raises(AssertionError, match="does not commute"):
-        spectral._assert_commutes_with_d(alg, ideal, cx, j, lam, -1)
+        spectral._assert_commutes_with_d(cx, j, lam, lam_next)
 
 
 def test_opposite_dual_sign_gives_same_dimensions(built):
@@ -184,3 +186,25 @@ def test_abelian_e2_page_builds_the_dual_module_once(built, monkeypatch):
     page = e2_page(alg, ideal, 3)
     assert page.abelian_ideal and len(calls) == 1
     assert len(e2_page(alg, ideal, 0).terms) == 1 and len(calls) == 1
+
+
+def test_nonabelian_e2_page_builds_the_ideal_complex_once(built, monkeypatch):
+    # osp(2|6): its ideal is not abelian; K = 3 needs the action on C^1..C^4(I)
+    alg, ideal = built("osp_even", (1, 3))
+    build_sub, build_action = spectral.ideal_subalgebra, spectral._cochain_action
+    subs, degrees = [], []
+
+    def counting_sub(*args):
+        subs.append(args)
+        return build_sub(*args)
+
+    def counting_action(parent, ideal, words, *rest):
+        degrees.append(len(words[0]))
+        return build_action(parent, ideal, words, *rest)
+
+    monkeypatch.setattr(spectral, "ideal_subalgebra", counting_sub)
+    monkeypatch.setattr(spectral, "_cochain_action", counting_action)
+    rep = collapse_check(alg, ideal, 3)
+    assert not rep["abelian_ideal"] and rep["all_match"]
+    assert len(subs) == 1 and sorted(degrees) == [1, 2, 3, 4]
+    assert len(e2_page(alg, ideal, 0).terms) == 1 and len(subs) == 1

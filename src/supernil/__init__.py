@@ -47,7 +47,7 @@ from .realize import (
     supercommutator,
 )
 from .spectral import E2Page, collapse_check, e2_page, h2_recursive
-from .supercore import EVEN, ODD, Parity, Rational, Weight, koszul_sign
+from .supercore import EVEN, ODD, Parity, Rational, Weight
 
 __all__ = [
     "EVEN",
@@ -82,7 +82,6 @@ __all__ = [
     "h1_via_superderivations",
     "h2_recursive",
     "is_cocycle",
-    "koszul_sign",
     "lambda_s_module",
     "monomial_words",
     "normalize_word",

@@ -337,17 +337,15 @@ def cocycle_space(alg: NilpotentAlgebra):
         for i, w in enumerate(words)
         if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == EVEN
     ]
-    d2 = cx.differential(2)
-    nrows = cx.dim(3)
-    mat = [[Fraction(0)] * len(even_cols) for _ in range(nrows)]
+    # the rows of d^2 restricted to the even columns
     cpos = {c: a for a, c in enumerate(even_cols)}
-    for (r, c), v in d2.items():
+    rows: dict[int, linalg.SparseRow] = {}
+    for (r, c), v in cx.differential(2).items():
         if c in cpos:
-            mat[r][cpos[c]] = v
+            rows.setdefault(r, {})[cpos[c]] = v
+    mat = list(rows.values())
     kernel = linalg.nullspace(mat, len(even_cols))
-    cocycles = [
-        {words[even_cols[a]]: v for a, v in enumerate(vec) if v} for vec in kernel
-    ]
+    cocycles = [{words[even_cols[a]]: v for a, v in vec.items()} for vec in kernel]
     # pivot-column unit vectors span a complement of the kernel
     _, piv_cols = linalg.rref(mat)
     non_cocycles = [{words[even_cols[c]]: Fraction(1)} for c in piv_cols]

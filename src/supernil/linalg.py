@@ -3,17 +3,16 @@
 Every layer shares one sparse format: a dict `{(row, col): Fraction}` that
 stores no zeros (sparse vectors are dicts keyed by index under the same
 rule).  `add_to` is the one place an entry is accumulated and pruned, and
-`sparse_matmul` the one sparse product.  A matrix given to `rank` is a list
-of sparse rows `{col: Fraction}`, the form in which
-`CochainComplex.block_matrix` returns a weight block.
+`sparse_matmul` the one sparse product.  A matrix is a list of sparse rows
+`{col: Fraction}` (the form of a `CochainComplex.block_matrix` weight
+block); every routine here takes and returns sparse rows, never dense ones.
 
-`rank` is the one rank routine: integer elimination on the sparse rows
-once each row's denominators are cleared, with no dense matrix built.
-Kernels, row spaces and solutions (`nullspace`, `row_space_basis`,
-`solve`) take dense rows and use ordinary Gauss-Jordan over `Fraction`;
-their inputs are small blocks and systems.  Pivots are chosen by position
-(first nonzero, or smallest column index in `rank`), so repeated runs
-produce identical intermediate data.
+One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace`,
+`row_space_basis` and `solve`: integer elimination on the rows once their
+denominators are cleared, one pivot per leading (smallest) column.
+`Fraction`s appear again only in the reduced rows `rref` returns.  The RREF
+is unique, so kernels, row spaces and solutions do not depend on the order
+in which the kernel picks its pivots.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
 Sparse = dict[tuple[int, int], Fraction]
 SparseRow = dict[int, Fraction]
+IntRow = dict[int, int]
 
 
 def add_to(target: dict, key, val: Fraction) -> None:
@@ -51,38 +50,47 @@ def sparse_matmul(a: Sparse, b: Sparse) -> Sparse:
     return out
 
 
-def _primitive(vec: dict[int, int]) -> dict[int, int]:
+def _primitive(vec: IntRow) -> IntRow:
     """vec divided by the gcd of its entries."""
     g = gcd(*vec.values())
     return vec if g == 1 else {c: x // g for c, x in vec.items()}
 
 
-def rank(rows: Sequence[SparseRow]) -> int:
-    """Exact rank of the matrix with the given sparse rows.
-
-    Each row is scaled to a primitive integer vector: its denominators are
-    cleared by their lcm and the result divided by the gcd of its entries.
-    Since rank(A) = rank(A^T), the elimination runs over the rows or over
-    the columns, whichever are fewer.  Vectors are taken sparsest first and
-    reduced against one pivot vector per leading (smallest) index, the
-    sparser of two vectors being kept as the pivot; the rank is the number
-    of pivots.  Integer arithmetic only, and deterministic.
-    """
-    vecs = []
+def _integer_rows(rows: Sequence[SparseRow]) -> list[IntRow]:
+    """The nonzero rows, each with its denominators cleared by their lcm."""
+    out = []
     for row in rows:
         denom = lcm(*(x.denominator for x in row.values()))
         vec = {c: x.numerator * (denom // x.denominator) for c, x in row.items() if x}
         if vec:
-            vecs.append(vec)
-    if len({c for vec in vecs for c in vec}) < len(vecs):
-        cols: dict[int, dict[int, int]] = {}
-        for r, vec in enumerate(vecs):
-            for c, x in vec.items():
-                cols.setdefault(c, {})[r] = x
-        vecs = list(cols.values())
-    vecs = sorted(map(_primitive, vecs), key=len)
-    pivots: dict[int, dict[int, int]] = {}
-    for vec in vecs:
+            out.append(vec)
+    return out
+
+
+def _eliminate(vec: IntRow, piv: IntRow, col: int) -> IntRow:
+    """The primitive form of a * vec - b * piv, whose entry at col is 0."""
+    g = gcd(piv[col], vec[col])
+    a, b = piv[col] // g, vec[col] // g
+    new = {c: a * x for c, x in vec.items()}
+    for c, x in piv.items():
+        y = new.get(c, 0) - b * x
+        if y:
+            new[c] = y
+        else:
+            del new[c]
+    return _primitive(new) if new else new
+
+
+def _echelon(vecs: list[IntRow]) -> dict[int, IntRow]:
+    """Row echelon form of integer vectors: one primitive pivot vector per
+    leading (smallest) column, keyed by that column.
+
+    Vectors are taken sparsest first and reduced against the pivot of
+    their leading column, the sparser of two vectors being kept as the
+    pivot.  Integer arithmetic only.
+    """
+    pivots: dict[int, IntRow] = {}
+    for vec in sorted(map(_primitive, vecs), key=len):
         while vec:
             lead = min(vec)
             piv = pivots.get(lead)
@@ -91,83 +99,72 @@ def rank(rows: Sequence[SparseRow]) -> int:
                 break
             if len(vec) < len(piv):
                 pivots[lead], vec, piv = vec, piv, vec
-            # vec <- a * vec - b * piv cancels the lead entry
-            g = gcd(piv[lead], vec[lead])
-            a, b = piv[lead] // g, vec[lead] // g
-            new = {c: a * x for c, x in vec.items()}
-            for c, x in piv.items():
-                y = new.get(c, 0) - b * x
-                if y:
-                    new[c] = y
-                else:
-                    del new[c]
-            vec = _primitive(new) if new else new
-    return len(pivots)
+            vec = _eliminate(vec, piv, lead)
+    return pivots
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column list (Gauss-Jordan)."""
-    a: Matrix = [list(row) for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+def rank(rows: Sequence[SparseRow]) -> int:
+    """Exact rank of the matrix with the given sparse rows.
+
+    Since rank(A) = rank(A^T), the elimination runs over the rows or over
+    the columns, whichever are fewer; the rank is the number of pivots.
+    Stored zeros are ignored and the input is not modified.
+    """
+    vecs = _integer_rows(rows)
+    if len({c for vec in vecs for c in vec}) < len(vecs):
+        cols: dict[int, IntRow] = {}
+        for r, vec in enumerate(vecs):
+            for c, x in vec.items():
+                cols.setdefault(c, {})[r] = x
+        vecs = list(cols.values())
+    return len(_echelon(vecs))
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix (ncols needed when empty)."""
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    a, pivots = rref(rows)
+def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form (nonzero rows only, by ascending pivot) and
+    the pivot columns.  Each echelon vector is cleared, in integers, at
+    every later pivot column by that column's reduced vector, and only then
+    divided by its leading entry."""
+    pivots = _echelon(_integer_rows(rows))
+    cols = sorted(pivots)
+    reduced: dict[int, IntRow] = {}
+    out: list[SparseRow] = []
+    for lead in reversed(cols):
+        vec = pivots[lead]
+        for c in [c for c in vec if c != lead and c in reduced]:
+            vec = _eliminate(vec, reduced[c], c)
+        reduced[lead] = vec
+        out.append({c: Fraction(vec[c], vec[lead]) for c in sorted(vec)})
+    return out[::-1], cols
+
+
+def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
+    """Basis of the right kernel of the matrix with ncols columns: per free
+    column j, the vector with 1 at j and 0 at every other free column."""
+    red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -a[r][j]
-        basis.append(v)
-    return basis
+    basis = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivot_set}
+    for row, p in zip(red, pivots):
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return [dict(sorted(vec.items())) for vec in basis.values()]
 
 
-def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Canonical (RREF) basis of the row space, zero rows dropped."""
-    a, pivots = rref(rows)
-    return [a[i] for i in range(len(pivots))]
+def row_space_basis(rows: Sequence[SparseRow]) -> list[SparseRow]:
+    """Canonical (RREF) basis of the row space."""
+    return rref(rows)[0]
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return None if any(x != 0 for x in rhs) else []
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    a, pivots = rref(aug)
+def solve(rows: Sequence[SparseRow], rhs: SparseRow) -> SparseRow | None:
+    """One solution x of A x = b for the sparse right-hand side b
+    {row: value}, the free unknowns left out (that is, 0), or None if the
+    system is inconsistent."""
+    n = 1 + max((c for row in rows for c in row), default=-1)
+    aug = [dict(row) for row in rows]
+    for r, b in rhs.items():
+        aug[r][n] = b
+    red, pivots = rref(aug)
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = a[r][n]
-    return x
+    return {p: row[n] for row, p in zip(red, pivots) if n in row}

@@ -357,16 +357,16 @@ def _assemble(
         if set(mat.entries) - positions:
             raise AssertionError(f"{name}: {context} leaves the span of the basis")
         cand_list = sorted(cand)
-        pos_list = sorted(positions)
-        rows = [
-            [basis[i].realization.entries.get(pos, Fraction(0)) for i in cand_list]
-            for pos in pos_list
-        ]
-        rhs = [mat.entries.get(pos, Fraction(0)) for pos in pos_list]
-        sol = linalg.solve(rows, rhs)
+        # one equation per matrix position, one unknown per candidate
+        row_of = {pos: r for r, pos in enumerate(sorted(positions))}
+        rows: list[linalg.SparseRow] = [{} for _ in row_of]
+        for a, i in enumerate(cand_list):
+            for pos, v in basis[i].realization.entries.items():
+                rows[row_of[pos]][a] = v
+        sol = linalg.solve(rows, {row_of[pos]: v for pos, v in mat.entries.items()})
         if sol is None:
             raise AssertionError(f"{name}: {context} leaves the span of the basis")
-        return {i: c for i, c in zip(cand_list, sol) if c != 0}
+        return {cand_list[a]: c for a, c in sol.items()}
 
     table: BracketTable = {}
     for i in range(len(basis)):
@@ -691,27 +691,22 @@ def build_exceptional(name: str) -> NilpotentAlgebra:
 
 
 def derived_subalgebra(alg: NilpotentAlgebra) -> dict:
-    """Exact basis of [n, n], grouped by (weight, parity).
+    """Dimension of [n, n], in total and per (weight, parity) block.
 
-    Returns {"dim": int, "blocks": {(weight_key, parity): dim},
-    "vectors": [coefficient rows]} with a deterministic ordering.
+    Returns {"dim": int, "blocks": {(weight_key, parity): dim}}, the blocks
+    in ascending order and only those of positive dimension.
     """
-    by_block: dict[tuple[tuple, Parity], list[list[Fraction]]] = {}
-    for (i, j), terms in sorted(alg.table.items()):
+    by_block: dict[tuple[tuple, Parity], list[linalg.SparseRow]] = {}
+    for (i, j), terms in alg.table.items():
         w = (alg.weights[i] + alg.weights[j]).sort_key()
         p = (alg.parities[i] + alg.parities[j]) % 2
-        row = [Fraction(0)] * alg.dim
-        for t, c in terms.items():
-            row[t] = c
-        by_block.setdefault((w, p), []).append(row)
+        by_block.setdefault((w, p), []).append(terms)
     blocks: dict[tuple[tuple, Parity], int] = {}
-    vectors: list[list[Fraction]] = []
     for key in sorted(by_block):
-        basis_rows = linalg.row_space_basis(by_block[key])
-        if basis_rows:
-            blocks[key] = len(basis_rows)
-            vectors.extend(basis_rows)
-    return {"dim": len(vectors), "blocks": blocks, "vectors": vectors}
+        r = linalg.rank(by_block[key])
+        if r:
+            blocks[key] = r
+    return {"dim": sum(blocks.values()), "blocks": blocks}
 
 
 def restrict_algebra(

@@ -128,7 +128,7 @@ class IdealComplex:
 # per block of C^j(I): (position of each cochain in the block, index of the
 # block's first class, number of image basis vectors, the transposed system
 # whose columns are the image basis followed by the class representatives)
-_Block = tuple[dict[int, int], int, int, list[list[Fraction]]]
+_Block = tuple[dict[int, int], int, int, list[linalg.SparseRow]]
 
 
 def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GModule:
@@ -149,32 +149,31 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     classes: Sparse = {}  # class representatives as columns over C^j(I)
     parities = []
     weights = []
-    zero = Fraction(0)
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
-        # nullspace and row_space_basis take dense rows; the image of d^{j-1}
-        # is the row space of its block's transpose
-        d_out = [[row.get(c, zero) for c in range(len(cols))] for row in cx.block_matrix(j, key)]
-        kernel = linalg.nullspace(d_out, len(cols))
-        d_in = cx.block_matrix(j - 1, key)
-        n_in = len(cx.degree(j - 1).blocks.get(key, ()))
-        img_basis = linalg.row_space_basis(
-            [[row.get(c, zero) for row in d_in] for c in range(n_in)]
-        )
+        kernel = linalg.nullspace(cx.block_matrix(j, key), len(cols))
+        # the image of d^{j-1} is the row space of its block's transpose
+        d_in: dict[int, linalg.SparseRow] = {}
+        for r, row in enumerate(cx.block_matrix(j - 1, key)):
+            for c, x in row.items():
+                d_in.setdefault(c, {})[r] = x
+        img_basis = linalg.row_space_basis(list(d_in.values()))
         # representatives: kernel vectors independent modulo the image
         reps = []
-        stack = [_sparse_row(r) for r in img_basis]
+        stack = list(img_basis)
         for vec in kernel:
-            test = stack + [_sparse_row(vec)]
+            test = stack + [vec]
             if linalg.rank(test) > len(stack):
                 stack = test
                 reps.append(vec)
-        system = [list(col) for col in zip(*(img_basis + reps))]
+        system: list[linalg.SparseRow] = [{} for _ in cols]
+        for b, vec in enumerate(stack):
+            for c, x in vec.items():
+                system[c][b] = x
         blocks[key] = ({c: i for i, c in enumerate(cols)}, len(parities), len(img_basis), system)
         for vec in reps:
-            for c, x in zip(cols, vec):
-                if x:
-                    classes[(c, len(parities))] = x
+            for c, x in vec.items():
+                classes[(cols[c], len(parities))] = x
             parities.append(key[1])
             weights.append(deg.weights[key])
 
@@ -183,14 +182,13 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     for pid in keep:
         mat: Sparse = {}
         for col, first, coeffs in _act_on_classes(lam[pid], classes, deg, blocks):
-            for b, cval in enumerate(coeffs):
-                if cval:
-                    mat[(first + b, col)] = cval
+            for b, cval in coeffs.items():
+                mat[(first + b, col)] = cval
         action.append(mat)
     # ideal members must act trivially on the subquotient
     for mid in ic.ideal.sorted_ids():
         for _, _, coeffs in _act_on_classes(lam[mid], classes, deg, blocks):
-            if any(coeffs):
+            if coeffs:
                 raise AssertionError("ideal does not act trivially on H^j(I)")
 
     mod = GModule(
@@ -200,17 +198,13 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     return mod
 
 
-def _sparse_row(vec: list[Fraction]) -> linalg.SparseRow:
-    return {c: x for c, x in enumerate(vec) if x}
-
-
 def _act_on_classes(
     act: Sparse, classes: Sparse, deg: DegreeData, blocks: dict[BlockKey, _Block]
-) -> list[tuple[int, int, list[Fraction]]]:
+) -> list[tuple[int, int, linalg.SparseRow]]:
     """Apply `act` to every class and express each nonzero image in the
     classes of its block, modulo the image of d.
 
-    Returns (class index, index of the target block's first class,
+    Returns (class index, index of the target block's first class, sparse
     coefficients on the target block's classes) per class.
     """
     images: dict[int, dict[int, Fraction]] = {}
@@ -227,13 +221,10 @@ def _act_on_classes(
         if block is None:
             raise AssertionError("action leaves computed blocks")
         cpos, first, n_img, system = block
-        dense = [Fraction(0)] * len(cpos)
-        for r, v in cells.items():
-            dense[cpos[r]] = v
-        sol = linalg.solve(system, dense)
+        sol = linalg.solve(system, {cpos[r]: v for r, v in cells.items()})
         if sol is None:
             raise AssertionError("action leaves the cohomology subquotient")
-        out.append((col, first, sol[n_img:]))
+        out.append((col, first, {b - n_img: v for b, v in sol.items() if b >= n_img}))
     return out
 
 
@@ -397,6 +388,20 @@ def h2_recursive(
     hard error.
     """
     alg, ideal = build_family(family, params)
+    return _h2_recursive(alg, ideal, family, params, dual_sign, workers)
+
+
+def _h2_recursive(
+    alg: NilpotentAlgebra,
+    ideal: IdealDesignation | None,
+    family: str,
+    params: tuple,
+    dual_sign: int,
+    workers: int,
+) -> CohomologyResult:
+    """`h2_recursive` on the already built `build_family(family, params)`;
+    each algebra of the chain is built once, as the previous level's
+    `smaller`."""
     step = _recursion_step(family, params)
     if step is None:
         res = cohomology(alg, None, 2, workers=workers)
@@ -408,7 +413,7 @@ def h2_recursive(
     if not ideal_is_abelian(alg, ideal):
         raise AssertionError(f"{alg.name}: recursion ideal is not abelian")
     quo = quotient_algebra(alg, ideal)
-    smaller, _ = build_family(family, step)
+    smaller, smaller_ideal = build_family(family, step)
     if sorted(quo.weight_multiset()) != _embedded_multiset(smaller, quo.symbols):
         raise AssertionError(
             f"{alg.name}: quotient does not match rebuilt {smaller.name}"
@@ -417,7 +422,7 @@ def h2_recursive(
     lam2 = lambda_s_module(quo, dm, 2)
     h0 = h0_fixed_points(quo, lam2)
     h1 = cohomology(quo, dm, 1, workers=workers)
-    rest = h2_recursive(family, step, dual_sign, workers)
+    rest = _h2_recursive(smaller, smaller_ideal, family, step, dual_sign, workers)
     out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C",
                            family=alg.family, params=alg.params)
     for part in (h0, h1):

@@ -5,10 +5,11 @@ of a fixed diagonal torus.  Both gradings are kept exact -- parities are the
 ints 0 (even) and 1 (odd), weight coordinates are `fractions.Fraction`.  No
 floating point enters any computation.
 
-The one genuinely super ingredient here is `koszul_sign`: in the
-superexterior algebra, transposing homogeneous factors x, y contributes the
-sign -(-1)^{|x||y|}, so even factors anticommute with everything while two
-odd factors commute.
+The one genuinely super ingredient here is `swap_sign`: in the
+superexterior algebra, transposing adjacent homogeneous factors x, y
+contributes the sign -(-1)^{|x||y|}, so even factors anticommute with
+everything while two odd factors commute.  `koszul.normalize_word` sorts
+a word into canonical order one adjacent transposition at a time with it.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ def swap_sign(p: Parity, q: Parity) -> int:
     -(-1)^{pq}: -1 unless both factors are odd.
     """
     return 1 if (p & q & 1) else -1
-
-
-def koszul_sign(parities_left: Sequence[Parity], parities_right: Sequence[Parity]) -> int:
-    """Sign accumulated by moving every right factor past every left factor."""
-    sign = 1
-    for q in parities_right:
-        for p in parities_left:
-            sign *= swap_sign(p, q)
-    return sign
 
 
 def _coerce(c) -> Fraction:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +250,30 @@ def test_cache_key_covers_source_digest(tmp_path, monkeypatch, capsys):
     # the changed digest missed the first entry and wrote a second one
     assert len(list(tmp_path.glob("*.json"))) == 2
     assert outs[0] == outs[1]
+
+
+def test_benchmark_tracer_wraps_every_layer():
+    # perfbench/tracer.py wraps supernil functions by name; a rename must
+    # fail here, not only in a traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import sys
+sys.path.insert(0, "perfbench")
+import tracer
+t = tracer.install()
+from supernil import cli
+code = cli.main(["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "1",
+                 "--workers", "2"])
+names = {span[1] for span in t.spans}
+missing = {"cli", "realize.build", "realize.verify", "koszul.degree", "koszul.differential",
+           "koszul.block_matrix", "linalg.rank", "linalg.elim", "cohomology"} - names
+if missing:
+    sys.exit(f"untraced: {sorted(missing)}")
+sys.exit(code)
+"""
+    env = {k: v for k, v in os.environ.items() if k != "SUPERNIL_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("gl(3|2)  degree 1")

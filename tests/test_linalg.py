@@ -113,45 +113,112 @@ def test_rank_zero_empty_and_duplicate_rows():
     assert linalg.rank([{0: Fraction(0)}, {}, {2: Fraction(0), 1: Fraction(5)}]) == 1
 
 
+def dot(row, vec):
+    return sum(x * vec.get(c, 0) for c, x in row.items())
+
+
 def test_nullspace_is_kernel():
     rng = random.Random(11)
     for _ in range(40):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_matrix(rng, m, n)
+        a = sparse_rows(random_matrix(rng, m, n))
         basis = linalg.nullspace(a, n)
-        assert len(basis) == n - linalg.rank(sparse_rows(a))
+        assert len(basis) == n - linalg.rank(a)
         for v in basis:
             for row in a:
-                assert sum(x * y for x, y in zip(row, v)) == 0
+                assert dot(row, v) == 0
         # kernel vectors are independent
         if basis:
-            assert linalg.rank(sparse_rows(basis)) == len(basis)
+            assert linalg.rank(basis) == len(basis)
 
 
 def test_row_space_basis_dimension():
     rng = random.Random(13)
     for _ in range(30):
-        a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        a = sparse_rows(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
         basis = linalg.row_space_basis(a)
-        assert len(basis) == linalg.rank(sparse_rows(a))
+        assert len(basis) == linalg.rank(a)
 
 
 def test_solve_roundtrip():
     rng = random.Random(17)
     for _ in range(40):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_matrix(rng, m, n)
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        b = [sum(r[j] * x[j] for j in range(n)) for r in a]
+        a = sparse_rows(random_matrix(rng, m, n))
+        x = {j: Fraction(rng.randint(-3, 3)) for j in range(n)}
+        b = {i: dot(r, x) for i, r in enumerate(a) if dot(r, x)}
         sol = linalg.solve(a, b)
         assert sol is not None
-        for r, bi in zip(a, b):
-            assert sum(c * s for c, s in zip(r, sol)) == bi
+        for i, r in enumerate(a):
+            assert dot(r, sol) == b.get(i, 0)
 
 
 def test_solve_inconsistent():
-    a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve(a, [Fraction(1), Fraction(2)]) is None
+    a = [{0: Fraction(1)}, {0: Fraction(1)}]
+    assert linalg.solve(a, {0: Fraction(1), 1: Fraction(2)}) is None
+
+
+def rref_cases(rng):
+    """Tall, wide, low-rank and fractional matrices with stored zeros,
+    empty rows and duplicate rows, as (dense, sparse rows)."""
+    for _ in range(120):
+        kind = rng.choice(["tall", "wide", "low", "frac"])
+        if kind == "low":
+            m, n = rng.randint(1, 40), rng.randint(1, 15)
+            r = rng.randint(0, min(m, n))
+            b = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(m)]
+            c = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+                 for _ in range(r)]
+            a = product(b, c) if r else [[Fraction(0)] * n for _ in range(m)]
+        else:
+            m, n = {"tall": (rng.randint(10, 40), rng.randint(1, 9)),
+                    "wide": (rng.randint(1, 9), rng.randint(10, 40)),
+                    "frac": (rng.randint(1, 15), rng.randint(1, 15))}[kind]
+            density = rng.choice([0.1, 0.3, 1.0])
+            den = [1, 2, 3, 6, 35] if kind == "frac" else [1]
+            a = [[Fraction(rng.randint(-5, 5), rng.choice(den)) if rng.random() < density
+                  else Fraction(0) for _ in range(n)] for _ in range(m)]
+        a += [list(rng.choice(a)) for _ in range(rng.randint(0, 3))]
+        a += [[Fraction(0)] * n for _ in range(rng.randint(0, 2))]
+        rng.shuffle(a)
+        rows = sparse_rows(a)
+        for row in rows:  # stored zeros count as absent
+            j = rng.randrange(n)
+            if j not in row and rng.random() < 0.3:
+                row[j] = Fraction(0)
+        yield a, rows
+
+
+def test_rref_is_canonical():
+    rng = random.Random(41)
+    for a, rows in rref_cases(rng):
+        red, pivots = linalg.rref(rows)
+        assert len(red) == len(pivots) == naive_rank(a)
+        assert pivots == sorted(set(pivots))
+        for row, p in zip(red, pivots):
+            assert all(row.values())
+            assert row[p] == 1
+            assert min(row) == p
+            assert all(q == p or q not in row for q in pivots)
+        # the reduced rows lie in the row space
+        assert linalg.rank(rows + red) == len(pivots)
+        assert linalg.row_space_basis(rows) == red
+
+
+def test_nullspace_edge_cases():
+    unit = [{j: Fraction(1)} for j in range(3)]
+    assert linalg.nullspace([], 3) == unit
+    assert linalg.nullspace([{}], 3) == unit
+    assert linalg.nullspace([{1: Fraction(0)}], 3) == unit
+
+
+def test_solve_free_unknowns_and_zero_rhs():
+    # x0 + x2 = 1, x1 = 2: x2 is free and left out
+    a = [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1)}]
+    assert linalg.solve(a, {0: Fraction(1), 1: Fraction(2)}) == {0: 1, 1: 2}
+    assert linalg.solve(a, {}) == {}
+    assert linalg.solve([{}, {0: Fraction(3)}], {}) == {}
+    assert linalg.solve([], {}) == {}
 
 
 def test_add_to_prunes_cancelled_entries():

@@ -208,3 +208,22 @@ def test_nonabelian_e2_page_builds_the_ideal_complex_once(built, monkeypatch):
     assert not rep["abelian_ideal"] and rep["all_match"]
     assert len(subs) == 1 and sorted(degrees) == [1, 2, 3, 4]
     assert len(e2_page(alg, ideal, 0).terms) == 1 and len(subs) == 1
+
+
+@pytest.mark.parametrize("family, params, builds", [
+    ("osp_odd", (3, 1), 3),  # osp(7|2) -> osp(5|2) -> osp(3|2)
+    ("gl", (3, 3), 2),       # gl(3|3) -> gl(2|2)
+])
+def test_h2_recursive_builds_each_algebra_once(built, monkeypatch, family, params, builds):
+    build = spectral.build_family
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectral, "build_family", counting_build)
+    rec = h2_recursive(family, params)
+    assert len(calls) == len(set(calls)) == builds
+    alg, _ = built(family, params)
+    assert rec.blocks == cohomology(alg, None, 2).blocks

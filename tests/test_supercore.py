@@ -1,37 +1,8 @@
-import itertools
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from supernil.supercore import EVEN, ODD, Weight, koszul_sign, parity_sum, swap_sign
-
-
-def test_koszul_sign_examples():
-    # two even elements anticommute, two odd elements commute
-    assert koszul_sign([EVEN], [EVEN]) == -1
-    assert koszul_sign([ODD], [ODD]) == 1
-    assert koszul_sign([EVEN, ODD], [ODD]) == -1
-
-
-def test_koszul_sign_empty():
-    assert koszul_sign([], [ODD]) == 1
-    assert koszul_sign([EVEN, EVEN], []) == 1
-
-
-def test_koszul_sign_multiplicative_under_concatenation():
-    # sign(A ++ B, C) = sign(A, C) * sign(B, C), exhaustive over all
-    # parity lists of length <= 4 on each side
-    lists = [
-        list(bits)
-        for k in range(5)
-        for bits in itertools.product((EVEN, ODD), repeat=k)
-    ]
-    halves = [l for l in lists if len(l) <= 2]
-    for a in halves:
-        for b in halves:
-            for c in lists:
-                assert koszul_sign(a + b, c) == koszul_sign(a, c) * koszul_sign(b, c)
-                assert koszul_sign(c, a + b) == koszul_sign(c, a) * koszul_sign(c, b)
+from supernil.supercore import EVEN, ODD, Weight, parity_sum, swap_sign
 
 
 def test_swap_sign_table():

@@ -4,7 +4,9 @@ Subcommands:
 
 * compute          -- H^k(n, M) with full weight decomposition
 * verify-tables    -- run the published-table expectations, three-state
-* spectral         -- Hochschild-Serre collapse report
+* spectral         -- Hochschild-Serre collapse report; with --recursive
+                      also recursive vs direct H^2, on the one algebra and
+                      the one direct H^2 the collapse rows use
 * extension-check  -- central-extension Jacobi <=> cocycle scan
 * dump-algebra     -- serialized basis/bracket data
 
@@ -225,9 +227,13 @@ def cmd_spectral(args) -> int:
         _fail_input("spectral needs a family with a distinguished ideal")
     rep = collapse_check(alg, ideal, args.K, args.dual_sign, args.workers)
     if args.recursive and args.family in ("gl", "sl", "q", "osp_even", "osp_odd"):
+        # direct H^2 is collapse row k = 2, or taken on the same complex
+        if args.K >= 2:
+            direct = rep.direct[2]
+        else:
+            direct = cohomology(alg, None, 2, workers=args.workers, complex_cache=rep.complex)
         fam, params = _family_params(args)
-        rec = h2_recursive(fam, params, args.dual_sign, args.workers)
-        direct = cohomology(alg, None, 2, workers=args.workers)
+        rec = h2_recursive(fam, params, args.dual_sign, args.workers, alg, direct)
         rep["h2_recursive"] = rec.total
         rep["h2_direct"] = direct.total
         rep["h2_match"] = rec.blocks == direct.blocks

@@ -343,11 +343,10 @@ def cocycle_space(alg: NilpotentAlgebra):
     for (r, c), v in cx.differential(2).items():
         if c in cpos:
             rows.setdefault(r, {})[cpos[c]] = v
-    mat = list(rows.values())
-    kernel = linalg.nullspace(mat, len(even_cols))
+    red, piv_cols = linalg.rref(list(rows.values()))
+    kernel = linalg.kernel_of_rref(red, piv_cols, len(even_cols))
     cocycles = [{words[even_cols[a]]: v for a, v in vec.items()} for vec in kernel]
     # pivot-column unit vectors span a complement of the kernel
-    _, piv_cols = linalg.rref(mat)
     non_cocycles = [{words[even_cols[c]]: Fraction(1)} for c in piv_cols]
     return cocycles, non_cocycles
 

@@ -8,8 +8,9 @@ rule).  `add_to` is the one place an entry is accumulated and pruned, and
 block); every routine here takes and returns sparse rows, never dense ones.
 
 One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace`,
-`row_space_basis` and `solve`: integer elimination on the rows once their
-denominators are cleared, one pivot per leading (smallest) column.
+`row_space_basis`, `solve` and `solve_all`: integer elimination on the rows
+once their denominators are cleared, one pivot per leading (smallest)
+column.
 `Fraction`s appear again only in the reduced rows `rref` returns.  The RREF
 is unique, so kernels, row spaces and solutions do not depend on the order
 in which the kernel picks its pivots.
@@ -138,10 +139,10 @@ def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     return out[::-1], cols
 
 
-def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
-    """Basis of the right kernel of the matrix with ncols columns: per free
-    column j, the vector with 1 at j and 0 at every other free column."""
-    red, pivots = rref(rows)
+def kernel_of_rref(red: Sequence[SparseRow], pivots: Sequence[int], ncols: int) -> list[SparseRow]:
+    """Basis of the right kernel of a matrix with ncols columns, read off
+    its `rref` (red, pivots): per free column j, the vector with 1 at j and
+    0 at every other free column."""
     pivot_set = set(pivots)
     basis = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivot_set}
     for row, p in zip(red, pivots):
@@ -149,6 +150,12 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
             if c != p:
                 basis[c][p] = -x
     return [dict(sorted(vec.items())) for vec in basis.values()]
+
+
+def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
+    """Basis of the right kernel of the matrix with ncols columns (see
+    `kernel_of_rref`)."""
+    return kernel_of_rref(*rref(rows), ncols)
 
 
 def row_space_basis(rows: Sequence[SparseRow]) -> list[SparseRow]:
@@ -160,11 +167,26 @@ def solve(rows: Sequence[SparseRow], rhs: SparseRow) -> SparseRow | None:
     """One solution x of A x = b for the sparse right-hand side b
     {row: value}, the free unknowns left out (that is, 0), or None if the
     system is inconsistent."""
+    return solve_all(rows, [rhs])[0]
+
+
+def solve_all(rows: Sequence[SparseRow], rhss: Sequence[SparseRow]) -> list[SparseRow | None]:
+    """`solve` for every right-hand side in rhss, from one elimination.
+
+    The right-hand sides become columns n, n + 1, .. of A.  Row reduction
+    keeps every linear relation among the columns, so b_i lies in the
+    column space of A exactly when its RREF column is zero on every row
+    whose pivot is not a column of A; its entries on the other rows are
+    then the pivot unknowns.
+    """
     n = 1 + max((c for row in rows for c in row), default=-1)
     aug = [dict(row) for row in rows]
-    for r, b in rhs.items():
-        aug[r][n] = b
+    for i, rhs in enumerate(rhss):
+        for r, b in rhs.items():
+            aug[r][n + i] = b
     red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    return {p: row[n] for row, p in zip(red, pivots) if n in row}
+    out: list[SparseRow | None] = []
+    for col in range(n, n + len(rhss)):
+        sol = {p: row[col] for row, p in zip(red, pivots) if col in row}
+        out.append(None if any(p >= n for p in sol) else sol)
+    return out

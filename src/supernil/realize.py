@@ -439,11 +439,7 @@ def build_gl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
     alg = _assemble(
         f"gl({m}|{n})", "gl", (m, n), _gl_symbols(m, n), torus, raw, _gl_grading(m, n)
     )
-    if m > n:
-        ideal = _weight_ideal(alg, [m - 1])
-    else:
-        ideal = _weight_ideal(alg, [m - 1, m + n - 1])
-    return alg, ideal
+    return alg, family_ideal(alg)
 
 
 def build_sl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
@@ -485,8 +481,7 @@ def build_q(n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
     symbols = tuple(f"e{i}" for i in range(1, n + 1))
     grading = tuple(Fraction(i) for i in range(1, n + 1))
     alg = _assemble(f"q({n})", "q", (n,), symbols, torus, raw, grading)
-    ideal = _weight_ideal(alg, [n - 1])
-    return alg, ideal
+    return alg, family_ideal(alg)
 
 
 # -- osp ----------------------------------------------------------------------
@@ -566,8 +561,7 @@ def build_osp_odd(
         raw,
         _gl_grading(m, n),
     )
-    ideal = _osp_ideal(alg, m, n, ideal_reading)
-    return alg, ideal
+    return alg, family_ideal(alg, ideal_reading)
 
 
 def build_osp_even(
@@ -591,24 +585,7 @@ def build_osp_even(
         raw,
         _gl_grading(m, n),
     )
-    ideal = _osp_ideal(alg, m, n, ideal_reading)
-    return alg, ideal
-
-
-def _osp_ideal(alg: NilpotentAlgebra, m: int, n: int, reading: str) -> IdealDesignation:
-    if reading == "auto":
-        # e_m predicate: abelian ideal whenever m >= n.  For m < n it is not
-        # even closed (x_{e_m - d_k} obstructs), so recurse on d_n instead;
-        # that ideal is closed but picks up the long root -2d_n, hence is
-        # not abelian.
-        reading = "eps_only" if m >= n else "delta_only"
-    if reading == "eps_only":
-        return _weight_ideal(alg, [m - 1])
-    if reading == "delta_only":
-        return _weight_ideal(alg, [m + n - 1])
-    if reading == "eps_or_delta":
-        return _weight_ideal(alg, [m - 1, m + n - 1])
-    raise ValueError(f"unknown ideal reading {reading!r}")
+    return alg, family_ideal(alg, ideal_reading)
 
 
 # -- exceptional families ------------------------------------------------------
@@ -747,6 +724,34 @@ def quotient_algebra(alg: NilpotentAlgebra, ideal: IdealDesignation) -> Nilpoten
 
 
 # -- family registry -----------------------------------------------------------
+
+
+def family_ideal(alg: NilpotentAlgebra, ideal_reading: str = "auto") -> IdealDesignation | None:
+    """The distinguished ideal of a family algebra, by the one rule every
+    builder (and so `build_family`) uses; verified, and None for the
+    exceptional algebras.  `ideal_reading` matters for osp only."""
+    family, params = alg.family, alg.params
+    if family in ("gl", "sl"):
+        m, n = params
+        return _weight_ideal(alg, [m - 1] if m > n else [m - 1, m + n - 1])
+    if family == "q":
+        return _weight_ideal(alg, [params[0] - 1])
+    if family not in ("osp_odd", "osp_even"):
+        return None
+    m, n = params
+    if ideal_reading == "auto":
+        # e_m predicate: abelian ideal whenever m >= n.  For m < n it is not
+        # even closed (x_{e_m - d_k} obstructs), so recurse on d_n instead;
+        # that ideal is closed but picks up the long root -2d_n, hence is
+        # not abelian.
+        ideal_reading = "eps_only" if m >= n else "delta_only"
+    if ideal_reading == "eps_only":
+        return _weight_ideal(alg, [m - 1])
+    if ideal_reading == "delta_only":
+        return _weight_ideal(alg, [m + n - 1])
+    if ideal_reading == "eps_or_delta":
+        return _weight_ideal(alg, [m - 1, m + n - 1])
+    raise ValueError(f"unknown ideal reading {ideal_reading!r}")
 
 
 def build_family(family: str, params: tuple, ideal_reading: str = "auto"):

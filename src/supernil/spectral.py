@@ -14,6 +14,10 @@ Collapse is verified, never assumed: both sides of
     dim H^k(n, C) = sum_{i+j=k} dim E_2^{i,j}
 
 are computed through independent code paths, per weight and in total.
+`collapse_check` hands its direct H^k(n, C) and their complex back to the
+caller, so `supernil spectral --recursive` computes the direct H^2 once,
+shared with collapse row k = 2, and gives `h2_recursive` the top algebra
+it already built (a base case's recursive H^2 is that direct result).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .realize import (
     IdealDesignation,
     NilpotentAlgebra,
     build_family,
+    family_ideal,
     ideal_is_abelian,
     quotient_algebra,
     restrict_algebra,
@@ -177,55 +182,61 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
             parities.append(key[1])
             weights.append(deg.weights[key])
 
-    keep = [b.id for b in ic.parent.basis if b.id not in ic.ideal.member_ids]
-    action = []
-    for pid in keep:
-        mat: Sparse = {}
-        for col, first, coeffs in _act_on_classes(lam[pid], classes, deg, blocks):
-            for b, cval in coeffs.items():
-                mat[(first + b, col)] = cval
-        action.append(mat)
-    # ideal members must act trivially on the subquotient
-    for mid in ic.ideal.sorted_ids():
-        for _, _, coeffs in _act_on_classes(lam[mid], classes, deg, blocks):
+    members = ic.ideal.member_ids
+    keep = [b.id for b in ic.parent.basis if b.id not in members]
+    action: dict[int, Sparse] = {pid: {} for pid in keep}
+    for pid, col, first, coeffs in _act_on_classes(lam, classes, deg, blocks):
+        if pid in members:
+            # ideal members must act trivially on the subquotient
             if coeffs:
                 raise AssertionError("ideal does not act trivially on H^j(I)")
+            continue
+        for b, cval in coeffs.items():
+            action[pid][(first + b, col)] = cval
 
     mod = GModule(
-        quotient, f"H^{j}(I)", tuple(parities), tuple(weights), action
+        quotient, f"H^{j}(I)", tuple(parities), tuple(weights), list(action.values())
     )
     mod.verify()
     return mod
 
 
 def _act_on_classes(
-    act: Sparse, classes: Sparse, deg: DegreeData, blocks: dict[BlockKey, _Block]
-) -> list[tuple[int, int, linalg.SparseRow]]:
-    """Apply `act` to every class and express each nonzero image in the
-    classes of its block, modulo the image of d.
+    lam: list[Sparse], classes: Sparse, deg: DegreeData, blocks: dict[BlockKey, _Block]
+) -> list[tuple[int, int, int, linalg.SparseRow]]:
+    """Apply every parent vector's action lam[pid] to every class and
+    express each nonzero image in the classes of its block, modulo the
+    image of d.  All images landing in one block are solved against one
+    elimination of its system.
 
-    Returns (class index, index of the target block's first class, sparse
-    coefficients on the target block's classes) per class.
+    Returns (parent id, class index, index of the target block's first
+    class, sparse coefficients on the target block's classes) per nonzero
+    image, ordered by parent id and class.
     """
-    images: dict[int, dict[int, Fraction]] = {}
-    for (r, col), v in sparse_matmul(act, classes).items():
-        images.setdefault(col, {})[r] = v
+    targets: dict[BlockKey, list[tuple[int, int, linalg.SparseRow]]] = {}
+    for pid, act in enumerate(lam):
+        images: dict[int, dict[int, Fraction]] = {}
+        for (r, col), v in sparse_matmul(act, classes).items():
+            images.setdefault(col, {})[r] = v
+        for col, cells in images.items():
+            # the image must stay in one block
+            tkeys = {deg.keys[r] for r in cells}
+            if len(tkeys) > 1:
+                raise AssertionError("coadjoint action crosses blocks")
+            key = tkeys.pop()
+            if key not in blocks:
+                raise AssertionError("action leaves computed blocks")
+            cpos = blocks[key][0]
+            targets.setdefault(key, []).append((pid, col, {cpos[r]: v for r, v in cells.items()}))
     out = []
-    for col in sorted(images):
-        cells = images[col]
-        # the image must stay in one block
-        tkeys = {deg.keys[r] for r in cells}
-        if len(tkeys) > 1:
-            raise AssertionError("coadjoint action crosses blocks")
-        block = blocks.get(tkeys.pop())
-        if block is None:
-            raise AssertionError("action leaves computed blocks")
-        cpos, first, n_img, system = block
-        sol = linalg.solve(system, {cpos[r]: v for r, v in cells.items()})
-        if sol is None:
-            raise AssertionError("action leaves the cohomology subquotient")
-        out.append((col, first, {b - n_img: v for b, v in sol.items() if b >= n_img}))
-    return out
+    for key, items in targets.items():
+        _, first, n_img, system = blocks[key]
+        sols = linalg.solve_all(system, [rhs for _, _, rhs in items])
+        for (pid, col, _), sol in zip(items, sols):
+            if sol is None:
+                raise AssertionError("action leaves the cohomology subquotient")
+            out.append((pid, col, first, {b - n_img: v for b, v in sol.items() if b >= n_img}))
+    return sorted(out, key=lambda t: t[:2])
 
 
 def _assert_commutes_with_d(
@@ -291,20 +302,34 @@ def e2_page(
     return page
 
 
+class CollapseReport(dict):
+    """`collapse_check`'s JSON report.  It also carries the direct results
+    H^k(n, C), k <= K, as `direct` and the trivial-coefficient complex of n
+    they were computed on as `complex`, so a caller that needs H^2 too
+    computes row k = 2 once, or on the same complex when K < 2."""
+
+    def __init__(self, report: dict, direct: list[CohomologyResult], cx: CochainComplex):
+        super().__init__(report)
+        self.direct = direct
+        self.complex = cx
+
+
 def collapse_check(
     alg: NilpotentAlgebra,
     ideal: IdealDesignation,
     K: int,
     dual_sign: int = -1,
     workers: int = 1,
-) -> dict:
+) -> CollapseReport:
     """Compare dim H^k(n, C) with sum_{i+j=k} dim E_2^{i,j}, k <= K."""
     page = e2_page(alg, ideal, K, dual_sign, workers)
     cx = CochainComplex(alg, trivial_module(alg))
     rows = []
+    directs = []
     all_match = True
     for k in range(K + 1):
         direct = cohomology(alg, None, k, workers=workers, complex_cache=cx)
+        directs.append(direct)
         merged: dict[tuple, list[int]] = {}
         for i in range(k + 1):
             term = page.terms[(i, k - i)]
@@ -325,13 +350,17 @@ def collapse_check(
                 "match_blocks": match,
             }
         )
-    return {
-        "algebra": alg.name,
-        "K": K,
-        "abelian_ideal": page.abelian_ideal,
-        "rows": rows,
-        "all_match": all_match,
-    }
+    return CollapseReport(
+        {
+            "algebra": alg.name,
+            "K": K,
+            "abelian_ideal": page.abelian_ideal,
+            "rows": rows,
+            "all_match": all_match,
+        },
+        directs,
+        cx,
+    )
 
 
 # -- recursive H^2 ----------------------------------------------------------------
@@ -378,6 +407,8 @@ def h2_recursive(
     params: tuple,
     dual_sign: int = -1,
     workers: int = 1,
+    alg: NilpotentAlgebra | None = None,
+    direct: CohomologyResult | None = None,
 ) -> CohomologyResult:
     """H^2(n, C) by the collapse decomposition, recursing through n/I.
 
@@ -386,9 +417,20 @@ def h2_recursive(
     identified with the freshly rebuilt smaller algebra by comparing
     (weight, parity) multisets, never by index surgery; a mismatch is a
     hard error.
+
+    `alg` is the already built `build_family(family, params)` algebra,
+    under any ideal reading; it is built here when None.  Either way the
+    recursion ideal is the default ("auto") reading's, `family_ideal(alg)`.
+    `direct` is alg's direct Koszul H^2(n, C), if already computed: when
+    alg is itself a base case that direct computation is the result.
     """
-    alg, ideal = build_family(family, params)
-    return _h2_recursive(alg, ideal, family, params, dual_sign, workers)
+    if alg is None:
+        alg, ideal = build_family(family, params)
+    elif (alg.family, alg.params) != (family, tuple(params)):
+        raise ValueError(f"{alg.name} is not the {family}{tuple(params)} algebra")
+    else:
+        ideal = family_ideal(alg)
+    return _h2_recursive(alg, ideal, family, params, dual_sign, workers, direct)
 
 
 def _h2_recursive(
@@ -398,13 +440,14 @@ def _h2_recursive(
     params: tuple,
     dual_sign: int,
     workers: int,
+    direct: CohomologyResult | None = None,
 ) -> CohomologyResult:
     """`h2_recursive` on the already built `build_family(family, params)`;
     each algebra of the chain is built once, as the previous level's
     `smaller`."""
     step = _recursion_step(family, params)
     if step is None:
-        res = cohomology(alg, None, 2, workers=workers)
+        res = direct if direct is not None else cohomology(alg, None, 2, workers=workers)
         out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C",
                            family=alg.family, params=alg.params)
         out.blocks = dict(res.blocks)

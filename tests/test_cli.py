@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -80,6 +81,49 @@ def test_spectral_recursive_flag():
     data = json.loads(proc.stdout)
     assert data["all_match"] and data["h2_match"]
     assert data["h2_recursive"] == data["h2_direct"] == 14
+
+
+def test_spectral_recursion_keeps_the_default_ideal(capsys):
+    # the eps_or_delta ideal of osp(7|4) is not abelian; the recursion still
+    # takes the default reading's abelian ideal
+    code = main(["spectral", "--family", "osp_odd", "--m", "3", "--n", "2", "--K", "2",
+                 "--recursive", "--ideal-reading", "eps_or_delta", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["abelian_ideal"] is False
+    assert data["h2_recursive"] == data["h2_direct"] == 28
+    assert data["h2_match"] is True
+
+
+@pytest.mark.parametrize("family, m, n", [("gl", 3, 2), ("osp_even", 1, 3)])
+def test_spectral_recursive_h2_independent_of_K(capsys, family, m, n):
+    # for K < 2, direct H^2 is computed on the collapse check's complex
+    seen = []
+    for K in ("0", "1", "2"):
+        code = main(["spectral", "--family", family, "--m", str(m), "--n", str(n),
+                     "--K", K, "--recursive", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        seen.append((data["h2_direct"], data["h2_recursive"], data["h2_match"]))
+    assert seen[0] == seen[1] == seen[2] and seen[0][2] is True
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("argv", [
+    "spectral --family gl --m 2 --n 2 --K 2 --recursive --format json",
+    "spectral --family osp_odd --m 3 --n 1 --K 2 --recursive --format json",
+    "spectral --family osp_even --m 1 --n 3 --K 2 --recursive --format json",
+    "spectral --family q --n 4 --K 2 --recursive --format json",
+], ids=["gl22-base-case", "osp_odd31-abelian", "osp_even13-nonabelian", "q4"])
+def test_spectral_stdout_matches_benchmark_pins(capsys, argv):
+    # the benchmark's pinned exit code and stdout sha256, checked in tier-1 too
+    with open(REFERENCE) as fh:
+        pinned = json.load(fh)[argv]
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == pinned["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned["sha256"]
 
 
 def test_extension_check_command():

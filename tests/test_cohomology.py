@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from supernil import koszul, realize
+from supernil import koszul, linalg, realize
 from supernil.cohomology import (
     central_extension,
     cocycle_space,
@@ -229,6 +230,25 @@ def test_jacobi_iff_cocycle(built, family, params):
     for h in non_cocycles:
         assert not is_cocycle(alg, h)
         assert central_extension(alg, h).jacobi_failures()
+
+
+def test_cocycle_space_eliminates_d2_once(built, monkeypatch):
+    # kernel and pivot columns come from one rref of the 11 rows of d^2
+    alg, _ = built("gl", (3, 2))
+    rref, calls = linalg.rref, []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    cocycles, non_cocycles = cocycle_space(alg)
+    assert calls == [11]
+    assert (len(cocycles), len(non_cocycles)) == (9, 7)
+    blob = repr(([sorted(h.items()) for h in cocycles], [sorted(h.items()) for h in non_cocycles]))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "51dd430743dac8b5e9366b1a14e4e9c37aa0a60fd8a3748b82ef5d9a2639d526"
+    )
 
 
 def test_random_even_cochains_jacobi_iff_cocycle():

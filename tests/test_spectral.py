@@ -1,8 +1,10 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
 
-from supernil import realize, spectral
+from supernil import cli, linalg, realize, spectral
 from supernil.cohomology import cohomology
 from supernil.koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
 from supernil.spectral import collapse_check, e2_page, h2_recursive, hj_ideal_module
@@ -112,6 +114,17 @@ def test_h2_recursive_matches_direct(built, family, params):
     assert rec.blocks == direct.blocks
 
 
+def test_h2_recursive_reuses_the_given_algebra_and_direct_h2(built):
+    gl33, _ = built("gl", (3, 3))
+    gl22, _ = built("gl", (2, 2))
+    direct = cohomology(gl22, None, 2)
+    rec = h2_recursive("gl", (2, 2), alg=gl22, direct=direct)
+    assert rec.blocks == direct.blocks and rec.route == spectral.ROUTE_SPECTRAL
+    assert h2_recursive("gl", (3, 3), alg=gl33).blocks == cohomology(gl33, None, 2).blocks
+    with pytest.raises(ValueError):
+        h2_recursive("gl", (3, 3), alg=gl22)
+
+
 def test_h2_recursive_gl_formula():
     for n in (2, 3, 4):
         assert h2_recursive("gl", (n, n)).total == 8 * n * n - 20 * n + 16
@@ -213,17 +226,71 @@ def test_nonabelian_e2_page_builds_the_ideal_complex_once(built, monkeypatch):
 @pytest.mark.parametrize("family, params, builds", [
     ("osp_odd", (3, 1), 3),  # osp(7|2) -> osp(5|2) -> osp(3|2)
     ("gl", (3, 3), 2),       # gl(3|3) -> gl(2|2)
+    ("gl", (2, 2), 1),       # a base case: its H^2 is the direct one
 ])
-def test_h2_recursive_builds_each_algebra_once(built, monkeypatch, family, params, builds):
-    build = spectral.build_family
-    calls = []
+def test_h2_recursive_builds_each_algebra_once(built, monkeypatch, capsys, family, params, builds):
+    build, koszul_h = spectral.build_family, spectral.cohomology
+    calls, computed = [], []
 
-    def counting_build(*args):
+    def counting_build(*args, **kwargs):
         calls.append(args)
-        return build(*args)
+        return build(*args, **kwargs)
+
+    def counting_cohomology(alg, module, k, **kwargs):
+        computed.append((alg.name, module is None, k))
+        return koszul_h(alg, module, k, **kwargs)
 
     monkeypatch.setattr(spectral, "build_family", counting_build)
     rec = h2_recursive(family, params)
     assert len(calls) == len(set(calls)) == builds
     alg, _ = built(family, params)
     assert rec.blocks == cohomology(alg, None, 2).blocks
+
+    # the CLI's one build of the top algebra serves the collapse check and
+    # the recursion, and its direct H^2 is computed once
+    calls.clear()
+    for mod in (cli, spectral):
+        monkeypatch.setattr(mod, "build_family", counting_build)
+        monkeypatch.setattr(mod, "cohomology", counting_cohomology)
+    m, n = params
+    code = cli.main(["spectral", "--family", family, "--m", str(m), "--n", str(n),
+                     "--K", "2", "--recursive", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["h2_match"] and data["h2_recursive"] == rec.total
+    assert len(calls) == len(set(calls)) == builds
+    assert computed.count((alg.name, True, 2)) == 1
+
+
+# sha256 of (parities, sorted action entries) of H^j(I, C) for osp(2|6)
+HJ_OSP_EVEN_1_3 = {
+    1: "27a1c5eae6531001759d31ee20a497705e136895235a455ffea76aa871d91c26",
+    2: "f8c981b4577d04bf6651a07a76b6c3a26755d0074996c37140db0cec6be3b393",
+    3: "5aa14349b50e2780335e0b3c1f24a59560f72c4eafab006d798d492780c2a204",
+}
+
+
+def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
+    alg, ideal = built("osp_even", (1, 3))
+    ic = spectral.IdealComplex(alg, ideal)
+    quo = realize.quotient_algebra(alg, ideal)
+    rref, solve_all = linalg.rref, linalg.solve_all
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(linalg, "rref", counting("rref", rref))
+    monkeypatch.setattr(linalg, "solve_all", counting("solve_all", solve_all))
+    for j, pinned in HJ_OSP_EVEN_1_3.items():
+        counts.update(rref=0, solve_all=0)
+        mod = hj_ideal_module(ic, quo, j)
+        blocks = len(ic.cx.degree(j).blocks)
+        # every class image is solved in one elimination of its target block
+        assert 0 < counts["solve_all"] <= blocks
+        # besides those, one kernel and one image basis per block
+        assert counts["rref"] == 2 * blocks + counts["solve_all"]
+        blob = repr((mod.parities, [sorted(a.items()) for a in mod.action]))
+        assert hashlib.sha256(blob.encode()).hexdigest() == pinned

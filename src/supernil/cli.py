@@ -233,7 +233,7 @@ def cmd_spectral(args) -> int:
         else:
             direct = cohomology(alg, None, 2, workers=args.workers, complex_cache=rep.complex)
         fam, params = _family_params(args)
-        rec = h2_recursive(fam, params, args.dual_sign, args.workers, alg, direct)
+        rec = h2_recursive(fam, params, args.dual_sign, args.workers, alg, direct, rep.page)
         rep["h2_recursive"] = rec.total
         rep["h2_direct"] = direct.total
         rep["h2_match"] = rec.blocks == direct.blocks

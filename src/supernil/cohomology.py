@@ -1,12 +1,14 @@
 """Cohomology H^k(n, M) = ker d^k / im d^{k-1} by exact blockwise ranks.
 
-The Koszul route is authoritative: per (weight, parity) block,
+The Koszul route is authoritative: per (weight, parity) block of C^k,
 
     dim H^k = dim C^k - rank d^k - rank d^{k-1}
 
-with every rank computed exactly by `linalg.rank` on the block's sparse
-rows, as `CochainComplex.block_matrix` returns them: integer elimination
-after each row's denominators are cleared, with no dense matrix built.
+with every rank computed exactly by `linalg.rank` on the block's nonzero
+sparse rows, as `CochainComplex.block_matrix` returns them: integer
+elimination after each row's denominators are cleared, with no dense
+matrix built.  Only C^{k-1} and C^k are enumerated; d^k is assembled from
+its source side, so H^k never builds the basis of C^{k+1}.
 Two independent degree-specific routes (dual of the abelianization for H^1
 with trivial coefficients, and the superderivation quotient for H^1 with
 any coefficients) plus the fixed-point route for H^0 serve as cross-checks;
@@ -26,7 +28,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from . import linalg
-from .koszul import BlockKey, CochainComplex, GModule, normalize_word, trivial_module
+from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
 from .realize import NilpotentAlgebra, derived_subalgebra
 from .supercore import EVEN, ODD, Weight
 
@@ -115,25 +117,22 @@ def cohomology(
         module = trivial_module(alg)
     cx = complex_cache if complex_cache is not None else CochainComplex(alg, module)
     src = cx.degree(k)
-    cx.differential(k)
-    if k > 0:
-        cx.differential(k - 1)
     res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
                            family=alg.family, params=alg.params)
-    keys = sorted(src.blocks)
+    # blocks in the order `degree` met them: every consumer of the result
+    # is order-free, and looking a block up by its interned key object
+    # hashes no Fraction
     tasks = []
-    for key in keys:
+    for key in src.blocks:
         tasks.append(cx.block_matrix(k, key))
         tasks.append(cx.block_matrix(k - 1, key) if k > 0 else [])
     ranks = _parallel_ranks(tasks, workers)
-    for pos, key in enumerate(keys):
-        dim_block = len(src.blocks[key])
-        r_out = ranks[2 * pos]
-        r_in = ranks[2 * pos + 1]
-        h = dim_block - r_out - r_in
+    for pos, (key, cols) in enumerate(src.blocks.items()):
+        h = len(cols) - ranks[2 * pos] - ranks[2 * pos + 1]
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")
-        res.add(src.weights[key], key[1], h)
+        if h:
+            res.add(src.weights[key], key[1], h)
     return res
 
 
@@ -312,7 +311,7 @@ def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction])
 def cocycle_defect(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) -> dict:
     """d^2 h as a sparse vector on the degree-3 cochain basis."""
     cx = CochainComplex(alg, trivial_module(alg))
-    d2 = cx.differential(2)
+    d2 = cx.indexed_differential(2)
     idx2 = cx.degree(2).word_index
     vec: dict[int, Fraction] = {}
     for word, val in h.items():
@@ -339,7 +338,7 @@ def cocycle_space(alg: NilpotentAlgebra):
     ]
     # the rows of d^2 restricted to the even columns
     cpos = {c: a for a, c in enumerate(even_cols)}
-    rows: dict[int, linalg.SparseRow] = {}
+    rows: dict[Row, linalg.SparseRow] = {}
     for (r, c), v in cx.differential(2).items():
         if c in cpos:
             rows.setdefault(r, {})[cpos[c]] = v

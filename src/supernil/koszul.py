@@ -24,11 +24,21 @@ and module weights once by the lcm of their denominators, so a cochain's
 block comes from a sum of int tuples.  The `Weight` and `BlockKey` of a
 block are made once, when the block is first met, and every cochain of
 that block in every degree shares the one key object; `DegreeData.pos`
-records each cochain's place in its block.  Building d^k visits every
-nonzero once to assert that it stays in its block and, in the same pass,
-files it under that block, so `block_matrix` builds a block's sparse rows
-from that block's entries alone: extracting all blocks of a degree costs
-O(nnz(d^k) + rows), and no zero entry is ever made.
+records each cochain's place in its block.
+
+d^k is assembled from the source side and never enumerates C^{k+1}.  For
+each degree-k word u, each letter t of u and each pair (a, b) whose
+bracket has an x_t component (`NilpotentAlgebra.inverse_table`), the
+bracket sum puts an entry in the row of the word (a, b) + (u less one t);
+each nonzero module action x puts one in the row of x + u.  A row is named
+by its (canonical word, module index), not by an index into C^{k+1}, and
+only rows with a nonzero entry exist; the rank of a block needs no others.
+Filing the entries by block asserts that every row's own key (from the int
+weights of its word's letters) is its columns' key, so `block_matrix`
+builds a block's sparse rows from that block's entries alone, and no zero
+entry is ever made.  Callers that enumerate C^{k+1} anyway (the d o d = 0
+checks, `export_triples`, the Hochschild-Serre coefficient modules) number
+the rows through its `word_index` with `indexed_differential`.
 
 The dual-action convention, chosen once and validated end to end, is
 (x.f)(v) = -(-1)^{|x||f|} f(x.v); the opposite global sign is available
@@ -48,6 +58,7 @@ from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
 from .supercore import EVEN, ODD, Parity, Weight, parity_sum, swap_sign
 
 Word = tuple[int, ...]
+Row = tuple[Word, int]  # a cochain named by (canonical word, module index)
 
 
 # -- monomials -----------------------------------------------------------------
@@ -264,10 +275,13 @@ class CochainComplex:
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
         # (scaled weight, parity) -> the one BlockKey object and Weight for it
         self._keys: dict[tuple[tuple[int, ...], Parity], tuple[BlockKey, Weight]] = {}
+        self._key_ids: set[int] = set()
+        self._mono_keys: dict[tuple[tuple[int, ...], Parity], list[tuple[BlockKey, Weight]]] = {}
+        self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
-        self._diffs: dict[int, Sparse] = {}
-        # per differential: id(block key) -> [(row pos, col pos, value)]
-        self._buckets: dict[int, dict[int, list[tuple[int, int, Fraction]]]] = {}
+        self._diffs: dict[int, dict[tuple[Row, int], Fraction]] = {}
+        # per differential: id(block key) -> its nonzero rows
+        self._buckets: dict[int, dict[int, dict[Row, SparseRow]]] = {}
 
     def _key(self, ikey: tuple[tuple[int, ...], Parity]) -> tuple[BlockKey, Weight]:
         """The complex's one BlockKey object, and its Weight, for a scaled key."""
@@ -275,6 +289,25 @@ class CochainComplex:
         if found is None:
             wt = Weight(self.alg.wtag, tuple(Fraction(v, self._scale) for v in ikey[0]))
             found = self._keys[ikey] = ((wt.sort_key(), ikey[1]), wt)
+            self._key_ids.add(id(found[0]))
+        return found
+
+    def _mono(self, word: Word) -> tuple[tuple[int, ...], Parity]:
+        """The scaled int weight and the parity of a monomial word."""
+        return (
+            tuple(map(sum, zip(self._zero, *[self._alg_iw[x] for x in word]))),
+            sum([self.alg.parities[x] for x in word]) & 1,
+        )
+
+    def _block_keys(self, mono: tuple[tuple[int, ...], Parity]) -> list[tuple[BlockKey, Weight]]:
+        """The one (BlockKey, Weight) of each cochain (word, c), c over the
+        module basis, for a word of scaled weight and parity `mono`."""
+        found = self._mono_keys.get(mono)
+        if found is None:
+            found = self._mono_keys[mono] = [
+                self._key((tuple(a - b for a, b in zip(iw, mono[0])), (mono[1] + p) % 2))
+                for iw, p in zip(self._mod_iw, self.module.parities)
+            ]
         return found
 
     # cochain index = word_index * dim(M) + module_index
@@ -284,34 +317,26 @@ class CochainComplex:
         alg, m = self.alg, self.module
         words = monomial_words(alg.parities, k)
         word_index = {w: i for i, w in enumerate(words)}
-        zero = (0,) * len(alg.symbols)
         keys: list[BlockKey] = []
         pos: list[int] = []
         blocks: dict[BlockKey, list[int]] = {}
         weights: dict[BlockKey, Weight] = {}
-        # (key, member list) per scaled key, and per c for each distinct
-        # (monomial weight, parity); hashing a BlockKey hashes Fractions, so
-        # the per-cochain loop below hashes none
-        block_of: dict[tuple, tuple[BlockKey, list[int]]] = {}
+        # per distinct (monomial weight, parity): each c's block key and
+        # member list; hashing a BlockKey hashes Fractions, so the
+        # per-cochain loop below hashes none
+        members_of: dict[int, list[int]] = {}  # id(key) -> its members here
         by_mono: dict[tuple, list[tuple[BlockKey, list[int]]]] = {}
         for w in words:
-            mono = (
-                tuple(map(sum, zip(zero, *(self._alg_iw[x] for x in w)))),
-                parity_sum(alg.parities[x] for x in w),
-            )
+            mono = self._mono(w)
             row = by_mono.get(mono)
             if row is None:
                 row = by_mono[mono] = []
-                for c in range(m.dim):
-                    ikey = (
-                        tuple(a - b for a, b in zip(self._mod_iw[c], mono[0])),
-                        (mono[1] + m.parities[c]) % 2,
-                    )
-                    if ikey not in block_of:
-                        key, wt = self._key(ikey)
-                        block_of[ikey] = (key, blocks.setdefault(key, []))
+                for key, wt in self._block_keys(mono):
+                    members = members_of.get(id(key))
+                    if members is None:
+                        members = members_of[id(key)] = blocks[key] = []
                         weights[key] = wt
-                    row.append(block_of[ikey])
+                    row.append((key, members))
             for key, members in row:
                 pos.append(len(members))
                 members.append(len(keys))
@@ -323,87 +348,154 @@ class CochainComplex:
     def dim(self, k: int) -> int:
         return len(self.degree(k).words) * self.module.dim
 
-    def differential(self, k: int) -> Sparse:
-        """Sparse matrix of d^k: C^k -> C^{k+1} (rows degree k+1)."""
+    def differential(self, k: int) -> dict[tuple[Row, int], Fraction]:
+        """Sparse matrix of d^k: C^k -> C^{k+1}, keyed (row, col).
+
+        A column is a degree-k cochain index.  A row is the degree-(k+1)
+        cochain (canonical word, module index) and exists only when it has
+        a nonzero entry; C^{k+1} is not enumerated (see
+        `indexed_differential`).  Entries are those of the two-sum formula:
+        each (position pair, or position) of a row word that the formula
+        visits contributes with its own sign, odd letters repeating.
+        """
         if k in self._diffs:
             return self._diffs[k]
         alg, m = self.alg, self.module
+        par = alg.parities
         src = self.degree(k)
-        dst = self.degree(k + 1)
         nm = m.dim
-        d: Sparse = {}
-        for hidx, word in enumerate(dst.words):
-            pars = [alg.parities[x] for x in word]
-            prefix = [0] * (len(word) + 1)
-            for t, p in enumerate(pars):
-                prefix[t + 1] = prefix[t] ^ p
-            # action terms
-            for i, x in enumerate(word):
-                rest = word[:i] + word[i + 1 :]
-                xi = src.word_index[rest]
-                rest_par = prefix[len(word)] ^ pars[i]
-                for (r, c), val in m.action[x].items():
-                    # |f| is the parity of the column cochain (rest, c)
-                    f_par = (rest_par + m.parities[c]) % 2
-                    tau = i + pars[i] * (prefix[i] + f_par)
-                    add_to(d, (hidx * nm + r, xi * nm + c), -val if tau % 2 else val)
-            # bracket terms
-            for i in range(len(word)):
-                for j in range(i + 1, len(word)):
-                    br = alg.bracket(word[i], word[j])
-                    if not br:
-                        continue
-                    sigma = (
-                        i
-                        + j
-                        + pars[i] * pars[j]
-                        + pars[i] * prefix[i]
-                        + pars[j] * prefix[j]
-                    )
-                    sgn = -1 if sigma % 2 else 1
-                    rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
-                    for t, cval in br.items():
-                        s, canon = normalize_word(alg.parities, (t,) + rest)
-                        if not s:
-                            continue
-                        zi = src.word_index[canon]
-                        val = cval if sgn * s > 0 else -cval
-                        for w in range(nm):
-                            add_to(d, (hidx * nm + w, zi * nm + w), val)
+        # each letter's place in the canonical (parity, id) order
+        place = {x: i for i, x in enumerate(sorted(range(alg.dim), key=lambda x: (par[x], x)))}
+        # every coefficient next to its negative: a term is +-1 times one
+        # unless odd letters repeat
+        inverse = {
+            t: [(a, b, c, -c) for a, b, c in pairs] for t, pairs in alg.inverse_table.items()
+        }
+        acting = [
+            (x, [(r, c, m.parities[c], v, -v) for (r, c), v in m.action[x].items()])
+            for x in range(alg.dim)
+            if m.action[x]
+        ]
 
-        # the differential must preserve (weight, parity) blocks; file each
-        # entry under its block for block_matrix in the same pass, by id()
-        # because keys are interned per complex and hashing one is slow
-        buckets: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for (row, col), val in d.items():
-            key = src.keys[col]
-            if dst.keys[row] != key:
+        def insert(word: Word, letters: Word) -> Word | None:
+            """The canonical word of word + letters, None if an even letter repeats."""
+            for x in letters:
+                if par[x] == EVEN and x in word:
+                    return None
+            return tuple(sorted(word + letters, key=place.__getitem__))
+
+        d: dict[tuple[Row, int], Fraction] = {}
+        for ui, u in enumerate(src.words):
+            col = ui * nm
+            # a canonical word's odd letters all follow its even ones, so the
+            # prefix before an odd letter's place i has parity i - (evens)
+            evens = sum(1 for x in u if par[x] == EVEN)
+            # bracket terms: rows (a, b) + (u less one t), t a letter of u
+            for cut, t in enumerate(u):
+                if (cut and u[cut - 1] == t) or t not in inverse:
+                    continue
+                rest = u[:cut] + u[cut + 1:]
+                # the sign of sorting (t,) + rest into u: t passes the cut
+                # letters before it, which change the sign unless both odd
+                s = -1 if (evens if par[t] else cut) % 2 else 1
+                ne = evens - (par[t] == EVEN)
+                for a, b, cval, neg in inverse[t]:
+                    w = insert(rest, (a, b))
+                    if w is None:
+                        continue
+                    pa, pb = par[a], par[b]
+                    we = ne + (pa == EVEN) + (pb == EVEN)
+                    # every place i of a before a place j of b; an odd
+                    # letter's places are a run, an even letter has one
+                    ia, ib = w.index(a), w.index(b)
+                    total = 0
+                    for i in range(ia, ia + w.count(a)):
+                        for j in range(max(ib, i + 1), ib + w.count(b)):
+                            sigma = i + j + pa * pb + pa * (i - we) + pb * (j - we)
+                            total += -1 if sigma % 2 else 1
+                    total *= s
+                    if total:
+                        val = cval if total == 1 else neg if total == -1 else cval * total
+                        for r in range(nm):
+                            add_to(d, ((w, r), col + r), val)
+            # action terms: rows x + u, for x acting nontrivially
+            if not acting:
+                continue
+            upar = (len(u) - evens) % 2
+            for x, entries in acting:
+                w = insert(u, (x,))
+                if w is None:
+                    continue
+                px = par[x]
+                we = evens + (px == EVEN)
+                ix = w.index(x)
+                # the signed count of the places of x, by the parity of the
+                # module vector c; |f| is the parity of the column cochain (u, c)
+                totals = [
+                    sum(-1 if (i + px * (i - we + f_par)) % 2 else 1
+                        for i in range(ix, ix + w.count(x)))
+                    for f_par in (upar, upar ^ 1)
+                ]
+                for r, c, pc, val, neg in entries:
+                    total = totals[pc]
+                    if total:
+                        add_to(d, ((w, r), col + c),
+                               val if total == 1 else neg if total == -1 else val * total)
+
+        # the differential must preserve (weight, parity) blocks: each row's
+        # own key must be the one object its columns are filed under; file
+        # each entry under its block for block_matrix in the same pass, by
+        # id() because keys are interned per complex and hashing one is slow
+        buckets: dict[int, dict[Row, SparseRow]] = {}
+        word_keys: dict[Word, list[tuple[BlockKey, Weight]]] = {}
+        filed: dict[Row, tuple[BlockKey, SparseRow]] = {}
+        for (row, c), val in d.items():
+            found = filed.get(row)
+            if found is None:
+                w, r = row
+                wkeys = word_keys.get(w)
+                if wkeys is None:
+                    wkeys = word_keys[w] = self._block_keys(self._mono(w))
+                rkey = wkeys[r][0]
+                found = filed[row] = (rkey, buckets.setdefault(id(rkey), {}).setdefault(row, {}))
+            if src.keys[c] is not found[0]:
                 raise AssertionError("differential entry crosses weight blocks")
-            buckets.setdefault(id(key), []).append((dst.pos[row], src.pos[col], val))
+            found[1][src.pos[c]] = val
         self._buckets[k] = buckets
         self._diffs[k] = d
         return d
 
+    def indexed_differential(self, k: int) -> Sparse:
+        """d^k with each row numbered by its index in C^{k+1}, which this
+        enumerates: word_index(word) * dim(M) + module index."""
+        index = self.degree(k + 1).word_index
+        nm = self.module.dim
+        return {
+            (index[w] * nm + r, c): v for ((w, r), c), v in self.differential(k).items()
+        }
+
     def check_d_squared(self, k: int) -> bool:
         """Exact check that d^{k+1} o d^k = 0."""
-        return not sparse_matmul(self.differential(k + 1), self.differential(k))
+        return not sparse_matmul(self.differential(k + 1), self.indexed_differential(k))
+
+    def block_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
+        """The nonzero rows of the d^k block `key`, by the degree-(k+1)
+        cochain (word, module index) each stands for, as sparse rows
+        {col pos: value} over the degree-k cochains in `key`, by position.
+        `key` must be a block key object of this complex, as `degree`
+        files its blocks under."""
+        if id(key) not in self._key_ids:
+            raise ValueError(f"{key!r} is not a block key object of this complex")
+        self.differential(k)
+        return self._buckets[k].get(id(key), {})
 
     def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
-        """d^k block as sparse rows {col pos: value}, one per degree-(k+1)
-        cochain in `key` in block order (empty where the row is zero); the
-        columns are the degree-k cochains in `key`, by position."""
-        self.differential(k)
-        src = self.degree(k)
-        cols = src.blocks.get(key, ())
-        out: list[SparseRow] = [{} for _ in self.degree(k + 1).blocks.get(key, ())]
-        if cols:
-            for r, c, v in self._buckets[k].get(id(src.keys[cols[0]]), ()):
-                out[r][c] = v
-        return out
+        """The nonzero rows of the d^k block `key` (see `block_rows`)."""
+        return list(self.block_rows(k, key).values())
 
     def export_triples(self, k: int) -> list[list]:
         """Differential as sorted (block key, row, col, "p/q") triples."""
-        d = self.differential(k)
+        d = self.indexed_differential(k)
         src = self.degree(k)
         rows = []
         for (r, c), v in sorted(d.items()):

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -184,6 +185,18 @@ class NilpotentAlgebra:
             for j, cj in w.items():
                 for t, c in self.bracket(i, j).items():
                     linalg.add_to(out, t, ci * cj * c)
+        return out
+
+    @cached_property
+    def inverse_table(self) -> dict[int, list[tuple[int, int, Fraction]]]:
+        """t -> [(a, b, c)] for every pair whose bracket [x_a, x_b] has the
+        nonzero x_t coefficient c, with a before b (or a = b) in the
+        canonical (parity, id) order of monomial words."""
+        out: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for i, j in self.table:
+            a, b = sorted((i, j), key=lambda x: (self.parities[x], x))
+            for t, c in self.bracket(a, b).items():
+                out.setdefault(t, []).append((a, b, c))
         return out
 
     @property

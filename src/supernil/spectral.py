@@ -14,10 +14,12 @@ Collapse is verified, never assumed: both sides of
     dim H^k(n, C) = sum_{i+j=k} dim E_2^{i,j}
 
 are computed through independent code paths, per weight and in total.
-`collapse_check` hands its direct H^k(n, C) and their complex back to the
-caller, so `supernil spectral --recursive` computes the direct H^2 once,
-shared with collapse row k = 2, and gives `h2_recursive` the top algebra
-it already built (a base case's recursive H^2 is that direct result).
+`collapse_check` hands its direct H^k(n, C), their complex and its E_2
+page back to the caller, so `supernil spectral --recursive` computes the
+direct H^2 once, shared with collapse row k = 2, and gives `h2_recursive`
+the top algebra it already built (a base case's recursive H^2 is that
+direct result) and, for an abelian recursion ideal, the page's n/I, I*
+and Lambda_s^2(I*).
 """
 
 from __future__ import annotations
@@ -157,9 +159,12 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
         kernel = linalg.nullspace(cx.block_matrix(j, key), len(cols))
-        # the image of d^{j-1} is the row space of its block's transpose
+        # the image of d^{j-1} is the row space of its block's transpose,
+        # each row put at its cochain's position in the block (trivial
+        # coefficients: a cochain's index is its word's)
         d_in: dict[int, linalg.SparseRow] = {}
-        for r, row in enumerate(cx.block_matrix(j - 1, key)):
+        for (w, _), row in cx.block_rows(j - 1, key).items():
+            r = deg.pos[deg.word_index[w]]
             for c, x in row.items():
                 d_in.setdefault(c, {})[r] = x
         img_basis = linalg.row_space_basis(list(d_in.values()))
@@ -244,7 +249,7 @@ def _assert_commutes_with_d(
 ) -> None:
     """Exact check that d_I^j o lam = lam_next o d_I^j, for the Lie
     derivative `lam` on C^j(I) and `lam_next` on C^{j+1}(I)."""
-    d = cx.differential(j)
+    d = cx.indexed_differential(j)
     for pid, (act, act_next) in enumerate(zip(lam, lam_next, strict=True)):
         if sparse_matmul(d, act) != sparse_matmul(act_next, d):
             raise AssertionError(
@@ -258,6 +263,12 @@ class E2Page:
     K: int
     abelian_ideal: bool
     terms: dict[tuple[int, int], CohomologyResult] = field(default_factory=dict)
+    # what the terms were computed from: the ideal, the dual sign, n/I and
+    # the coefficient module of each row j (Lambda_s^j(I*) when I is abelian)
+    ideal: IdealDesignation | None = None
+    dual_sign: int = -1
+    quotient: NilpotentAlgebra | None = None
+    modules: dict[int, GModule] = field(default_factory=dict)
 
     def term_total(self, i: int, j: int) -> int:
         t = self.terms.get((i, j))
@@ -285,8 +296,9 @@ def e2_page(
     verify_ideal(alg, ideal)
     quo = quotient_algebra(alg, ideal)
     abelian = ideal_is_abelian(alg, ideal)
-    page = E2Page(alg.name, K, abelian)
     modules: dict[int, GModule] = {0: trivial_module(quo)}
+    page = E2Page(alg.name, K, abelian, ideal=ideal, dual_sign=dual_sign, quotient=quo,
+                  modules=modules)
     if K > 0 and abelian:
         dm = dual_module(alg, ideal, quo, dual_sign)
         for j in range(1, K + 1):
@@ -304,14 +316,18 @@ def e2_page(
 
 class CollapseReport(dict):
     """`collapse_check`'s JSON report.  It also carries the direct results
-    H^k(n, C), k <= K, as `direct` and the trivial-coefficient complex of n
-    they were computed on as `complex`, so a caller that needs H^2 too
-    computes row k = 2 once, or on the same complex when K < 2."""
+    H^k(n, C), k <= K, as `direct`, the trivial-coefficient complex of n
+    they were computed on as `complex` and the E_2 page as `page`, so a
+    caller that needs H^2 too computes row k = 2 once, or on the same
+    complex when K < 2, and `h2_recursive` reuses the page's n/I, I* and
+    Lambda_s^2(I*)."""
 
-    def __init__(self, report: dict, direct: list[CohomologyResult], cx: CochainComplex):
+    def __init__(self, report: dict, direct: list[CohomologyResult], cx: CochainComplex,
+                 page: E2Page):
         super().__init__(report)
         self.direct = direct
         self.complex = cx
+        self.page = page
 
 
 def collapse_check(
@@ -360,6 +376,7 @@ def collapse_check(
         },
         directs,
         cx,
+        page,
     )
 
 
@@ -409,6 +426,7 @@ def h2_recursive(
     workers: int = 1,
     alg: NilpotentAlgebra | None = None,
     direct: CohomologyResult | None = None,
+    page: E2Page | None = None,
 ) -> CohomologyResult:
     """H^2(n, C) by the collapse decomposition, recursing through n/I.
 
@@ -423,6 +441,10 @@ def h2_recursive(
     recursion ideal is the default ("auto") reading's, `family_ideal(alg)`.
     `direct` is alg's direct Koszul H^2(n, C), if already computed: when
     alg is itself a base case that direct computation is the result.
+    `page` is an E_2 page of alg, if already built: when its ideal is
+    abelian with the recursion ideal's members and its dual sign is
+    `dual_sign`, the top step takes n/I, I* and Lambda_s^2(I*) from it and
+    builds only what it left out.
     """
     if alg is None:
         alg, ideal = build_family(family, params)
@@ -430,7 +452,14 @@ def h2_recursive(
         raise ValueError(f"{alg.name} is not the {family}{tuple(params)} algebra")
     else:
         ideal = family_ideal(alg)
-    return _h2_recursive(alg, ideal, family, params, dual_sign, workers, direct)
+    if page is not None and not (
+        page.algebra == alg.name
+        and page.abelian_ideal
+        and page.ideal.member_ids == ideal.member_ids
+        and page.dual_sign == dual_sign
+    ):
+        page = None
+    return _h2_recursive(alg, ideal, family, params, dual_sign, workers, direct, page)
 
 
 def _h2_recursive(
@@ -441,10 +470,12 @@ def _h2_recursive(
     dual_sign: int,
     workers: int,
     direct: CohomologyResult | None = None,
+    page: E2Page | None = None,
 ) -> CohomologyResult:
     """`h2_recursive` on the already built `build_family(family, params)`;
     each algebra of the chain is built once, as the previous level's
-    `smaller`."""
+    `smaller`, and the top one's quotient and modules come from `page`
+    where it has them."""
     step = _recursion_step(family, params)
     if step is None:
         res = direct if direct is not None else cohomology(alg, None, 2, workers=workers)
@@ -455,14 +486,15 @@ def _h2_recursive(
         return out
     if not ideal_is_abelian(alg, ideal):
         raise AssertionError(f"{alg.name}: recursion ideal is not abelian")
-    quo = quotient_algebra(alg, ideal)
+    modules = page.modules if page is not None else {}
+    quo = page.quotient if page is not None else quotient_algebra(alg, ideal)
     smaller, smaller_ideal = build_family(family, step)
     if sorted(quo.weight_multiset()) != _embedded_multiset(smaller, quo.symbols):
         raise AssertionError(
             f"{alg.name}: quotient does not match rebuilt {smaller.name}"
         )
-    dm = dual_module(alg, ideal, quo, dual_sign)
-    lam2 = lambda_s_module(quo, dm, 2)
+    dm = modules[1] if 1 in modules else dual_module(alg, ideal, quo, dual_sign)
+    lam2 = modules[2] if 2 in modules else lambda_s_module(quo, dm, 2)
     h0 = h0_fixed_points(quo, lam2)
     h1 = cohomology(quo, dm, 1, workers=workers)
     rest = _h2_recursive(smaller, smaller_ideal, family, step, dual_sign, workers)

@@ -115,9 +115,15 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     "spectral --family osp_odd --m 3 --n 1 --K 2 --recursive --format json",
     "spectral --family osp_even --m 1 --n 3 --K 2 --recursive --format json",
     "spectral --family q --n 4 --K 2 --recursive --format json",
-], ids=["gl22-base-case", "osp_odd31-abelian", "osp_even13-nonabelian", "q4"])
+    "compute --family osp_even --m 3 --n 3 --degree 3 --format json",
+    "compute --family osp_even --m 3 --n 2 --degree 2 --coefficients lambda-s-j --j 3 "
+    "--format json",
+], ids=["gl22-base-case", "osp_odd31-abelian", "osp_even13-nonabelian", "q4",
+        "trivial-deep", "module-wide"])
 def test_spectral_stdout_matches_benchmark_pins(capsys, argv):
-    # the benchmark's pinned exit code and stdout sha256, checked in tier-1 too
+    # the benchmark's pinned exit code and stdout sha256, checked in tier-1
+    # too: four spectral-sweep invocations and the trivial-deep and
+    # module-wide compute runs
     with open(REFERENCE) as fh:
         pinned = json.load(fh)[argv]
     code = main(argv.split())

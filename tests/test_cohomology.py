@@ -200,14 +200,13 @@ def test_coboundaries_are_cocycles_and_give_jacobi():
     cx = koszul.CochainComplex(alg, trivial_module(alg))
     d1 = cx.differential(1)
     words1 = cx.degree(1).words
-    words2 = cx.degree(2).words
     # pick an even dual cochain with nonzero differential (a derived
     # generator such as Et(1,3)*; the simple generators have d = 0)
     h = {}
     for f_col, w in enumerate(words1):
         if alg.parities[w[0]] != 0:
             continue
-        h = {words2[r]: v for (r, c), v in d1.items() if c == f_col}
+        h = {w: v for ((w, _), c), v in d1.items() if c == f_col}
         if h:
             break
     assert h, "found a basis cochain with nonzero differential"

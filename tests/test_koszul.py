@@ -151,7 +151,8 @@ def test_check_d_squared_detects_a_perturbed_entry(built):
     d1, d2 = cx.differential(1), cx.differential(2)
     assert cx.check_d_squared(1)
     # an entry of d^1 whose row feeds d^2: doubling it breaks d o d = 0
-    used = {c for (_, c) in d2}
+    words2 = cx.degree(2).words
+    used = {(words2[c], 0) for (_, c) in d2}
     pos = next(p for p in sorted(d1) if p[0] in used)
     d1[pos] *= 2
     assert not cx.check_d_squared(1)
@@ -233,8 +234,9 @@ def test_differential_preserves_blocks(built):
     # assembly asserts this, so building the differential is the test
     alg, _ = built("q", (3,))
     cx = CochainComplex(alg, trivial_module(alg))
-    d = cx.differential(1)
+    d = cx.indexed_differential(1)
     src, dst = cx.degree(1), cx.degree(2)
+    assert len(d) == len(cx.differential(1))
     for (r, c) in d:
         assert dst.keys[r] == src.keys[c]
 
@@ -284,10 +286,12 @@ def _bookkeeping_cases(built):
 
 
 def test_block_matrix_matches_sparse_cut_of_differential(built):
+    # block_matrix holds exactly the nonzero rows of the block's cut of d^k:
+    # each once, under the cochain it stands for, and no other row
     for alg, module in _bookkeeping_cases(built):
         cx = CochainComplex(alg, module)
         for k in range(3):
-            d = cx.differential(k)
+            d = cx.indexed_differential(k)
             src, dst = cx.degree(k), cx.degree(k + 1)
             for key in set(src.blocks) | set(dst.blocks):
                 cols = src.blocks.get(key, [])
@@ -295,7 +299,17 @@ def test_block_matrix_matches_sparse_cut_of_differential(built):
                 cut = [
                     {a: d[(r, c)] for a, c in enumerate(cols) if (r, c) in d} for r in rows
                 ]
-                assert cx.block_matrix(k, key) == cut, (module.name, k, key)
+                nonzero = {r: row for r, row in zip(rows, cut) if row}
+                named = cx.block_rows(k, key)
+                assert {dst.word_index[w] * module.dim + m: row
+                        for (w, m), row in named.items()} == nonzero, (module.name, k, key)
+                listed = cx.block_matrix(k, key)
+                assert listed == list(named.values()), (module.name, k, key)
+                assert len(listed) == len(nonzero), (module.name, k, key)
+        # blocks are found by their key object; an equal copy is refused
+        key = next(iter(cx.degree(1).blocks))
+        with pytest.raises(ValueError, match="not a block key object"):
+            cx.block_matrix(1, (key[0], key[1]))
 
 
 def test_block_keys_and_weights_match_fraction_sums(built):
@@ -331,3 +345,83 @@ def test_complex_rejects_module_weights_of_another_symbol_system(built):
     mod = GModule(alg, "C'", (EVEN,), (wt,), [{} for _ in range(alg.dim)])
     with pytest.raises(ValueError, match="symbol systems differ"):
         CochainComplex(alg, mod).degree(1)
+
+
+def _target_side_differential(cx, k):
+    """Brute-force reference for d^k: one row per degree-(k+1) word, every
+    position (action sum) and position pair (bracket sum) of it visited
+    with its own sign, as the two-sum formula reads.  It enumerates
+    C^{k+1}, so it serves only as an oracle."""
+    from supernil.linalg import add_to
+
+    alg, m = cx.alg, cx.module
+    src, nm = cx.degree(k), m.dim
+    d = {}
+    for word in monomial_words(alg.parities, k + 1):
+        pars = [alg.parities[x] for x in word]
+        prefix = [0] * (len(word) + 1)
+        for t, p in enumerate(pars):
+            prefix[t + 1] = prefix[t] ^ p
+        for i, x in enumerate(word):
+            rest = word[:i] + word[i + 1:]
+            xi = src.word_index[rest]
+            for (r, c), val in m.action[x].items():
+                f_par = (prefix[-1] ^ pars[i] ^ m.parities[c]) % 2
+                tau = i + pars[i] * (prefix[i] + f_par)
+                add_to(d, ((word, r), xi * nm + c), -val if tau % 2 else val)
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                sigma = (i + j + pars[i] * pars[j] + pars[i] * prefix[i]
+                         + pars[j] * prefix[j])
+                rest = word[:i] + word[i + 1:j] + word[j + 1:]
+                for t, cval in alg.bracket(word[i], word[j]).items():
+                    s, canon = normalize_word(alg.parities, (t,) + rest)
+                    if s:
+                        val = cval if (-1) ** sigma * s > 0 else -cval
+                        for w in range(nm):
+                            add_to(d, ((word, w), src.word_index[canon] * nm + w), val)
+    return d
+
+
+ORACLE_MATRIX = [
+    ("gl", (3, 2)), ("sl", (3, 2)), ("q", (4,)), ("osp_odd", (2, 2)),
+    ("osp_even", (2, 2)), ("osp_even", (1, 3)), ("exc", ("G3",)),
+]
+
+
+@pytest.mark.parametrize("family,params", ORACLE_MATRIX)
+def test_source_side_differential_matches_target_side_oracle(built, family, params):
+    # every entry, each repeated-odd-letter position pair included, equals
+    # the brute-force formula's; trivial, I*, Lambda_s^2(I*) and fractional
+    # (1/2, 1/3) coefficients
+    alg, ideal = built(family, params)
+    cases = [(alg, trivial_module(alg)), (alg, _fractional_module(alg))]
+    if ideal is not None and realize.ideal_is_abelian(alg, ideal):
+        quo = realize.quotient_algebra(alg, ideal)
+        dm = dual_module(alg, ideal, quo)
+        cases += [(quo, dm), (quo, lambda_s_module(quo, dm, 2))]
+    for a, module in cases:
+        cx = CochainComplex(a, module)
+        for k in range(4):
+            assert cx.differential(k) == _target_side_differential(cx, k), (module.name, k)
+
+
+@pytest.mark.parametrize("family,params", [("gl", (3, 2)), ("osp_odd", (2, 2)), ("q", (4,))])
+def test_cohomology_never_enumerates_the_next_degree(built, monkeypatch, family, params):
+    from supernil import koszul
+    from supernil.cohomology import cohomology
+
+    alg, ideal = built(family, params)
+    quo = realize.quotient_algebra(alg, ideal)
+    enumerated = []
+
+    def recording(parities, k):
+        enumerated.append(k)
+        return monomial_words(parities, k)
+
+    monkeypatch.setattr(koszul, "monomial_words", recording)
+    for a, module in [(alg, None), (quo, dual_module(alg, ideal, quo))]:
+        for k in range(4):
+            enumerated.clear()
+            cohomology(a, module, k)
+            assert sorted(enumerated) == list(range(max(k - 1, 0), k + 1)), (k, enumerated)

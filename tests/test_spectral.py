@@ -294,3 +294,34 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
         assert counts["rref"] == 2 * blocks + counts["solve_all"]
         blob = repr((mod.parities, [sorted(a.items()) for a in mod.action]))
         assert hashlib.sha256(blob.encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("argv, quotients", [
+    ("--family gl --m 3 --n 3", 1),        # gl(3|3) -> gl(2|2), a base case
+    ("--family osp_odd --m 3 --n 1", 2),   # osp(7|2) -> osp(5|2) -> osp(3|2)
+    # the CLI's ideal is not the recursion ideal, so its page is not reused
+    ("--family osp_odd --m 3 --n 2 --ideal-reading eps_or_delta", 2),
+    ("--family osp_even --m 1 --n 3", 1),  # a non-abelian ideal and a base case
+])
+def test_spectral_recursion_reuses_the_e2_quotient_and_modules(monkeypatch, capsys, argv,
+                                                               quotients):
+    # the top recursion step takes n/I, I* and Lambda_s^2(I*) from the E_2
+    # page when its ideal is the abelian recursion ideal; for K < 2 it
+    # builds the modules the page left out
+    calls = []
+    quotient = spectral.quotient_algebra
+
+    def counting(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(spectral, "quotient_algebra", counting)
+    seen = []
+    for K in ("0", "1", "2"):
+        calls.clear()
+        code = cli.main(["spectral", *argv.split(), "--K", K, "--recursive", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0 and data["all_match"] and data["h2_match"]
+        assert len(calls) == quotients
+        seen.append((data["h2_direct"], data["h2_recursive"]))
+    assert seen[0] == seen[1] == seen[2]

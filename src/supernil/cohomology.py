@@ -309,17 +309,16 @@ def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction])
 
 
 def cocycle_defect(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) -> dict:
-    """d^2 h as a sparse vector on the degree-3 cochain basis."""
+    """d^2 h as a sparse vector over the degree-3 cochains it reaches, each
+    named by its (word, module index) row of d^2; C^3 is not enumerated."""
     cx = CochainComplex(alg, trivial_module(alg))
-    d2 = cx.indexed_differential(2)
     idx2 = cx.degree(2).word_index
-    vec: dict[int, Fraction] = {}
-    for word, val in h.items():
-        vec[idx2[word]] = Fraction(val)
-    out: dict[int, Fraction] = {}
-    for (r, c), v in d2.items():
-        if c in vec:
-            linalg.add_to(out, r, v * vec[c])
+    vec = {idx2[word]: Fraction(val) for word, val in h.items()}
+    out: dict[Row, Fraction] = {}
+    for name, row in cx.differential(2).items():
+        val = sum(v * vec[c] for c, v in row.items() if c in vec)
+        if val:
+            out[name] = val
     return out
 
 
@@ -336,13 +335,15 @@ def cocycle_space(alg: NilpotentAlgebra):
         for i, w in enumerate(words)
         if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == EVEN
     ]
-    # the rows of d^2 restricted to the even columns
+    # the rows of d^2 on the even columns; d^2 keeps parity, so a row's
+    # columns are all even or all odd
     cpos = {c: a for a, c in enumerate(even_cols)}
-    rows: dict[Row, linalg.SparseRow] = {}
-    for (r, c), v in cx.differential(2).items():
-        if c in cpos:
-            rows.setdefault(r, {})[cpos[c]] = v
-    red, piv_cols = linalg.rref(list(rows.values()))
+    rows = [
+        {cpos[c]: v for c, v in row.items()}
+        for row in cx.differential(2).values()
+        if next(iter(row)) in cpos
+    ]
+    red, piv_cols = linalg.rref(rows)
     kernel = linalg.kernel_of_rref(red, piv_cols, len(even_cols))
     cocycles = [{words[even_cols[a]]: v for a, v in vec.items()} for vec in kernel]
     # pivot-column unit vectors span a complement of the kernel
@@ -364,7 +365,6 @@ def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
     if not vals:
         return {"weight": weight.to_json(), "lhs": 1, "rhs": 1, "equal": True}
     vmax = max(vals)  # closest to zero, still negative
-    vmin = min(vals)
     target = alg.grading_value(weight)
     kmax = 0 if target == 0 else int(target / vmax) + 1
     key_par = weight.sort_key()
@@ -372,16 +372,11 @@ def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
     rhs = 0
     for k in range(0, kmax + 1):
         src = cx.degree(k)
-        dims = {
-            p: len(src.blocks.get((key_par, p), ())) for p in (EVEN, ODD)
-        }
-        ck = dims[EVEN] + dims[ODD]
+        ck = sum(len(src.blocks.get((key_par, p), ())) for p in (EVEN, ODD))
         hk = 0
         if ck or k == 0:
             res = cohomology(alg, None, k, complex_cache=cx)
-            hk = sum(
-                eo[0] + eo[1] for key, eo in res.blocks.items() if key == key_par
-            )
+            hk = sum(res.blocks.get(key_par, ()))
         sign = -1 if k % 2 else 1
         lhs += sign * ck
         rhs += sign * hk

@@ -23,22 +23,23 @@ Block bookkeeping is done in integers.  Each complex scales the algebra
 and module weights once by the lcm of their denominators, so a cochain's
 block comes from a sum of int tuples.  The `Weight` and `BlockKey` of a
 block are made once, when the block is first met, and every cochain of
-that block in every degree shares the one key object; `DegreeData.pos`
-records each cochain's place in its block.
+that block in every degree shares the one key object.  A block lists its
+cochain indices in ascending order.
 
 d^k is assembled from the source side and never enumerates C^{k+1}.  For
 each degree-k word u, each letter t of u and each pair (a, b) whose
 bracket has an x_t component (`NilpotentAlgebra.inverse_table`), the
 bracket sum puts an entry in the row of the word (a, b) + (u less one t);
-each nonzero module action x puts one in the row of x + u.  A row is named
-by its (canonical word, module index), not by an index into C^{k+1}, and
-only rows with a nonzero entry exist; the rank of a block needs no others.
-Filing the entries by block asserts that every row's own key (from the int
-weights of its word's letters) is its columns' key, so `block_matrix`
-builds a block's sparse rows from that block's entries alone, and no zero
-entry is ever made.  Callers that enumerate C^{k+1} anyway (the d o d = 0
-checks, `export_triples`, the Hochschild-Serre coefficient modules) number
-the rows through its `word_index` with `indexed_differential`.
+each nonzero module action x puts one in the row of x + u.  d^k is stored
+once, as sparse rows {C^k cochain index: value}, each named by its
+(canonical word, module index) rather than by an index into C^{k+1}; only
+rows with a nonzero entry exist, and the rank of a block needs no others.
+Grouping the rows by block asserts that every row's own key (from the int
+weights of its word's letters) is its columns' key, so `block_rows` hands
+out a block's row dicts themselves, and no zero entry is ever made.
+Callers that enumerate C^{k+1} anyway (the d o d = 0 check,
+`export_triples`, the Hochschild-Serre coefficient modules) number the
+rows through its `word_index`, the last two with `indexed_differential`.
 
 The dual-action convention, chosen once and validated end to end, is
 (x.f)(v) = -(-1)^{|x||f|} f(x.v); the opposite global sign is available
@@ -248,7 +249,6 @@ class DegreeData:
     keys: list[BlockKey]           # per cochain index
     blocks: dict[BlockKey, list[int]]
     weights: dict[BlockKey, Weight]
-    pos: list[int]                 # per cochain index: its position in blocks[key]
 
 
 def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
@@ -279,8 +279,8 @@ class CochainComplex:
         self._mono_keys: dict[tuple[tuple[int, ...], Parity], list[tuple[BlockKey, Weight]]] = {}
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
-        self._diffs: dict[int, dict[tuple[Row, int], Fraction]] = {}
-        # per differential: id(block key) -> its nonzero rows
+        self._diffs: dict[int, dict[Row, SparseRow]] = {}
+        # per differential: id(block key) -> its rows, the row dicts of _diffs
         self._buckets: dict[int, dict[int, dict[Row, SparseRow]]] = {}
 
     def _key(self, ikey: tuple[tuple[int, ...], Parity]) -> tuple[BlockKey, Weight]:
@@ -318,7 +318,6 @@ class CochainComplex:
         words = monomial_words(alg.parities, k)
         word_index = {w: i for i, w in enumerate(words)}
         keys: list[BlockKey] = []
-        pos: list[int] = []
         blocks: dict[BlockKey, list[int]] = {}
         weights: dict[BlockKey, Weight] = {}
         # per distinct (monomial weight, parity): each c's block key and
@@ -338,25 +337,24 @@ class CochainComplex:
                         weights[key] = wt
                     row.append((key, members))
             for key, members in row:
-                pos.append(len(members))
                 members.append(len(keys))
                 keys.append(key)
-        data = DegreeData(words, word_index, keys, blocks, weights, pos)
+        data = DegreeData(words, word_index, keys, blocks, weights)
         self._degrees[k] = data
         return data
 
     def dim(self, k: int) -> int:
         return len(self.degree(k).words) * self.module.dim
 
-    def differential(self, k: int) -> dict[tuple[Row, int], Fraction]:
-        """Sparse matrix of d^k: C^k -> C^{k+1}, keyed (row, col).
+    def differential(self, k: int) -> dict[Row, SparseRow]:
+        """d^k: C^k -> C^{k+1} as sparse rows {C^k cochain index: value}.
 
-        A column is a degree-k cochain index.  A row is the degree-(k+1)
-        cochain (canonical word, module index) and exists only when it has
-        a nonzero entry; C^{k+1} is not enumerated (see
-        `indexed_differential`).  Entries are those of the two-sum formula:
-        each (position pair, or position) of a row word that the formula
-        visits contributes with its own sign, odd letters repeating.
+        A row is named by the degree-(k+1) cochain (canonical word, module
+        index) and exists only when it has a nonzero entry; C^{k+1} is not
+        enumerated (see `indexed_differential`).  Entries are those of the
+        two-sum formula: each (position pair, or position) of a row word
+        that the formula visits contributes with its own sign, odd letters
+        repeating.
         """
         if k in self._diffs:
             return self._diffs[k]
@@ -384,7 +382,7 @@ class CochainComplex:
                     return None
             return tuple(sorted(word + letters, key=place.__getitem__))
 
-        d: dict[tuple[Row, int], Fraction] = {}
+        d: dict[Row, SparseRow] = {}
         for ui, u in enumerate(src.words):
             col = ui * nm
             # a canonical word's odd letters all follow its even ones, so the
@@ -417,7 +415,7 @@ class CochainComplex:
                     if total:
                         val = cval if total == 1 else neg if total == -1 else cval * total
                         for r in range(nm):
-                            add_to(d, ((w, r), col + r), val)
+                            add_to(d.setdefault((w, r), {}), col + r, val)
             # action terms: rows x + u, for x acting nontrivially
             if not acting:
                 continue
@@ -439,49 +437,60 @@ class CochainComplex:
                 for r, c, pc, val, neg in entries:
                     total = totals[pc]
                     if total:
-                        add_to(d, ((w, r), col + c),
+                        add_to(d.setdefault((w, r), {}), col + c,
                                val if total == 1 else neg if total == -1 else val * total)
 
         # the differential must preserve (weight, parity) blocks: each row's
-        # own key must be the one object its columns are filed under; file
-        # each entry under its block for block_matrix in the same pass, by
-        # id() because keys are interned per complex and hashing one is slow
+        # own key must be the one object its columns are filed under; group
+        # the rows by block for block_rows in the same pass, by id() because
+        # keys are interned per complex and hashing one is slow
         buckets: dict[int, dict[Row, SparseRow]] = {}
         word_keys: dict[Word, list[tuple[BlockKey, Weight]]] = {}
-        filed: dict[Row, tuple[BlockKey, SparseRow]] = {}
-        for (row, c), val in d.items():
-            found = filed.get(row)
-            if found is None:
-                w, r = row
-                wkeys = word_keys.get(w)
-                if wkeys is None:
-                    wkeys = word_keys[w] = self._block_keys(self._mono(w))
-                rkey = wkeys[r][0]
-                found = filed[row] = (rkey, buckets.setdefault(id(rkey), {}).setdefault(row, {}))
-            if src.keys[c] is not found[0]:
-                raise AssertionError("differential entry crosses weight blocks")
-            found[1][src.pos[c]] = val
+        for name in [name for name, row in d.items() if not row]:
+            del d[name]  # its entries cancelled
+        for name, row in d.items():
+            w, r = name
+            wkeys = word_keys.get(w)
+            if wkeys is None:
+                wkeys = word_keys[w] = self._block_keys(self._mono(w))
+            rkey = wkeys[r][0]
+            for c in row:
+                if src.keys[c] is not rkey:
+                    raise AssertionError("differential entry crosses weight blocks")
+            buckets.setdefault(id(rkey), {})[name] = row
         self._buckets[k] = buckets
         self._diffs[k] = d
         return d
 
     def indexed_differential(self, k: int) -> Sparse:
-        """d^k with each row numbered by its index in C^{k+1}, which this
-        enumerates: word_index(word) * dim(M) + module index."""
+        """d^k as one sparse matrix {(row, col): value}, each row numbered
+        by its index in C^{k+1}, which this enumerates:
+        word_index(word) * dim(M) + module index."""
         index = self.degree(k + 1).word_index
         nm = self.module.dim
         return {
-            (index[w] * nm + r, c): v for ((w, r), c), v in self.differential(k).items()
+            (index[w] * nm + r, c): v
+            for (w, r), row in self.differential(k).items()
+            for c, v in row.items()
         }
 
     def check_d_squared(self, k: int) -> bool:
-        """Exact check that d^{k+1} o d^k = 0."""
-        return not sparse_matmul(self.differential(k + 1), self.indexed_differential(k))
+        """Exact check that d^{k+1} o d^k = 0, row by row of d^{k+1}."""
+        index, nm = self.degree(k + 1).word_index, self.module.dim
+        inner = {index[w] * nm + r: row for (w, r), row in self.differential(k).items()}
+        for row in self.differential(k + 1).values():
+            out: SparseRow = {}
+            for c, x in row.items():
+                for c2, y in inner.get(c, {}).items():
+                    add_to(out, c2, x * y)
+            if out:
+                return False
+        return True
 
     def block_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
         """The nonzero rows of the d^k block `key`, by the degree-(k+1)
-        cochain (word, module index) each stands for, as sparse rows
-        {col pos: value} over the degree-k cochains in `key`, by position.
+        cochain (word, module index) each stands for: the very row dicts of
+        `differential(k)`, over the degree-k cochain indices in `key`.
         `key` must be a block key object of this complex, as `degree`
         files its blocks under."""
         if id(key) not in self._key_ids:

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Every layer shares one sparse format: a dict `{(row, col): Fraction}` that
-stores no zeros (sparse vectors are dicts keyed by index under the same
-rule).  `add_to` is the one place an entry is accumulated and pruned, and
-`sparse_matmul` the one sparse product.  A matrix is a list of sparse rows
-`{col: Fraction}` (the form of a `CochainComplex.block_matrix` weight
-block); every routine here takes and returns sparse rows, never dense ones.
+Sparse data stores no zeros: a matrix is a dict `{(row, col): Fraction}`
+or a list of sparse rows `{col: Fraction}`, whose column labels may be any
+ints (a `CochainComplex.block_matrix` weight block keeps its C^k cochain
+indices).  `add_to` is the one place an entry is accumulated and pruned,
+and `sparse_matmul` the one `{(row, col)}` product.  Every routine here
+takes and returns sparse rows, never dense ones.
 
 One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace`,
 `row_space_basis`, `solve` and `solve_all`: integer elimination on the rows

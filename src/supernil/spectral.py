@@ -18,8 +18,8 @@ are computed through independent code paths, per weight and in total.
 page back to the caller, so `supernil spectral --recursive` computes the
 direct H^2 once, shared with collapse row k = 2, and gives `h2_recursive`
 the top algebra it already built (a base case's recursive H^2 is that
-direct result) and, for an abelian recursion ideal, the page's n/I, I*
-and Lambda_s^2(I*).
+direct result) and, for an abelian recursion ideal, the page's n/I, I*,
+Lambda_s^2(I*) and, when K >= 2, H^1(n/I, I*).
 """
 
 from __future__ import annotations
@@ -158,13 +158,15 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     weights = []
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
-        kernel = linalg.nullspace(cx.block_matrix(j, key), len(cols))
+        cpos = {c: i for i, c in enumerate(cols)}
+        d_out = [{cpos[c]: x for c, x in row.items()} for row in cx.block_matrix(j, key)]
+        kernel = linalg.nullspace(d_out, len(cols))
         # the image of d^{j-1} is the row space of its block's transpose,
         # each row put at its cochain's position in the block (trivial
         # coefficients: a cochain's index is its word's)
         d_in: dict[int, linalg.SparseRow] = {}
         for (w, _), row in cx.block_rows(j - 1, key).items():
-            r = deg.pos[deg.word_index[w]]
+            r = cpos[deg.word_index[w]]
             for c, x in row.items():
                 d_in.setdefault(c, {})[r] = x
         img_basis = linalg.row_space_basis(list(d_in.values()))
@@ -180,7 +182,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
         for b, vec in enumerate(stack):
             for c, x in vec.items():
                 system[c][b] = x
-        blocks[key] = ({c: i for i, c in enumerate(cols)}, len(parities), len(img_basis), system)
+        blocks[key] = (cpos, len(parities), len(img_basis), system)
         for vec in reps:
             for c, x in vec.items():
                 classes[(cols[c], len(parities))] = x
@@ -319,8 +321,8 @@ class CollapseReport(dict):
     H^k(n, C), k <= K, as `direct`, the trivial-coefficient complex of n
     they were computed on as `complex` and the E_2 page as `page`, so a
     caller that needs H^2 too computes row k = 2 once, or on the same
-    complex when K < 2, and `h2_recursive` reuses the page's n/I, I* and
-    Lambda_s^2(I*)."""
+    complex when K < 2, and `h2_recursive` reuses the page's n/I, I*,
+    Lambda_s^2(I*) and H^1(n/I, I*)."""
 
     def __init__(self, report: dict, direct: list[CohomologyResult], cx: CochainComplex,
                  page: E2Page):
@@ -443,8 +445,8 @@ def h2_recursive(
     alg is itself a base case that direct computation is the result.
     `page` is an E_2 page of alg, if already built: when its ideal is
     abelian with the recursion ideal's members and its dual sign is
-    `dual_sign`, the top step takes n/I, I* and Lambda_s^2(I*) from it and
-    builds only what it left out.
+    `dual_sign`, the top step takes n/I, I*, Lambda_s^2(I*) and (K >= 2)
+    H^1(n/I, I*) from it and computes only what it left out.
     """
     if alg is None:
         alg, ideal = build_family(family, params)
@@ -474,19 +476,19 @@ def _h2_recursive(
 ) -> CohomologyResult:
     """`h2_recursive` on the already built `build_family(family, params)`;
     each algebra of the chain is built once, as the previous level's
-    `smaller`, and the top one's quotient and modules come from `page`
-    where it has them."""
+    `smaller`, and the top one's quotient, modules and H^1(n/I, I*) come
+    from `page` where it has them."""
+    out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C", family=alg.family, params=alg.params)
     step = _recursion_step(family, params)
     if step is None:
         res = direct if direct is not None else cohomology(alg, None, 2, workers=workers)
-        out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C",
-                           family=alg.family, params=alg.params)
         out.blocks = dict(res.blocks)
         out.weight_of = dict(res.weight_of)
         return out
     if not ideal_is_abelian(alg, ideal):
         raise AssertionError(f"{alg.name}: recursion ideal is not abelian")
     modules = page.modules if page is not None else {}
+    terms = page.terms if page is not None else {}
     quo = page.quotient if page is not None else quotient_algebra(alg, ideal)
     smaller, smaller_ideal = build_family(family, step)
     if sorted(quo.weight_multiset()) != _embedded_multiset(smaller, quo.symbols):
@@ -496,21 +498,14 @@ def _h2_recursive(
     dm = modules[1] if 1 in modules else dual_module(alg, ideal, quo, dual_sign)
     lam2 = modules[2] if 2 in modules else lambda_s_module(quo, dm, 2)
     h0 = h0_fixed_points(quo, lam2)
-    h1 = cohomology(quo, dm, 1, workers=workers)
+    h1 = terms[(1, 1)] if (1, 1) in terms else cohomology(quo, dm, 1, workers=workers)
     rest = _h2_recursive(smaller, smaller_ideal, family, step, dual_sign, workers)
-    out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C",
-                           family=alg.family, params=alg.params)
     for part in (h0, h1):
         for key, eo in part.blocks.items():
-            w = part.weight_of[key]
-            if eo[0]:
-                out.add(w, 0, eo[0])
-            if eo[1]:
-                out.add(w, 1, eo[1])
+            for parity in (0, 1):
+                out.add(part.weight_of[key], parity, eo[parity])
     for key, eo in rest.blocks.items():
         w = Weight(alg.wtag, _embed_key(key, smaller.symbols, alg.symbols))
-        if eo[0]:
-            out.add(w, 0, eo[0])
-        if eo[1]:
-            out.add(w, 1, eo[1])
+        for parity in (0, 1):
+            out.add(w, parity, eo[parity])
     return out

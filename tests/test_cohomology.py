@@ -206,7 +206,7 @@ def test_coboundaries_are_cocycles_and_give_jacobi():
     for f_col, w in enumerate(words1):
         if alg.parities[w[0]] != 0:
             continue
-        h = {w: v for ((w, _), c), v in d1.items() if c == f_col}
+        h = {w: row[f_col] for (w, _), row in d1.items() if f_col in row}
         if h:
             break
     assert h, "found a basis cochain with nonzero differential"

@@ -152,9 +152,9 @@ def test_check_d_squared_detects_a_perturbed_entry(built):
     assert cx.check_d_squared(1)
     # an entry of d^1 whose row feeds d^2: doubling it breaks d o d = 0
     words2 = cx.degree(2).words
-    used = {(words2[c], 0) for (_, c) in d2}
-    pos = next(p for p in sorted(d1) if p[0] in used)
-    d1[pos] *= 2
+    used = {(words2[c], 0) for row in d2.values() for c in row}
+    name = next(name for name in sorted(d1) if name in used)
+    d1[name][min(d1[name])] *= 2
     assert not cx.check_d_squared(1)
 
 
@@ -188,10 +188,7 @@ def test_rank_d0_with_ideal_dual_coefficients():
         dm = dual_module(alg, ideal, quo)
         cx = CochainComplex(quo, dm)
         d0 = cx.differential(0)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in d0.items():
-            rows.setdefault(r, {})[c] = v
-        assert linalg.rank(list(rows.values())) == 4 * (n - 2)
+        assert linalg.rank(list(d0.values())) == 4 * (n - 2)
 
 
 def test_dual_module_weights_negated():
@@ -234,11 +231,13 @@ def test_differential_preserves_blocks(built):
     # assembly asserts this, so building the differential is the test
     alg, _ = built("q", (3,))
     cx = CochainComplex(alg, trivial_module(alg))
-    d = cx.indexed_differential(1)
+    d = cx.differential(1)
     src, dst = cx.degree(1), cx.degree(2)
-    assert len(d) == len(cx.differential(1))
-    for (r, c) in d:
-        assert dst.keys[r] == src.keys[c]
+    assert len(cx.indexed_differential(1)) == sum(map(len, d.values()))
+    for (w, m), row in d.items():
+        assert row
+        for c in row:
+            assert dst.keys[dst.word_index[w] * cx.module.dim + m] == src.keys[c]
 
 
 def test_cochain_dim_formula(built):
@@ -296,9 +295,7 @@ def test_block_matrix_matches_sparse_cut_of_differential(built):
             for key in set(src.blocks) | set(dst.blocks):
                 cols = src.blocks.get(key, [])
                 rows = dst.blocks.get(key, [])
-                cut = [
-                    {a: d[(r, c)] for a, c in enumerate(cols) if (r, c) in d} for r in rows
-                ]
+                cut = [{c: d[(r, c)] for c in cols if (r, c) in d} for r in rows]
                 nonzero = {r: row for r, row in zip(rows, cut) if row}
                 named = cx.block_rows(k, key)
                 assert {dst.word_index[w] * module.dim + m: row
@@ -310,6 +307,23 @@ def test_block_matrix_matches_sparse_cut_of_differential(built):
         key = next(iter(cx.degree(1).blocks))
         with pytest.raises(ValueError, match="not a block key object"):
             cx.block_matrix(1, (key[0], key[1]))
+
+
+def test_block_rows_are_the_differential_row_dicts(built):
+    # d^k is stored once: every row of every block is the very dict that
+    # differential(k) holds under its name, and each row is in one block
+    for alg, module in _bookkeeping_cases(built):
+        cx = CochainComplex(alg, module)
+        for k in range(3):
+            d = cx.differential(k)
+            named = []
+            for key in cx.degree(k).blocks:
+                rows = cx.block_rows(k, key)
+                for name, row in rows.items():
+                    assert row is d[name], (module.name, k, name)
+                named += rows
+                assert list(map(id, cx.block_matrix(k, key))) == list(map(id, rows.values()))
+            assert sorted(named) == sorted(d), (module.name, k)
 
 
 def test_block_keys_and_weights_match_fraction_sums(built):
@@ -326,9 +340,10 @@ def test_block_keys_and_weights_match_fraction_sums(built):
                 old_keys.append((wt.sort_key(), par))
                 assert key == old_keys[-1]
                 assert data.weights[key] == wt
-                assert data.blocks[key][data.pos[idx]] == idx
             assert list(data.blocks) == list(dict.fromkeys(old_keys))
             assert sorted(data.blocks) == sorted(set(old_keys))
+            # each block lists its cochain indices in ascending order
+            assert all(members == sorted(members) for members in data.blocks.values())
 
 
 def test_fractional_weights_keep_their_denominators(built):
@@ -380,7 +395,10 @@ def _target_side_differential(cx, k):
                         val = cval if (-1) ** sigma * s > 0 else -cval
                         for w in range(nm):
                             add_to(d, ((word, w), src.word_index[canon] * nm + w), val)
-    return d
+    rows = {}
+    for (name, c), v in d.items():
+        rows.setdefault(name, {})[c] = v
+    return rows
 
 
 ORACLE_MATRIX = [
@@ -406,10 +424,26 @@ def test_source_side_differential_matches_target_side_oracle(built, family, para
             assert cx.differential(k) == _target_side_differential(cx, k), (module.name, k)
 
 
+def test_a_row_whose_entries_cancel_is_dropped():
+    # x0 acts on the abelian ideal <x1, x2> by a square-zero matrix with a
+    # nonzero diagonal, so every weight is zero (the built families have
+    # none) and the two terms of d(x1* ^ x2*) on x0 ^ x1 ^ x2 cancel
+    zero = Weight.zero("e1", 1)
+    basis = [realize.BasisVector(i, f"x{i}", EVEN, zero) for i in range(3)]
+    one = Fraction(1)
+    table = {(0, 1): {1: one, 2: one}, (0, 2): {1: -one, 2: -one}}
+    alg = realize.NilpotentAlgebra("N", "test", (), ("e1",), basis, table, (-one,))
+    cx = CochainComplex(alg, trivial_module(alg))
+    assert cx.differential(1) == _target_side_differential(cx, 1) != {}
+    assert cx.differential(2) == _target_side_differential(cx, 2) == {}
+    assert all(cx.block_rows(2, key) == {} for key in cx.degree(2).blocks)
+    assert cx.check_d_squared(1)
+
+
 @pytest.mark.parametrize("family,params", [("gl", (3, 2)), ("osp_odd", (2, 2)), ("q", (4,))])
 def test_cohomology_never_enumerates_the_next_degree(built, monkeypatch, family, params):
     from supernil import koszul
-    from supernil.cohomology import cohomology
+    from supernil.cohomology import cohomology, is_cocycle
 
     alg, ideal = built(family, params)
     quo = realize.quotient_algebra(alg, ideal)
@@ -425,3 +459,9 @@ def test_cohomology_never_enumerates_the_next_degree(built, monkeypatch, family,
             enumerated.clear()
             cohomology(a, module, k)
             assert sorted(enumerated) == list(range(max(k - 1, 0), k + 1)), (k, enumerated)
+    # d^2 h names its degree-3 entries by word, so is_cocycle stops at C^2
+    h = {w: Fraction(1 + i) for i, w in enumerate(monomial_words(alg.parities, 2))
+         if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == EVEN}
+    enumerated.clear()
+    is_cocycle(alg, h)
+    assert enumerated == [2]

@@ -155,7 +155,7 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
     lam_next = spectral._cochain_action(alg, ideal, cx.degree(j + 1).words, sub.parities)
     spectral._assert_commutes_with_d(cx, j, lam, lam_next)
     # an action entry whose row feeds d^j: doubling it breaks commutation
-    used = {c for (_, c) in cx.differential(j)}
+    used = {c for row in cx.differential(j).values() for c in row}
     pid, pos = next(
         (pid, pos) for pid, act in enumerate(lam) for pos in sorted(act) if pos[0] in used
     )
@@ -296,18 +296,22 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
         assert hashlib.sha256(blob.encode()).hexdigest() == pinned
 
 
-@pytest.mark.parametrize("argv, quotients", [
-    ("--family gl --m 3 --n 3", 1),        # gl(3|3) -> gl(2|2), a base case
-    ("--family osp_odd --m 3 --n 1", 2),   # osp(7|2) -> osp(5|2) -> osp(3|2)
+# h1s: degree-1 `cohomology` calls for K = 0, 1, 2: the page's (1, 0) and,
+# for K = 2, (1, 1) terms, the direct H^1, and H^1(n/I, I*) of each
+# recursion step that the page does not hold
+@pytest.mark.parametrize("argv, quotients, h1s", [
+    ("--family gl --m 3 --n 3", 1, (1, 3, 3)),       # gl(3|3) -> gl(2|2), a base case
+    ("--family osp_odd --m 3 --n 1", 2, (2, 4, 4)),  # osp(7|2) -> osp(5|2) -> osp(3|2)
     # the CLI's ideal is not the recursion ideal, so its page is not reused
-    ("--family osp_odd --m 3 --n 2 --ideal-reading eps_or_delta", 2),
-    ("--family osp_even --m 1 --n 3", 1),  # a non-abelian ideal and a base case
+    ("--family osp_odd --m 3 --n 2 --ideal-reading eps_or_delta", 2, (1, 3, 4)),
+    # a non-abelian ideal and a base case
+    ("--family osp_even --m 1 --n 3", 1, (0, 2, 3)),
 ])
 def test_spectral_recursion_reuses_the_e2_quotient_and_modules(monkeypatch, capsys, argv,
-                                                               quotients):
+                                                               quotients, h1s):
     # the top recursion step takes n/I, I* and Lambda_s^2(I*) from the E_2
-    # page when its ideal is the abelian recursion ideal; for K < 2 it
-    # builds the modules the page left out
+    # page when its ideal is the abelian recursion ideal, and H^1(n/I, I*)
+    # too when K >= 2; for K < 2 it builds what the page left out
     calls = []
     quotient = spectral.quotient_algebra
 
@@ -315,13 +319,22 @@ def test_spectral_recursion_reuses_the_e2_quotient_and_modules(monkeypatch, caps
         calls.append(args)
         return quotient(*args)
 
+    degrees = []
+
+    def counting_cohomology(alg, module, k, *args, **kwargs):
+        degrees.append(k)
+        return cohomology(alg, module, k, *args, **kwargs)
+
     monkeypatch.setattr(spectral, "quotient_algebra", counting)
+    monkeypatch.setattr(spectral, "cohomology", counting_cohomology)
     seen = []
-    for K in ("0", "1", "2"):
+    for K, h1 in zip(("0", "1", "2"), h1s):
         calls.clear()
+        degrees.clear()
         code = cli.main(["spectral", *argv.split(), "--K", K, "--recursive", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0 and data["all_match"] and data["h2_match"]
         assert len(calls) == quotients
+        assert degrees.count(1) == h1
         seen.append((data["h2_direct"], data["h2_recursive"]))
     assert seen[0] == seen[1] == seen[2]

@@ -30,7 +30,7 @@ from multiprocessing import Pool
 from . import linalg
 from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
 from .realize import NilpotentAlgebra, derived_subalgebra
-from .supercore import EVEN, ODD, Weight
+from .supercore import EVEN, ODD, Rational, Weight, exact
 
 ROUTE_KOSZUL = "koszul"
 ROUTE_QUOTIENT = "quotient_dual"
@@ -120,8 +120,8 @@ def cohomology(
     res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
                            family=alg.family, params=alg.params)
     # blocks in the order `degree` met them: every consumer of the result
-    # is order-free, and looking a block up by its interned key object
-    # hashes no Fraction
+    # is order-free, and `block_matrix` finds a block by its interned key
+    # object
     tasks = []
     for key in src.blocks:
         tasks.append(cx.block_matrix(k, key))
@@ -132,7 +132,7 @@ def cohomology(
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")
         if h:
-            res.add(src.weights[key], key[1], h)
+            res.add(cx.weight(key), key[1], h)
     return res
 
 
@@ -149,7 +149,7 @@ def h0_fixed_points(alg: NilpotentAlgebra, module: GModule) -> CohomologyResult:
     for key in sorted(blocks):
         cols = blocks[key]
         cpos = {c: i for i, c in enumerate(cols)}
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        rows: dict[tuple[int, int], linalg.SparseRow] = {}
         for i in range(alg.dim):
             for (r, c), v in module.action[i].items():
                 if c in cpos:
@@ -207,7 +207,7 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
                 pj = alg.parities[j]
                 if i == j and pi == EVEN:
                     continue
-                rows: dict[int, dict[int, Fraction]] = {}
+                rows: dict[int, linalg.SparseRow] = {}
 
                 def put(r, u, val):
                     if u in cpos and val:
@@ -216,10 +216,10 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
                 for t, c in alg.bracket(i, j).items():
                     for w in range(module.dim):
                         put(w, (t, w), c)
-                s1 = Fraction(-1 if (pi * p) % 2 else 1)
+                s1 = -1 if (pi * p) % 2 else 1
                 for (r, c), v in module.action[i].items():
                     put(r, (j, c), -s1 * v)
-                s2 = Fraction(-1 if (pj * (pi + p)) % 2 else 1)
+                s2 = -1 if (pj * (pi + p)) % 2 else 1
                 for (r, c), v in module.action[j].items():
                     put(r, (i, c), s2 * v)
                 eqs.extend(rows.values())
@@ -228,7 +228,7 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
         for a in range(module.dim):
             vec: linalg.SparseRow = {}
             for i in range(alg.dim):
-                sgn = Fraction(-1 if (alg.parities[i] * module.parities[a]) % 2 else 1)
+                sgn = -1 if (alg.parities[i] * module.parities[a]) % 2 else 1
                 for (r, c), v in module.action[i].items():
                     if c == a and (i, r) in cpos:
                         linalg.add_to(vec, cpos[(i, r)], sgn * v)
@@ -251,23 +251,23 @@ class CentralExtension:
     identity iff h is a cocycle.
     """
 
-    def __init__(self, alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]):
+    def __init__(self, alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational]):
         self.alg = alg
         for (i, j), val in h.items():
             if val and (alg.parities[i] + alg.parities[j]) % 2 != EVEN:
                 raise ValueError("extension cochain must be even")
-        self.h = {k: Fraction(v) for k, v in h.items() if v}
+        self.h = {k: exact(Fraction(v)) for k, v in h.items() if v}
 
-    def pair(self, i: int, j: int) -> Fraction:
+    def pair(self, i: int, j: int) -> Rational:
         s, canon = normalize_word(self.alg.parities, (i, j))
         if not s:
-            return Fraction(0)
-        return Fraction(s) * self.h.get(canon, Fraction(0))
+            return 0
+        return s * self.h.get(canon, 0)
 
-    def bracket(self, u: dict[int, Fraction], w: dict[int, Fraction]):
+    def bracket(self, u: dict[int, Rational], w: dict[int, Rational]):
         """Extension bracket of coefficient vectors: (algebra part, center)."""
         vec = self.alg.bracket_vectors(u, w)
-        z = Fraction(0)
+        z = 0
         for i, ci in u.items():
             for j, cj in w.items():
                 z += ci * cj * self.pair(i, j)
@@ -279,12 +279,12 @@ class CentralExtension:
         bad = []
         for i in range(alg.dim):
             pi = alg.parities[i]
-            ei = {i: Fraction(1)}
+            ei = {i: 1}
             for j in range(i, alg.dim):
                 pj = alg.parities[j]
-                ej = {j: Fraction(1)}
+                ej = {j: 1}
                 for k in range(j, alg.dim):
-                    ek = {k: Fraction(1)}
+                    ek = {k: 1}
                     # the center is central, so only the algebra part of an
                     # inner bracket feeds the outer one
                     inner_vec, _ = self.bracket(ej, ek)
@@ -293,7 +293,7 @@ class CentralExtension:
                     v2, z2 = self.bracket(vec_ij, ek)
                     vec_ik, _ = self.bracket(ei, ek)
                     v3, z3 = self.bracket(ej, vec_ik)
-                    sgn = Fraction(-1 if (pi and pj) else 1)
+                    sgn = -1 if (pi and pj) else 1
                     lhs_vec, lhs_z = v1, z1
                     rhs_vec = dict(v2)
                     for t, c in v3.items():
@@ -304,17 +304,22 @@ class CentralExtension:
         return bad
 
 
-def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) -> CentralExtension:
+def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational]) -> CentralExtension:
     return CentralExtension(alg, h)
 
 
-def cocycle_defect(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) -> dict:
+def cocycle_defect(
+    alg: NilpotentAlgebra,
+    h: dict[tuple[int, int], Rational],
+    complex_cache: CochainComplex | None = None,
+) -> dict:
     """d^2 h as a sparse vector over the degree-3 cochains it reaches, each
-    named by its (word, module index) row of d^2; C^3 is not enumerated."""
-    cx = CochainComplex(alg, trivial_module(alg))
+    named by its (word, module index) row of d^2; C^3 is not enumerated.
+    `complex_cache` is alg's trivial-coefficient complex, if already built."""
+    cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
     idx2 = cx.degree(2).word_index
-    vec = {idx2[word]: Fraction(val) for word, val in h.items()}
-    out: dict[Row, Fraction] = {}
+    vec = {idx2[word]: exact(Fraction(val)) for word, val in h.items()}
+    out: dict[Row, Rational] = {}
     for name, row in cx.differential(2).items():
         val = sum(v * vec[c] for c, v in row.items() if c in vec)
         if val:
@@ -322,13 +327,18 @@ def cocycle_defect(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) ->
     return out
 
 
-def is_cocycle(alg: NilpotentAlgebra, h: dict[tuple[int, int], Fraction]) -> bool:
-    return not cocycle_defect(alg, h)
+def is_cocycle(
+    alg: NilpotentAlgebra,
+    h: dict[tuple[int, int], Rational],
+    complex_cache: CochainComplex | None = None,
+) -> bool:
+    return not cocycle_defect(alg, h, complex_cache)
 
 
-def cocycle_space(alg: NilpotentAlgebra):
-    """Bases of (even 2-cocycles, even non-cocycle complement) as cochains."""
-    cx = CochainComplex(alg, trivial_module(alg))
+def cocycle_space(alg: NilpotentAlgebra, complex_cache: CochainComplex | None = None):
+    """Bases of (even 2-cocycles, even non-cocycle complement) as cochains.
+    `complex_cache` is alg's trivial-coefficient complex, if already built."""
+    cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
     words = cx.degree(2).words
     even_cols = [
         i
@@ -366,7 +376,7 @@ def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
         return {"weight": weight.to_json(), "lhs": 1, "rhs": 1, "equal": True}
     vmax = max(vals)  # closest to zero, still negative
     target = alg.grading_value(weight)
-    kmax = 0 if target == 0 else int(target / vmax) + 1
+    kmax = 0 if target == 0 else target // vmax + 1
     key_par = weight.sort_key()
     lhs = 0
     rhs = 0

@@ -15,16 +15,21 @@ with tau_i = i + |w_i| (|w_0|+...+|w_{i-1}| + |f|) and
 sigma_ij = i + j + |w_i||w_j| + |w_i|(|w_0|+..+|w_{i-1}|)
          + |w_j|(|w_0|+..+|w_{j-1}|).
 
-Every entry is an exact rational.  Because the torus action commutes with
-d, the matrices are block diagonal over (weight, parity) keys; d od = 0 is
+Every entry is exact: an int unless a bracket coefficient or module action
+entry has a true denominator.  Because the torus action commutes with d,
+the matrices are block diagonal over (weight, parity) keys; d od = 0 is
 checked as an exact sparse product wherever a test asks for it.
 
-Block bookkeeping is done in integers.  Each complex scales the algebra
-and module weights once by the lcm of their denominators, so a cochain's
-block comes from a sum of int tuples.  The `Weight` and `BlockKey` of a
-block are made once, when the block is first met, and every cochain of
-that block in every degree shares the one key object.  A block lists its
-cochain indices in ascending order.
+Block bookkeeping is done in integers too.  Each complex scales the
+algebra and module weights once by the lcm of their denominators (1 for
+every algebra and module built from the families), so a cochain's block
+comes from a sum of int tuples.  A block's key is that (int tuple, parity)
+itself when the scale is 1, and otherwise the tuple divided back by the
+scale, so it always equals (Weight.sort_key(), parity) as a value.  It is
+made once, when the block is first met, and every cochain of that block in
+every degree shares the one key object; a block's `Weight` is made only
+when asked for (`CochainComplex.weight`).  A block lists its cochain
+indices in ascending order.
 
 d^k is assembled from the source side and never enumerates C^{k+1}.  For
 each degree-k word u, each letter t of u and each pair (a, b) whose
@@ -56,7 +61,7 @@ from typing import Iterable, Sequence
 
 from .linalg import Sparse, SparseRow, add_to, sparse_matmul
 from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
-from .supercore import EVEN, ODD, Parity, Weight, parity_sum, swap_sign
+from .supercore import EVEN, ODD, Parity, Rational, Weight, exact, parity_sum, swap_sign
 
 Word = tuple[int, ...]
 Row = tuple[Word, int]  # a cochain named by (canonical word, module index)
@@ -150,7 +155,7 @@ class GModule:
                     for pos, val in self.action[t].items():
                         add_to(lhs, pos, c * val)
                 rhs = sparse_matmul(self.action[i], self.action[j])
-                sign = Fraction(1 if (alg.parities[i] and alg.parities[j]) else -1)
+                sign = 1 if (alg.parities[i] and alg.parities[j]) else -1
                 for pos, val in sparse_matmul(self.action[j], self.action[i]).items():
                     add_to(rhs, pos, sign * val)
                 if lhs != rhs:
@@ -194,7 +199,7 @@ def dual_module(
         # contragredient: (x.m_b*)(m_a) = dual_sign*(-1)^{|x||m_b*|} m_b*(x.m_a)
         mat: Sparse = {}
         for (a, b), val in direct.items():
-            sgn = Fraction(dual_sign if not (px and parities[b]) else -dual_sign)
+            sgn = dual_sign if not (px and parities[b]) else -dual_sign
             mat[(b, a)] = sgn * val
         action.append(mat)
     mod = GModule(quotient, "I*", parities, weights, action)
@@ -209,15 +214,16 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
     words = monomial_words(module.parities, j)
     index = {w: a for a, w in enumerate(words)}
     parities = tuple(parity_sum(module.parities[x] for x in w) for w in words)
-    zero = Weight.zero(alg.wtag, len(alg.symbols))
+    zero = (0,) * len(alg.symbols)
+    coeffs = [wt.coeffs for wt in module.weights]
     weights = tuple(
-        sum((module.weights[x] for x in w), zero) for w in words
+        Weight(alg.wtag, tuple(map(sum, zip(zero, *[coeffs[x] for x in w])))) for w in words
     )
     action: list[Sparse] = []
     for i in range(alg.dim):
         px = alg.parities[i]
         rho = module.action[i]
-        cols: dict[int, list[tuple[int, Fraction]]] = {}
+        cols: dict[int, list[tuple[int, Rational]]] = {}
         for (r, c), v in rho.items():
             cols.setdefault(c, []).append((r, v))
         mat: Sparse = {}
@@ -228,7 +234,7 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
                 for r, v in cols.get(x, ()):
                     s, canon = normalize_word(module.parities, w[:t] + (r,) + w[t + 1 :])
                     if s:
-                        add_to(mat, (index[canon], widx), Fraction(sgn_pre * s) * v)
+                        add_to(mat, (index[canon], widx), sgn_pre * s * v)
                 pre ^= module.parities[x]
         action.append(mat)
     mod = GModule(alg, f"L^{j}({module.name})", parities, weights, action)
@@ -248,7 +254,6 @@ class DegreeData:
     word_index: dict[Word, int]
     keys: list[BlockKey]           # per cochain index
     blocks: dict[BlockKey, list[int]]
-    weights: dict[BlockKey, Weight]
 
 
 def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
@@ -273,24 +278,31 @@ class CochainComplex:
         self._scale = lcm(*(c.denominator for w in weights for c in w.coeffs))
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
-        # (scaled weight, parity) -> the one BlockKey object and Weight for it
-        self._keys: dict[tuple[tuple[int, ...], Parity], tuple[BlockKey, Weight]] = {}
+        # (scaled weight, parity) -> the one BlockKey object for it
+        self._keys: dict[tuple[tuple[int, ...], Parity], BlockKey] = {}
         self._key_ids: set[int] = set()
-        self._mono_keys: dict[tuple[tuple[int, ...], Parity], list[tuple[BlockKey, Weight]]] = {}
+        self._mono_keys: dict[tuple[tuple[int, ...], Parity], list[BlockKey]] = {}
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
         # per differential: id(block key) -> its rows, the row dicts of _diffs
         self._buckets: dict[int, dict[int, dict[Row, SparseRow]]] = {}
 
-    def _key(self, ikey: tuple[tuple[int, ...], Parity]) -> tuple[BlockKey, Weight]:
-        """The complex's one BlockKey object, and its Weight, for a scaled key."""
+    def _key(self, ikey: tuple[tuple[int, ...], Parity]) -> BlockKey:
+        """The complex's one BlockKey object for a scaled key."""
         found = self._keys.get(ikey)
         if found is None:
-            wt = Weight(self.alg.wtag, tuple(Fraction(v, self._scale) for v in ikey[0]))
-            found = self._keys[ikey] = ((wt.sort_key(), ikey[1]), wt)
-            self._key_ids.add(id(found[0]))
+            if self._scale == 1:
+                found = ikey
+            else:
+                found = (tuple(exact(Fraction(v, self._scale)) for v in ikey[0]), ikey[1])
+            self._keys[ikey] = found
+            self._key_ids.add(id(found))
         return found
+
+    def weight(self, key: BlockKey) -> Weight:
+        """The Weight of the block `key`."""
+        return Weight(self.alg.wtag, key[0])
 
     def _mono(self, word: Word) -> tuple[tuple[int, ...], Parity]:
         """The scaled int weight and the parity of a monomial word."""
@@ -299,9 +311,9 @@ class CochainComplex:
             sum([self.alg.parities[x] for x in word]) & 1,
         )
 
-    def _block_keys(self, mono: tuple[tuple[int, ...], Parity]) -> list[tuple[BlockKey, Weight]]:
-        """The one (BlockKey, Weight) of each cochain (word, c), c over the
-        module basis, for a word of scaled weight and parity `mono`."""
+    def _block_keys(self, mono: tuple[tuple[int, ...], Parity]) -> list[BlockKey]:
+        """The one BlockKey of each cochain (word, c), c over the module
+        basis, for a word of scaled weight and parity `mono`."""
         found = self._mono_keys.get(mono)
         if found is None:
             found = self._mono_keys[mono] = [
@@ -319,10 +331,8 @@ class CochainComplex:
         word_index = {w: i for i, w in enumerate(words)}
         keys: list[BlockKey] = []
         blocks: dict[BlockKey, list[int]] = {}
-        weights: dict[BlockKey, Weight] = {}
         # per distinct (monomial weight, parity): each c's block key and
-        # member list; hashing a BlockKey hashes Fractions, so the
-        # per-cochain loop below hashes none
+        # member list, so the per-cochain loop below hashes no key
         members_of: dict[int, list[int]] = {}  # id(key) -> its members here
         by_mono: dict[tuple, list[tuple[BlockKey, list[int]]]] = {}
         for w in words:
@@ -330,16 +340,15 @@ class CochainComplex:
             row = by_mono.get(mono)
             if row is None:
                 row = by_mono[mono] = []
-                for key, wt in self._block_keys(mono):
+                for key in self._block_keys(mono):
                     members = members_of.get(id(key))
                     if members is None:
                         members = members_of[id(key)] = blocks[key] = []
-                        weights[key] = wt
                     row.append((key, members))
             for key, members in row:
                 members.append(len(keys))
                 keys.append(key)
-        data = DegreeData(words, word_index, keys, blocks, weights)
+        data = DegreeData(words, word_index, keys, blocks)
         self._degrees[k] = data
         return data
 
@@ -443,9 +452,9 @@ class CochainComplex:
         # the differential must preserve (weight, parity) blocks: each row's
         # own key must be the one object its columns are filed under; group
         # the rows by block for block_rows in the same pass, by id() because
-        # keys are interned per complex and hashing one is slow
+        # keys are interned per complex and an id hashes faster than a tuple
         buckets: dict[int, dict[Row, SparseRow]] = {}
-        word_keys: dict[Word, list[tuple[BlockKey, Weight]]] = {}
+        word_keys: dict[Word, list[BlockKey]] = {}
         for name in [name for name, row in d.items() if not row]:
             del d[name]  # its entries cancelled
         for name, row in d.items():
@@ -453,7 +462,7 @@ class CochainComplex:
             wkeys = word_keys.get(w)
             if wkeys is None:
                 wkeys = word_keys[w] = self._block_keys(self._mono(w))
-            rkey = wkeys[r][0]
+            rkey = wkeys[r]
             for c in row:
                 if src.keys[c] is not rkey:
                     raise AssertionError("differential entry crosses weight blocks")

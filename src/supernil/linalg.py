@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Sparse data stores no zeros: a matrix is a dict `{(row, col): Fraction}`
-or a list of sparse rows `{col: Fraction}`, whose column labels may be any
+Sparse data stores no zeros: a matrix is a dict `{(row, col): value}` or a
+list of sparse rows `{col: value}`, each value an int or, where it has a
+true denominator, a Fraction (`supercore.Rational`); column labels may be any
 ints (a `CochainComplex.block_matrix` weight block keeps its C^k cochain
 indices).  `add_to` is the one place an entry is accumulated and pruned,
 and `sparse_matmul` the one `{(row, col)}` product.  Every routine here
@@ -22,12 +23,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Sparse = dict[tuple[int, int], Fraction]
-SparseRow = dict[int, Fraction]
+from .supercore import Rational
+
+Sparse = dict[tuple[int, int], Rational]
+SparseRow = dict[int, Rational]
 IntRow = dict[int, int]
 
 
-def add_to(target: dict, key, val: Fraction) -> None:
+def add_to(target: dict, key, val: Rational) -> None:
     """target[key] += val, dropping the key when the sum is zero."""
     if key in target:
         new = target[key] + val
@@ -41,7 +44,7 @@ def add_to(target: dict, key, val: Fraction) -> None:
 
 def sparse_matmul(a: Sparse, b: Sparse) -> Sparse:
     """The product a @ b of two sparse matrices."""
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    rows: dict[int, list[tuple[int, Rational]]] = {}
     for (r, c), v in b.items():
         rows.setdefault(r, []).append((c, v))
     out: Sparse = {}

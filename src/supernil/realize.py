@@ -46,23 +46,24 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .supercore import EVEN, ODD, Parity, Weight
+from .supercore import EVEN, ODD, Parity, Rational, Weight, exact
 
 Entry = tuple[int, int]
 
 
 class SuperMatrix:
-    """Sparse matrix in gl(M|N) with rows/cols 0..M+N-1 (first M even)."""
+    """Sparse matrix in gl(M|N) with rows/cols 0..M+N-1 (first M even),
+    its entries exact (ints for every realization built here)."""
 
     __slots__ = ("block_shape", "entries")
 
-    def __init__(self, block_shape: tuple[int, int], entries: dict[Entry, Fraction] | None = None):
+    def __init__(self, block_shape: tuple[int, int], entries: dict[Entry, Rational] | None = None):
         self.block_shape = block_shape
-        self.entries: dict[Entry, Fraction] = {}
+        self.entries: dict[Entry, Rational] = {}
         if entries:
             for pos, val in entries.items():
                 if val != 0:
-                    self.entries[pos] = Fraction(val)
+                    self.entries[pos] = val
 
     @property
     def dim(self) -> int:
@@ -93,13 +94,13 @@ class SuperMatrix:
             linalg.add_to(out, pos, val)
         return SuperMatrix(self.block_shape, out)
 
-    def scale(self, c: Fraction) -> "SuperMatrix":
+    def scale(self, c: Rational) -> "SuperMatrix":
         if c == 0:
             return SuperMatrix(self.block_shape)
         return SuperMatrix(self.block_shape, {p: c * v for p, v in self.entries.items()})
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def matmul(self, other: "SuperMatrix") -> "SuperMatrix":
         if self.block_shape != other.block_shape:
@@ -108,7 +109,7 @@ class SuperMatrix:
 
 
 def elementary(block_shape: tuple[int, int], r: int, c: int, val=1) -> SuperMatrix:
-    return SuperMatrix(block_shape, {(r, c): Fraction(val)})
+    return SuperMatrix(block_shape, {(r, c): val})
 
 
 def _supercomm(x: SuperMatrix, px: Parity, y: SuperMatrix, py: Parity) -> SuperMatrix:
@@ -132,14 +133,16 @@ class BasisVector:
     realization: SuperMatrix | None = field(default=None, compare=False, hash=False)
 
 
-BracketTable = dict[tuple[int, int], dict[int, Fraction]]
+BracketTable = dict[tuple[int, int], dict[int, Rational]]
 
 
 class NilpotentAlgebra:
     """Finite weight-graded nilpotent Lie superalgebra with exact brackets.
 
     The bracket table stores [x_i, x_j] for i <= j only; the other half is
-    recovered through super-antisymmetry.  All coefficients are Fractions.
+    recovered through super-antisymmetry.  Coefficients are exact: ints
+    where integral (every family built here has integer structure
+    constants), Fractions only where a true denominator exists.
     """
 
     def __init__(
@@ -150,7 +153,7 @@ class NilpotentAlgebra:
         symbols: tuple[str, ...],
         basis: list[BasisVector],
         bracket_table: BracketTable,
-        grading: tuple[Fraction, ...],
+        grading: tuple[Rational, ...],
     ):
         self.name = name
         self.family = family
@@ -168,19 +171,20 @@ class NilpotentAlgebra:
 
     # -- bracket access -----------------------------------------------------
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, Rational]:
         """Coefficients of [x_i, x_j] over the basis."""
         if i <= j:
             return self.table.get((i, j), {})
         res = self.table.get((j, i), {})
         if not res:
             return {}
-        sign = Fraction(1 if (self.parities[i] and self.parities[j]) else -1)
-        return {t: sign * c for t, c in res.items()}
+        if self.parities[i] and self.parities[j]:
+            return res
+        return {t: -c for t, c in res.items()}
 
-    def bracket_vectors(self, u: dict[int, Fraction], w: dict[int, Fraction]) -> dict[int, Fraction]:
+    def bracket_vectors(self, u: dict[int, Rational], w: dict[int, Rational]) -> dict[int, Rational]:
         """Bracket of two coefficient vectors, by bilinearity."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for i, ci in u.items():
             for j, cj in w.items():
                 for t, c in self.bracket(i, j).items():
@@ -188,11 +192,11 @@ class NilpotentAlgebra:
         return out
 
     @cached_property
-    def inverse_table(self) -> dict[int, list[tuple[int, int, Fraction]]]:
+    def inverse_table(self) -> dict[int, list[tuple[int, int, Rational]]]:
         """t -> [(a, b, c)] for every pair whose bracket [x_a, x_b] has the
         nonzero x_t coefficient c, with a before b (or a = b) in the
         canonical (parity, id) order of monomial words."""
-        out: dict[int, list[tuple[int, int, Fraction]]] = {}
+        out: dict[int, list[tuple[int, int, Rational]]] = {}
         for i, j in self.table:
             a, b = sorted((i, j), key=lambda x: (self.parities[x], x))
             for t, c in self.bracket(a, b).items():
@@ -212,8 +216,8 @@ class NilpotentAlgebra:
     def weight_multiset(self) -> list[tuple[tuple, Parity]]:
         return sorted((b.weight.sort_key(), b.parity) for b in self.basis)
 
-    def grading_value(self, w: Weight) -> Fraction:
-        return sum((a * b for a, b in zip(self.grading, w.coeffs)), Fraction(0))
+    def grading_value(self, w: Weight) -> Rational:
+        return sum(a * b for a, b in zip(self.grading, w.coeffs))
 
     # -- structural checks ---------------------------------------------------
 
@@ -223,6 +227,8 @@ class NilpotentAlgebra:
         Covers weight/parity additivity of the bracket, vanishing of even
         squares, the super Jacobi identity over all basis triples, and
         strict negativity of the grading functional (nilpotency witness).
+        A triple whose three brackets [x_i,x_j], [x_i,x_k], [x_j,x_k] all
+        vanish satisfies Jacobi term by term and is the only one skipped.
         """
         for b in self.basis:
             if self.grading_value(b.weight) >= 0:
@@ -243,12 +249,16 @@ class NilpotentAlgebra:
             pi = self.parities[i]
             for j in range(i, self.dim):
                 pj = self.parities[j]
+                bij = self.bracket(i, j)
                 for k in range(j, self.dim):
+                    bjk, bik = self.bracket(j, k), self.bracket(i, k)
+                    if not (bij or bik or bjk):
+                        continue
                     # [x_i,[x_j,x_k]] = [[x_i,x_j],x_k] + (-1)^{|i||j|}[x_j,[x_i,x_k]]
-                    lhs = self.bracket_vectors({i: Fraction(1)}, self.bracket(j, k))
-                    rhs = self.bracket_vectors(self.bracket(i, j), {k: Fraction(1)})
-                    sign = Fraction(-1 if (pi and pj) else 1)
-                    for t, c in self.bracket_vectors({j: Fraction(1)}, self.bracket(i, k)).items():
+                    lhs = self.bracket_vectors({i: 1}, bjk)
+                    rhs = self.bracket_vectors(bij, {k: 1})
+                    sign = -1 if (pi and pj) else 1
+                    for t, c in self.bracket_vectors({j: 1}, bik).items():
                         linalg.add_to(rhs, t, sign * c)
                     if lhs != rhs:
                         raise AssertionError(f"{self.name}: Jacobi fails on triple ({i},{j},{k})")
@@ -320,7 +330,7 @@ def _extract_weight(tag: str, torus: Sequence[SuperMatrix], x: SuperMatrix, px: 
     for h in torus:
         br = _supercomm(h, EVEN, x, px)
         pos, val = next(iter(x.entries.items()))
-        c = br.entries.get(pos, Fraction(0)) / val
+        c = exact(Fraction(br.entries.get(pos, 0), val))
         if (br - x.scale(c)).entries:
             raise AssertionError("matrix is not a torus weight vector")
         coeffs.append(c)
@@ -334,7 +344,7 @@ def _assemble(
     symbols: tuple[str, ...],
     torus: list[SuperMatrix],
     raw_basis: list[tuple[str, SuperMatrix]],
-    grading: tuple[Fraction, ...],
+    grading: tuple[Rational, ...],
 ) -> NilpotentAlgebra:
     """Build an algebra from labelled matrices: weights, then all brackets."""
     wtag = ",".join(symbols)
@@ -350,7 +360,7 @@ def _assemble(
         for pos in b.realization.entries:
             support_index.setdefault(pos, []).append(b.id)
 
-    def express(mat: SuperMatrix, context: str) -> dict[int, Fraction]:
+    def express(mat: SuperMatrix, context: str) -> dict[int, Rational]:
         if mat.is_zero():
             return {}
         # candidates: basis matrices touching the result's support, closed
@@ -379,7 +389,7 @@ def _assemble(
         sol = linalg.solve(rows, {row_of[pos]: v for pos, v in mat.entries.items()})
         if sol is None:
             raise AssertionError(f"{name}: {context} leaves the span of the basis")
-        return {cand_list[a]: c for a, c in sol.items()}
+        return {cand_list[a]: exact(c) for a, c in sol.items()}
 
     table: BracketTable = {}
     for i in range(len(basis)):
@@ -416,8 +426,8 @@ def _gl_symbols(m: int, n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(1, m + 1)) + tuple(f"d{j}" for j in range(1, n + 1))
 
 
-def _gl_grading(m: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(i) for i in range(1, m + 1)) + tuple(
+def _gl_grading(m: int, n: int) -> tuple[Rational, ...]:
+    return tuple(range(1, m + 1)) + tuple(
         Fraction(2 * j + 1, 2) for j in range(1, n + 1)
     )
 
@@ -492,7 +502,7 @@ def build_q(n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
                 (f"Eb({i},{j})", elementary(shape, unb(i), bar(j)) + elementary(shape, bar(i), unb(j)))
             )
     symbols = tuple(f"e{i}" for i in range(1, n + 1))
-    grading = tuple(Fraction(i) for i in range(1, n + 1))
+    grading = tuple(range(1, n + 1))
     alg = _assemble(f"q({n})", "q", (n,), symbols, torus, raw, grading)
     return alg, family_ideal(alg)
 
@@ -671,7 +681,7 @@ def build_exceptional(name: str) -> NilpotentAlgebra:
         basis.append(BasisVector(len(basis), label, ODD, Weight.make(wtag, coeffs)))
     alg = NilpotentAlgebra(
         data["name"], "exc", (name,), data["symbols"], basis, {},
-        tuple(Fraction(g) for g in data["grading"]),
+        data["grading"],
     )
     alg.verify()
     return alg

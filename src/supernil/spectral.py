@@ -25,8 +25,6 @@ Lambda_s^2(I*) and, when K >= 2, H^1(n/I, I*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
 from . import linalg
 from .cohomology import (
     ROUTE_SPECTRAL,
@@ -55,7 +53,7 @@ from .realize import (
     restrict_algebra,
     verify_ideal,
 )
-from .supercore import Weight
+from .supercore import Weight, exact
 
 
 def ideal_subalgebra(parent: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
@@ -100,9 +98,7 @@ def _cochain_action(
                     if not s:
                         continue
                     f_par = sum(parities[y] for y in canon) % 2
-                    sgn = Fraction(
-                        dual_sign * (-1 if (px and (f_par + pre) % 2) else 1) * s
-                    )
+                    sgn = dual_sign * (-1 if (px and (f_par + pre) % 2) else 1) * s
                     add_to(act, (ridx, index[canon]), sgn * c)
                 pre ^= parities[x]
         out.append(act)
@@ -187,7 +183,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
             for c, x in vec.items():
                 classes[(cols[c], len(parities))] = x
             parities.append(key[1])
-            weights.append(deg.weights[key])
+            weights.append(cx.weight(key))
 
     members = ic.ideal.member_ids
     keep = [b.id for b in ic.parent.basis if b.id not in members]
@@ -222,7 +218,7 @@ def _act_on_classes(
     """
     targets: dict[BlockKey, list[tuple[int, int, linalg.SparseRow]]] = {}
     for pid, act in enumerate(lam):
-        images: dict[int, dict[int, Fraction]] = {}
+        images: dict[int, linalg.SparseRow] = {}
         for (r, col), v in sparse_matmul(act, classes).items():
             images.setdefault(col, {})[r] = v
         for col, cells in images.items():
@@ -242,7 +238,8 @@ def _act_on_classes(
         for (pid, col, _), sol in zip(items, sols):
             if sol is None:
                 raise AssertionError("action leaves the cohomology subquotient")
-            out.append((pid, col, first, {b - n_img: v for b, v in sol.items() if b >= n_img}))
+            out.append((pid, col, first,
+                        {b - n_img: exact(v) for b, v in sol.items() if b >= n_img}))
     return sorted(out, key=lambda t: t[:2])
 
 
@@ -387,7 +384,7 @@ def collapse_check(
 
 def _embed_key(key: tuple, src_symbols, dst_symbols) -> tuple:
     idx = [dst_symbols.index(s) for s in src_symbols]
-    out = [Fraction(0)] * len(dst_symbols)
+    out = [0] * len(dst_symbols)
     for c, t in zip(key, idx):
         out[t] = c
     return tuple(out)

@@ -2,7 +2,9 @@
 
 Everything downstream is graded twice over: by Z_2 parity and by the weight
 of a fixed diagonal torus.  Both gradings are kept exact -- parities are the
-ints 0 (even) and 1 (odd), weight coordinates are `fractions.Fraction`.  No
+ints 0 (even) and 1 (odd), and a weight coordinate, like every other exact
+value of the package, is an `int` when it is integral and a
+`fractions.Fraction` only when it has a true denominator (`exact`).  No
 floating point enters any computation.
 
 The one genuinely super ingredient here is `swap_sign`: in the
@@ -23,8 +25,9 @@ ODD = 1
 
 Parity = int  # element of Z_2, canonically 0 or 1
 
-#: Exact scalar type used throughout the computational core.
-Rational = Fraction
+#: Exact scalar of the computational core: an int where the value is
+#: integral, a Fraction only where a true denominator exists.
+Rational = int | Fraction
 
 
 def parity_sum(parities: Iterable[Parity]) -> Parity:
@@ -42,13 +45,14 @@ def swap_sign(p: Parity, q: Parity) -> int:
     return 1 if (p & q & 1) else -1
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
+def exact(q: Rational) -> Rational:
+    """q as an int when it is integral, else the Fraction q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _coerce(c) -> Rational:
+    if isinstance(c, (int, Fraction, str)):
+        return exact(Fraction(c))
     raise TypeError(f"not an exact rational: {c!r}")
 
 
@@ -64,7 +68,7 @@ class Weight:
     """
 
     basis_tag: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     @staticmethod
     def make(basis_tag: str, coeffs: Iterable) -> "Weight":
@@ -72,7 +76,7 @@ class Weight:
 
     @staticmethod
     def zero(basis_tag: str, rank: int) -> "Weight":
-        return Weight(basis_tag, (Fraction(0),) * rank)
+        return Weight(basis_tag, (0,) * rank)
 
     def _check(self, other: "Weight") -> None:
         if self.basis_tag != other.basis_tag:

@@ -139,6 +139,24 @@ def test_extension_check_command():
     assert json.loads(proc.stdout)["consistent"] is True
 
 
+def test_extension_check_builds_d2_once(monkeypatch, capsys):
+    # cocycle_space and every random sample's is_cocycle share one complex
+    from supernil.koszul import CochainComplex
+
+    differential = CochainComplex.differential
+    built = []  # (complex, degree) per d^k build, the complex kept alive
+
+    def counting(cx, k):
+        if not any(c is cx and j == k for c, j in built):
+            built.append((cx, k))
+        return differential(cx, k)
+
+    monkeypatch.setattr(CochainComplex, "differential", counting)
+    assert main(["extension-check", "--family", "q", "--n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"]["random"] == 10
+    assert len(built) == 1
+
+
 def test_dump_algebra_command():
     proc = run_cli("dump-algebra", "--family", "q", "--n", "3")
     assert proc.returncode == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from supernil import realize
+from supernil.cohomology import cohomology
 from supernil.koszul import (
     CochainComplex,
     GModule,
@@ -339,7 +340,7 @@ def test_block_keys_and_weights_match_fraction_sums(built):
                 par = (module.parities[c] + sum(alg.parities[x] for x in word)) % 2
                 old_keys.append((wt.sort_key(), par))
                 assert key == old_keys[-1]
-                assert data.weights[key] == wt
+                assert cx.weight(key) == wt
             assert list(data.blocks) == list(dict.fromkeys(old_keys))
             assert sorted(data.blocks) == sorted(set(old_keys))
             # each block lists its cochain indices in ascending order
@@ -351,6 +352,56 @@ def test_fractional_weights_keep_their_denominators(built):
     cx = CochainComplex(alg, _fractional_module(alg))
     denominators = {c.denominator for key in cx.degree(2).blocks for c in key[0]}
     assert denominators == {1, 2, 3}
+
+
+@pytest.mark.parametrize("family, params", [
+    ("gl", (3, 2)), ("sl", (3, 2)), ("osp_odd", (2, 2)), ("osp_even", (2, 2)), ("q", (4,)),
+    ("exc", ("F4",)),
+])
+def test_integral_values_are_stored_as_ints(built, family, params):
+    # every family has integer structure constants and weights, so every
+    # coefficient, action entry, weight coordinate, block key coordinate and
+    # differential entry made from them is an int: no Fraction, no float
+    alg, ideal = built(family, params)
+    values = [c for terms in alg.table.values() for c in terms.values()]
+    modules = [trivial_module(alg)]
+    if ideal is not None:
+        quo = realize.quotient_algebra(alg, ideal)
+        dm = dual_module(alg, ideal, quo)
+        modules += [dm, lambda_s_module(quo, dm, 2)]
+    for mod in modules:
+        alg_mod = mod.algebra
+        values += [c for w in alg_mod.weights + mod.weights for c in w.coeffs]
+        values += [v for act in mod.action for v in act.values()]
+        cx = CochainComplex(alg_mod, mod)
+        for k in range(3):
+            values += [v for row in cx.differential(k).values() for v in row.values()]
+            values += [c for key in cx.degree(k).blocks for c in key[0]]
+    assert values and {type(v) for v in values} == {int}
+
+
+def test_fractional_module_keeps_its_fractions_and_shifts_cohomology(built):
+    # C(1/2) (even) + C(-1/3) (odd) with trivial action: H^k(n, M) is
+    # H^k(n, C) shifted to each summand's weight, the odd one parity-flipped
+    alg, _ = built("osp_odd", (2, 1))
+    mod = _fractional_module(alg)
+    shifts = [(mod.weights[0], 0), (mod.weights[1], 1)]
+    assert [type(c) for w, _ in shifts for c in w.coeffs if c] == [Fraction, Fraction]
+    cx = CochainComplex(alg, mod)
+    for k in range(3):
+        res = cohomology(alg, mod, k, complex_cache=cx)
+        expected = {}
+        for key, eo in cohomology(alg, None, k).blocks.items():
+            for w, flip in shifts:
+                slot = expected.setdefault((Weight(alg.wtag, key) + w).sort_key(), [0, 0])
+                slot[0] += eo[flip]
+                slot[1] += eo[1 - flip]
+        assert res.blocks == expected and res.total == 2 * cohomology(alg, None, k).total
+        coords = [c for w in res.weight_of.values() for c in w.coeffs]
+        coords += [c for key in cx.degree(k).blocks for c in key[0]]
+        coords += [v for row in cx.differential(k).values() for v in row.values()]
+        assert {type(c) for c in coords} == {int, Fraction}
+        assert all(type(c) is int for c in coords if c.denominator == 1)
 
 
 def test_complex_rejects_module_weights_of_another_symbol_system(built):

@@ -353,3 +353,21 @@ def test_serialization_roundtrip():
         for t, c in terms:
             assert 0 <= t < alg.dim
             Fraction(c)
+
+
+@pytest.mark.parametrize("family, params, n_coeffs", [("osp_odd", (2, 2), 24), ("q", (4,), 16)])
+def test_verify_rejects_every_doubled_bracket_coefficient(built, family, params, n_coeffs):
+    # Jacobi skips only triples whose three brackets all vanish, so a
+    # perturbed coefficient is still caught, wherever it sits
+    alg, _ = built(family, params)
+    perturbed = 0
+    for pair, terms in alg.table.items():
+        for t, c in terms.items():
+            table = dict(alg.table)
+            table[pair] = {**terms, t: 2 * c}
+            bad = realize.NilpotentAlgebra(alg.name, alg.family, alg.params, alg.symbols,
+                                           alg.basis, table, alg.grading)
+            with pytest.raises(AssertionError):
+                bad.verify()
+            perturbed += 1
+    assert perturbed == n_coeffs

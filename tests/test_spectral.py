@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -292,7 +293,9 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
         assert 0 < counts["solve_all"] <= blocks
         # besides those, one kernel and one image basis per block
         assert counts["rref"] == 2 * blocks + counts["solve_all"]
-        blob = repr((mod.parities, [sorted(a.items()) for a in mod.action]))
+        # entries as Fractions, so the digest pins values, not int-or-Fraction
+        blob = repr((mod.parities,
+                     [sorted((pos, Fraction(v)) for pos, v in a.items()) for a in mod.action]))
         assert hashlib.sha256(blob.encode()).hexdigest() == pinned
 
 

@@ -11,7 +11,7 @@ Subcommands:
 * dump-algebra     -- serialized basis/bracket data
 
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
-(including a negative --degree, --K or --j), 3 internal invariant
+(including a negative --degree, --K, --j or --samples), 3 internal invariant
 violation.  Output is deterministic: repeated runs and different --workers
 counts produce byte-identical bytes.  Cache entries are keyed by the
 arguments, the package version and a digest of the package source.  A
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -46,6 +47,9 @@ from .spectral import collapse_check, h2_recursive
 
 CACHE_ENV = "SUPERNIL_CACHE_DIR"
 MONOMIAL_GUARD = 10 ** 6
+# the verify-tables range flags: one per default_expectations keyword,
+# with its default
+TABLE_RANGES = inspect.signature(tables.default_expectations).parameters
 
 
 def _family_params(args) -> tuple[str, tuple]:
@@ -202,16 +206,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    rows = tables.default_expectations(
-        gl_h1_max=args.gl_h1_max,
-        q_h1_max=args.q_h1_max,
-        osp_max=args.osp_max,
-        gl_h2_max=args.gl_h2_max,
-        glmn_h2_max=args.glmn_h2_max,
-        q_h2_max=args.q_h2_max,
-        osp_h2_max=args.osp_h2_max,
-        osp_base_h2_max=args.osp_base_h2_max,
-    )
+    rows = tables.default_expectations(**{name: getattr(args, name) for name in TABLE_RANGES})
     report, code = tables.run_expectations(rows, workers=args.workers)
     if args.format == "json":
         print(json.dumps({"rows": report, "exit": code}, sort_keys=True, indent=2))
@@ -358,14 +353,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-tables", help="check published dimension tables")
     _add_common_flags(p)
-    p.add_argument("--gl-h1-max", type=int, default=6)
-    p.add_argument("--q-h1-max", type=int, default=6)
-    p.add_argument("--osp-max", type=int, default=4)
-    p.add_argument("--gl-h2-max", type=int, default=5)
-    p.add_argument("--glmn-h2-max", type=int, default=4)
-    p.add_argument("--q-h2-max", type=int, default=4)
-    p.add_argument("--osp-h2-max", type=int, default=4)
-    p.add_argument("--osp-base-h2-max", type=int, default=4)
+    for name, param in TABLE_RANGES.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=param.default)
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("spectral", help="Hochschild-Serre collapse report")
@@ -379,7 +368,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("extension-check", help="Jacobi <=> cocycle scan")
     _add_family_flags(p)
     _add_common_flags(p)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=nonnegative_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_extension_check)
 

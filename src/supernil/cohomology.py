@@ -29,7 +29,7 @@ from multiprocessing import Pool
 
 from . import linalg
 from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
-from .realize import NilpotentAlgebra, derived_subalgebra
+from .realize import NilpotentAlgebra, derived_subalgebra, jacobi_failures
 from .supercore import EVEN, ODD, Rational, Weight, exact
 
 ROUTE_KOSZUL = "koszul"
@@ -120,8 +120,7 @@ def cohomology(
     res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
                            family=alg.family, params=alg.params)
     # blocks in the order `degree` met them: every consumer of the result
-    # is order-free, and `block_matrix` finds a block by its interned key
-    # object
+    # is order-free
     tasks = []
     for key in src.blocks:
         tasks.append(cx.block_matrix(k, key))
@@ -264,44 +263,21 @@ class CentralExtension:
             return 0
         return s * self.h.get(canon, 0)
 
-    def bracket(self, u: dict[int, Rational], w: dict[int, Rational]):
-        """Extension bracket of coefficient vectors: (algebra part, center)."""
-        vec = self.alg.bracket_vectors(u, w)
-        z = 0
-        for i, ci in u.items():
-            for j, cj in w.items():
-                z += ci * cj * self.pair(i, j)
-        return vec, z
+    def bracket(self, i: int, j: int) -> dict[int, Rational]:
+        """[x_i, x_j] = ([x_i, x_j], h(x_i, x_j)), the center being basis
+        vector alg.dim, which brackets to zero with everything."""
+        dim = self.alg.dim
+        if i == dim or j == dim:
+            return {}
+        out = dict(self.alg.bracket(i, j))
+        z = self.pair(i, j)
+        if z:
+            out[dim] = z
+        return out
 
     def jacobi_failures(self) -> list[tuple[int, int, int]]:
-        """All basis triples violating the super Jacobi identity."""
-        alg = self.alg
-        bad = []
-        for i in range(alg.dim):
-            pi = alg.parities[i]
-            ei = {i: 1}
-            for j in range(i, alg.dim):
-                pj = alg.parities[j]
-                ej = {j: 1}
-                for k in range(j, alg.dim):
-                    ek = {k: 1}
-                    # the center is central, so only the algebra part of an
-                    # inner bracket feeds the outer one
-                    inner_vec, _ = self.bracket(ej, ek)
-                    v1, z1 = self.bracket(ei, inner_vec)
-                    vec_ij, _ = self.bracket(ei, ej)
-                    v2, z2 = self.bracket(vec_ij, ek)
-                    vec_ik, _ = self.bracket(ei, ek)
-                    v3, z3 = self.bracket(ej, vec_ik)
-                    sgn = -1 if (pi and pj) else 1
-                    lhs_vec, lhs_z = v1, z1
-                    rhs_vec = dict(v2)
-                    for t, c in v3.items():
-                        linalg.add_to(rhs_vec, t, sgn * c)
-                    rhs_z = z2 + sgn * z3
-                    if lhs_vec != rhs_vec or lhs_z != rhs_z:
-                        bad.append((i, j, k))
-        return bad
+        """All basis triples of n violating the super Jacobi identity."""
+        return jacobi_failures(self.alg.parities, self.bracket)
 
 
 def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational]) -> CentralExtension:

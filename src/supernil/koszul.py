@@ -25,11 +25,12 @@ algebra and module weights once by the lcm of their denominators (1 for
 every algebra and module built from the families), so a cochain's block
 comes from a sum of int tuples.  A block's key is that (int tuple, parity)
 itself when the scale is 1, and otherwise the tuple divided back by the
-scale, so it always equals (Weight.sort_key(), parity) as a value.  It is
-made once, when the block is first met, and every cochain of that block in
-every degree shares the one key object; a block's `Weight` is made only
-when asked for (`CochainComplex.weight`).  A block lists its cochain
-indices in ascending order.
+scale, so it always equals (Weight.sort_key(), parity), and blocks are
+found by that value: `degree` files cochains, and `block_rows` finds a
+block, under any key equal to it.  Equal keys are interned to one object
+per complex, which saves memory; a block's `Weight` is made only when
+asked for (`CochainComplex.weight`).  A block lists its cochain indices in
+ascending order.
 
 d^k is assembled from the source side and never enumerates C^{k+1}.  For
 each degree-k word u, each letter t of u and each pair (a, b) whose
@@ -139,7 +140,13 @@ class GModule:
         self.dim = len(parities)
 
     def verify(self) -> None:
-        """Representation identity and grading compatibility, exhaustively."""
+        """Representation identity and grading compatibility, exhaustively.
+
+        The identity is checked on pairs i <= j only: `bracket` is
+        super-antisymmetric, so both sides on (j, i) are those on (i, j)
+        times the same sign.  A pair is skipped only when [x_i, x_j] = 0
+        and x_i or x_j acts as zero, so both sides vanish.
+        """
         alg = self.algebra
         for i, mat in enumerate(self.action):
             for (r, c), val in mat.items():
@@ -149,9 +156,12 @@ class GModule:
                 if self.weights[r] != self.weights[c] + alg.weights[i]:
                     raise AssertionError(f"{self.name}: action of x_{i} breaks weights")
         for i in range(alg.dim):
-            for j in range(alg.dim):
+            for j in range(i, alg.dim):
+                bij = alg.bracket(i, j)
+                if not bij and not (self.action[i] and self.action[j]):
+                    continue
                 lhs: Sparse = {}
-                for t, c in alg.bracket(i, j).items():
+                for t, c in bij.items():
                     for pos, val in self.action[t].items():
                         add_to(lhs, pos, c * val)
                 rhs = sparse_matmul(self.action[i], self.action[j])
@@ -278,27 +288,13 @@ class CochainComplex:
         self._scale = lcm(*(c.denominator for w in weights for c in w.coeffs))
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
-        # (scaled weight, parity) -> the one BlockKey object for it
-        self._keys: dict[tuple[tuple[int, ...], Parity], BlockKey] = {}
-        self._key_ids: set[int] = set()
+        self._keys: dict[BlockKey, BlockKey] = {}  # interns equal keys
         self._mono_keys: dict[tuple[tuple[int, ...], Parity], list[BlockKey]] = {}
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
-        # per differential: id(block key) -> its rows, the row dicts of _diffs
-        self._buckets: dict[int, dict[int, dict[Row, SparseRow]]] = {}
-
-    def _key(self, ikey: tuple[tuple[int, ...], Parity]) -> BlockKey:
-        """The complex's one BlockKey object for a scaled key."""
-        found = self._keys.get(ikey)
-        if found is None:
-            if self._scale == 1:
-                found = ikey
-            else:
-                found = (tuple(exact(Fraction(v, self._scale)) for v in ikey[0]), ikey[1])
-            self._keys[ikey] = found
-            self._key_ids.add(id(found))
-        return found
+        # per differential: block key -> its rows, the row dicts of _diffs
+        self._buckets: dict[int, dict[BlockKey, dict[Row, SparseRow]]] = {}
 
     def weight(self, key: BlockKey) -> Weight:
         """The Weight of the block `key`."""
@@ -312,41 +308,30 @@ class CochainComplex:
         )
 
     def _block_keys(self, mono: tuple[tuple[int, ...], Parity]) -> list[BlockKey]:
-        """The one BlockKey of each cochain (word, c), c over the module
-        basis, for a word of scaled weight and parity `mono`."""
+        """The BlockKey of each cochain (word, c), c over the module basis,
+        for a word of scaled weight and parity `mono`."""
         found = self._mono_keys.get(mono)
         if found is None:
-            found = self._mono_keys[mono] = [
-                self._key((tuple(a - b for a, b in zip(iw, mono[0])), (mono[1] + p) % 2))
-                for iw, p in zip(self._mod_iw, self.module.parities)
-            ]
+            found = self._mono_keys[mono] = []
+            for iw, p in zip(self._mod_iw, self.module.parities):
+                wt = tuple(a - b for a, b in zip(iw, mono[0]))
+                if self._scale != 1:
+                    wt = tuple(exact(Fraction(v, self._scale)) for v in wt)
+                key = (wt, (mono[1] + p) % 2)
+                found.append(self._keys.setdefault(key, key))
         return found
 
     # cochain index = word_index * dim(M) + module_index
     def degree(self, k: int) -> DegreeData:
         if k in self._degrees:
             return self._degrees[k]
-        alg, m = self.alg, self.module
-        words = monomial_words(alg.parities, k)
+        words = monomial_words(self.alg.parities, k)
         word_index = {w: i for i, w in enumerate(words)}
         keys: list[BlockKey] = []
         blocks: dict[BlockKey, list[int]] = {}
-        # per distinct (monomial weight, parity): each c's block key and
-        # member list, so the per-cochain loop below hashes no key
-        members_of: dict[int, list[int]] = {}  # id(key) -> its members here
-        by_mono: dict[tuple, list[tuple[BlockKey, list[int]]]] = {}
         for w in words:
-            mono = self._mono(w)
-            row = by_mono.get(mono)
-            if row is None:
-                row = by_mono[mono] = []
-                for key in self._block_keys(mono):
-                    members = members_of.get(id(key))
-                    if members is None:
-                        members = members_of[id(key)] = blocks[key] = []
-                    row.append((key, members))
-            for key, members in row:
-                members.append(len(keys))
+            for key in self._block_keys(self._mono(w)):
+                blocks.setdefault(key, []).append(len(keys))
                 keys.append(key)
         data = DegreeData(words, word_index, keys, blocks)
         self._degrees[k] = data
@@ -373,16 +358,8 @@ class CochainComplex:
         nm = m.dim
         # each letter's place in the canonical (parity, id) order
         place = {x: i for i, x in enumerate(sorted(range(alg.dim), key=lambda x: (par[x], x)))}
-        # every coefficient next to its negative: a term is +-1 times one
-        # unless odd letters repeat
-        inverse = {
-            t: [(a, b, c, -c) for a, b, c in pairs] for t, pairs in alg.inverse_table.items()
-        }
-        acting = [
-            (x, [(r, c, m.parities[c], v, -v) for (r, c), v in m.action[x].items()])
-            for x in range(alg.dim)
-            if m.action[x]
-        ]
+        inverse = alg.inverse_table
+        acting = [x for x in range(alg.dim) if m.action[x]]
 
         def insert(word: Word, letters: Word) -> Word | None:
             """The canonical word of word + letters, None if an even letter repeats."""
@@ -406,7 +383,7 @@ class CochainComplex:
                 # letters before it, which change the sign unless both odd
                 s = -1 if (evens if par[t] else cut) % 2 else 1
                 ne = evens - (par[t] == EVEN)
-                for a, b, cval, neg in inverse[t]:
+                for a, b, cval in inverse[t]:
                     w = insert(rest, (a, b))
                     if w is None:
                         continue
@@ -420,16 +397,15 @@ class CochainComplex:
                         for j in range(max(ib, i + 1), ib + w.count(b)):
                             sigma = i + j + pa * pb + pa * (i - we) + pb * (j - we)
                             total += -1 if sigma % 2 else 1
-                    total *= s
                     if total:
-                        val = cval if total == 1 else neg if total == -1 else cval * total
+                        val = cval * total * s
                         for r in range(nm):
                             add_to(d.setdefault((w, r), {}), col + r, val)
             # action terms: rows x + u, for x acting nontrivially
             if not acting:
                 continue
             upar = (len(u) - evens) % 2
-            for x, entries in acting:
+            for x in acting:
                 w = insert(u, (x,))
                 if w is None:
                     continue
@@ -443,17 +419,15 @@ class CochainComplex:
                         for i in range(ix, ix + w.count(x)))
                     for f_par in (upar, upar ^ 1)
                 ]
-                for r, c, pc, val, neg in entries:
-                    total = totals[pc]
+                for (r, c), v in m.action[x].items():
+                    total = totals[m.parities[c]]
                     if total:
-                        add_to(d.setdefault((w, r), {}), col + c,
-                               val if total == 1 else neg if total == -1 else val * total)
+                        add_to(d.setdefault((w, r), {}), col + c, v * total)
 
         # the differential must preserve (weight, parity) blocks: each row's
-        # own key must be the one object its columns are filed under; group
-        # the rows by block for block_rows in the same pass, by id() because
-        # keys are interned per complex and an id hashes faster than a tuple
-        buckets: dict[int, dict[Row, SparseRow]] = {}
+        # own key must be its columns' key; group the rows by block for
+        # block_rows in the same pass
+        buckets: dict[BlockKey, dict[Row, SparseRow]] = {}
         word_keys: dict[Word, list[BlockKey]] = {}
         for name in [name for name, row in d.items() if not row]:
             del d[name]  # its entries cancelled
@@ -464,9 +438,9 @@ class CochainComplex:
                 wkeys = word_keys[w] = self._block_keys(self._mono(w))
             rkey = wkeys[r]
             for c in row:
-                if src.keys[c] is not rkey:
+                if src.keys[c] != rkey:
                     raise AssertionError("differential entry crosses weight blocks")
-            buckets.setdefault(id(rkey), {})[name] = row
+            buckets.setdefault(rkey, {})[name] = row
         self._buckets[k] = buckets
         self._diffs[k] = d
         return d
@@ -500,12 +474,9 @@ class CochainComplex:
         """The nonzero rows of the d^k block `key`, by the degree-(k+1)
         cochain (word, module index) each stands for: the very row dicts of
         `differential(k)`, over the degree-k cochain indices in `key`.
-        `key` must be a block key object of this complex, as `degree`
-        files its blocks under."""
-        if id(key) not in self._key_ids:
-            raise ValueError(f"{key!r} is not a block key object of this complex")
+        Any key equal to a block's key finds that block."""
         self.differential(k)
-        return self._buckets[k].get(id(key), {})
+        return self._buckets[k].get(key, {})
 
     def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
         """The nonzero rows of the d^k block `key` (see `block_rows`)."""

@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .supercore import EVEN, ODD, Parity, Rational, Weight, exact
@@ -182,15 +182,6 @@ class NilpotentAlgebra:
             return res
         return {t: -c for t, c in res.items()}
 
-    def bracket_vectors(self, u: dict[int, Rational], w: dict[int, Rational]) -> dict[int, Rational]:
-        """Bracket of two coefficient vectors, by bilinearity."""
-        out: dict[int, Rational] = {}
-        for i, ci in u.items():
-            for j, cj in w.items():
-                for t, c in self.bracket(i, j).items():
-                    linalg.add_to(out, t, ci * cj * c)
-        return out
-
     @cached_property
     def inverse_table(self) -> dict[int, list[tuple[int, int, Rational]]]:
         """t -> [(a, b, c)] for every pair whose bracket [x_a, x_b] has the
@@ -225,10 +216,8 @@ class NilpotentAlgebra:
         """Exhaustive structural checks; raises AssertionError on violation.
 
         Covers weight/parity additivity of the bracket, vanishing of even
-        squares, the super Jacobi identity over all basis triples, and
-        strict negativity of the grading functional (nilpotency witness).
-        A triple whose three brackets [x_i,x_j], [x_i,x_k], [x_j,x_k] all
-        vanish satisfies Jacobi term by term and is the only one skipped.
+        squares, the super Jacobi identity over all basis triples
+        (`jacobi_failures`), and strict negativity of the grading functional (nilpotency witness).
         """
         for b in self.basis:
             if self.grading_value(b.weight) >= 0:
@@ -245,23 +234,10 @@ class NilpotentAlgebra:
         for i in range(self.dim):
             if self.parities[i] == EVEN and self.table.get((i, i)):
                 raise AssertionError(f"{self.name}: even square [x_{i},x_{i}] nonzero")
-        for i in range(self.dim):
-            pi = self.parities[i]
-            for j in range(i, self.dim):
-                pj = self.parities[j]
-                bij = self.bracket(i, j)
-                for k in range(j, self.dim):
-                    bjk, bik = self.bracket(j, k), self.bracket(i, k)
-                    if not (bij or bik or bjk):
-                        continue
-                    # [x_i,[x_j,x_k]] = [[x_i,x_j],x_k] + (-1)^{|i||j|}[x_j,[x_i,x_k]]
-                    lhs = self.bracket_vectors({i: 1}, bjk)
-                    rhs = self.bracket_vectors(bij, {k: 1})
-                    sign = -1 if (pi and pj) else 1
-                    for t, c in self.bracket_vectors({j: 1}, bik).items():
-                        linalg.add_to(rhs, t, sign * c)
-                    if lhs != rhs:
-                        raise AssertionError(f"{self.name}: Jacobi fails on triple ({i},{j},{k})")
+        bad = jacobi_failures(self.parities, self.bracket)
+        if bad:
+            i, j, k = bad[0]
+            raise AssertionError(f"{self.name}: Jacobi fails on triple ({i},{j},{k})")
 
     # -- serialization -------------------------------------------------------
 
@@ -288,6 +264,45 @@ class NilpotentAlgebra:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
+
+
+def jacobi_failures(
+    parities: Sequence[Parity], bracket: Callable[[int, int], dict[int, Rational]]
+) -> list[tuple[int, int, int]]:
+    """The basis triples i <= j <= k on which the super Jacobi identity
+
+      [x_i,[x_j,x_k]] = [[x_i,x_j],x_k] + (-1)^{|i||j|} [x_j,[x_i,x_k]]
+
+    fails.  `bracket(i, j)` is [x_i, x_j] as a sparse vector; it may name
+    basis vectors past `parities` (a center), which must bracket to zero.
+    A triple whose three brackets [x_i,x_j], [x_i,x_k], [x_j,x_k] all
+    vanish satisfies the identity term by term and is the only one skipped.
+    """
+
+    n = len(parities)
+    bad = []
+    for i in range(n):
+        for j in range(i, n):
+            bij = bracket(i, j)
+            sign = -1 if (parities[i] and parities[j]) else 1
+            for k in range(j, n):
+                bik, bjk = bracket(i, k), bracket(j, k)
+                if not (bij or bik or bjk):
+                    continue
+                lhs: dict[int, Rational] = {}
+                for t, c in bjk.items():
+                    for u, e in bracket(i, t).items():
+                        linalg.add_to(lhs, u, c * e)
+                rhs: dict[int, Rational] = {}
+                for t, c in bij.items():
+                    for u, e in bracket(t, k).items():
+                        linalg.add_to(rhs, u, c * e)
+                for t, c in bik.items():
+                    for u, e in bracket(j, t).items():
+                        linalg.add_to(rhs, u, sign * c * e)
+                if lhs != rhs:
+                    bad.append((i, j, k))
+    return bad
 
 
 @dataclass(frozen=True)

@@ -259,8 +259,9 @@ def test_ideal_reading_flag():
         ("compute", "--family", "gl", "--m", "3", "--n", "3", "--degree", "1",
          "--coefficients", "lambda-s-j", "--j", "-2"),
         ("compute", "--family", "exc", "--degree", "1"),
+        ("extension-check", "--family", "gl", "--m", "2", "--n", "2", "--samples", "-2"),
     ],
-    ids=["degree", "K", "j", "exc-without-name"],
+    ids=["degree", "K", "j", "exc-without-name", "samples"],
 )
 def test_bad_numbers_and_missing_name_exit_2(args):
     proc = run_cli(*args)

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -263,6 +265,56 @@ def test_random_even_cochains_jacobi_iff_cocycle():
         h = {w: Fraction(rng.randint(-3, 3)) for w in words if rng.random() < 0.6}
         jac = not central_extension(alg, h).jacobi_failures()
         assert jac == is_cocycle(alg, h)
+
+
+
+def _jacobi_failures_unskipped(ext):
+    # every triple i <= j <= k, each side built from the extension bracket
+    # of coefficient vectors over n (+) C, the center being index alg.dim
+    alg = ext.alg
+    center = alg.dim
+
+    def br(u, w):
+        out = {}
+        for i, a in u.items():
+            for j, b in w.items():
+                if center in (i, j):
+                    continue
+                terms = dict(alg.bracket(i, j))
+                terms[center] = terms.get(center, 0) + ext.pair(i, j)
+                for t, c in terms.items():
+                    out[t] = out.get(t, 0) + a * b * c
+        return {t: c for t, c in out.items() if c}
+
+    bad = []
+    for i, j, k in itertools.combinations_with_replacement(range(alg.dim), 3):
+        x, y, z = {i: 1}, {j: 1}, {k: 1}
+        sign = -1 if (alg.parities[i] and alg.parities[j]) else 1
+        rhs = br(br(x, y), z)
+        for t, c in br(y, br(x, z)).items():
+            rhs[t] = rhs.get(t, 0) + sign * c
+        if br(x, br(y, z)) != {t: c for t, c in rhs.items() if c}:
+            bad.append((i, j, k))
+    return bad
+
+
+@pytest.mark.parametrize("family,params", [("gl", (2, 2)), ("q", (3,))])
+def test_jacobi_failures_match_an_unskipped_loop(built, family, params):
+    # the shared triple loop skips a triple only when its three brackets
+    # vanish; on random even cochains it finds exactly the failing triples
+    rng = random.Random(7)
+    alg, _ = built(family, params)
+    words = [
+        w for w in koszul.monomial_words(alg.parities, 2)
+        if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == 0
+    ]
+    found = 0
+    for _ in range(15):
+        ext = central_extension(alg, {w: rng.randint(-3, 3) for w in words if rng.random() < 0.5})
+        bad = ext.jacobi_failures()
+        assert bad == _jacobi_failures_unskipped(ext)
+        found += bool(bad)
+    assert found or alg.abelian
 
 
 # -- Euler characteristic ---------------------------------------------------------

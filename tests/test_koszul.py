@@ -172,6 +172,43 @@ def test_module_verify_detects_a_perturbed_action_entry(built):
         bad.verify()
 
 
+
+@pytest.mark.parametrize("family,params", [("osp_odd", (2, 2)), ("q", (4,))])
+def test_module_verify_detects_every_doubled_action_entry(built, family, params):
+    # verify checks pairs i <= j and skips one only when [x_i, x_j] = 0
+    # and x_i or x_j acts as zero; that still catches each doubled entry
+    alg, ideal = built(family, params)
+    quo = realize.quotient_algebra(alg, ideal)
+    dm = dual_module(alg, ideal, quo)
+    checked = 0
+    for mod in (dm, lambda_s_module(quo, dm, 2)):
+        for i, mat in enumerate(mod.action):
+            for pos in mat:
+                action = [dict(m) for m in mod.action]
+                action[i][pos] *= 2
+                bad = GModule(quo, mod.name, mod.parities, mod.weights, action)
+                with pytest.raises(AssertionError, match="representation identity"):
+                    bad.verify()
+                checked += 1
+    assert checked == {"osp_odd": 73, "q": 72}[family]
+
+
+
+def test_module_verify_checks_a_commuting_pair_that_acts(built):
+    # [x_0, x_1] = 0 in abelian gl(2|2), but x_1 x_0 m_0 = m_2 while
+    # x_0 x_1 m_0 = 0: the actions do not commute, so this is no module
+    alg, _ = built("gl", (2, 2))
+    assert alg.bracket(0, 1) == {}
+    w0 = Weight.zero(alg.wtag, len(alg.symbols))
+    weights = (w0, w0 + alg.weights[0], w0 + alg.weights[0] + alg.weights[1])
+    action = [{} for _ in range(alg.dim)]
+    action[0][(1, 0)] = 1
+    action[1][(2, 1)] = 1
+    bad = GModule(alg, "M", (EVEN, EVEN, EVEN), weights, action)
+    with pytest.raises(AssertionError, match=r"representation identity fails on \(0,1\)"):
+        bad.verify()
+
+
 def test_abelian_algebra_all_differentials_vanish():
     alg, _ = realize.build_gl(2, 2)
     cx = CochainComplex(alg, trivial_module(alg))
@@ -304,10 +341,12 @@ def test_block_matrix_matches_sparse_cut_of_differential(built):
                 listed = cx.block_matrix(k, key)
                 assert listed == list(named.values()), (module.name, k, key)
                 assert len(listed) == len(nonzero), (module.name, k, key)
-        # blocks are found by their key object; an equal copy is refused
+        # blocks are found by key value: an equal copy finds the same rows
         key = next(iter(cx.degree(1).blocks))
-        with pytest.raises(ValueError, match="not a block key object"):
-            cx.block_matrix(1, (key[0], key[1]))
+        copy = (tuple(list(key[0])), key[1])
+        assert copy == key and copy is not key
+        assert cx.block_rows(1, copy) == cx.block_rows(1, key)
+        assert cx.block_matrix(1, copy) == cx.block_matrix(1, key)
 
 
 def test_block_rows_are_the_differential_row_dicts(built):

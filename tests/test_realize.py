@@ -315,30 +315,15 @@ def test_structural_verification_all_families(built):
         verify_ideal(alg, ideal)
 
 
-def test_bracket_vectors_bilinear_and_antisymmetric():
-    from hypothesis import given, strategies as st
-
-    alg, _ = build_q(4)
-    coeff = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
-    vec = st.dictionaries(
-        st.integers(min_value=0, max_value=alg.dim - 1), coeff, max_size=4
-    )
-
-    @given(vec, vec, coeff)
-    def check(u, w, c):
-        scaled = {i: c * v for i, v in u.items()}
-        lhs = alg.bracket_vectors(scaled, w)
-        rhs = {t: c * v for t, v in alg.bracket_vectors(u, w).items() if c * v}
-        assert {t: v for t, v in lhs.items() if v} == rhs
-        # super-antisymmetry on homogeneous components is built into
-        # bracket(); spot-check the purely even part of the vectors
-        even_u = {i: v for i, v in u.items() if alg.parities[i] == EVEN}
-        even_w = {i: v for i, v in w.items() if alg.parities[i] == EVEN}
-        fwd = alg.bracket_vectors(even_u, even_w)
-        bwd = alg.bracket_vectors(even_w, even_u)
-        assert {t: -v for t, v in fwd.items()} == bwd
-
-    check()
+def test_bracket_is_super_antisymmetric(built):
+    # [x_j, x_i] = -(-1)^{|i||j|} [x_i, x_j]: the table stores i <= j only,
+    # and GModule.verify checks the pairs i <= j on the strength of this
+    for fam, params in [("q", (4,)), ("osp_odd", (2, 2)), ("gl", (3, 2))]:
+        alg, _ = built(fam, params)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                sign = 1 if (alg.parities[i] and alg.parities[j]) else -1
+                assert alg.bracket(j, i) == {t: sign * c for t, c in alg.bracket(i, j).items()}
 
 
 def test_serialization_roundtrip():

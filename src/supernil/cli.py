@@ -11,9 +11,10 @@ Subcommands:
 * dump-algebra     -- serialized basis/bracket data
 
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
-(including a negative --degree, --K, --j or --samples), 3 internal invariant
-violation.  Output is deterministic: repeated runs and different --workers
-counts produce byte-identical bytes.  Cache entries are keyed by the
+(including a negative --degree, --K, --j, --samples or verify-tables range
+flag, and a --workers below 1), 3 internal invariant violation.  Output is
+deterministic: repeated runs and different --workers counts produce
+byte-identical bytes.  Cache entries are keyed by the
 arguments, the package version and a digest of the package source.  A
 cache directory that cannot be created is bad input.  A cache entry that
 cannot be read or parsed is reported on stderr and recomputed; entries are
@@ -313,6 +314,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    choices=["gl", "sl", "q", "osp_even", "osp_odd", "exc"])
@@ -328,7 +336,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--force", action="store_true")
 
@@ -354,7 +362,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-tables", help="check published dimension tables")
     _add_common_flags(p)
     for name, param in TABLE_RANGES.items():
-        p.add_argument("--" + name.replace("_", "-"), type=int, default=param.default)
+        p.add_argument("--" + name.replace("_", "-"), type=nonnegative_int,
+                       default=param.default)
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("spectral", help="Hochschild-Serre collapse report")

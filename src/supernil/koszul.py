@@ -36,16 +36,24 @@ d^k is assembled from the source side and never enumerates C^{k+1}.  For
 each degree-k word u, each letter t of u and each pair (a, b) whose
 bracket has an x_t component (`NilpotentAlgebra.inverse_table`), the
 bracket sum puts an entry in the row of the word (a, b) + (u less one t);
-each nonzero module action x puts one in the row of x + u.  d^k is stored
-once, as sparse rows {C^k cochain index: value}, each named by its
-(canonical word, module index) rather than by an index into C^{k+1}; only
-rows with a nonzero entry exist, and the rank of a block needs no others.
-Grouping the rows by block asserts that every row's own key (from the int
-weights of its word's letters) is its columns' key, so `block_rows` hands
-out a block's row dicts themselves, and no zero entry is ever made.
-Callers that enumerate C^{k+1} anyway (the d o d = 0 check,
-`export_triples`, the Hochschild-Serre coefficient modules) number the
-rows through its `word_index`, the last two with `indexed_differential`.
+each nonzero module action x puts one in the row of x + u.  Rows are
+sparse {C^k cochain index: value}, each named by its (canonical word,
+module index) rather than by an index into C^{k+1}; only rows with a
+nonzero entry exist, and the rank of a block needs no others.
+
+The weight block is the unit of assembly.  A column (u, c) feeds only
+rows of its own block, so `block_rows(k, key)` builds a block's rows from
+that block's own C^k cochains alone, asserting that every row's own key
+(from the int weights of its word's letters) is the block's; no zero entry
+is ever made.  A word's terms are made once per complex and shared by the
+blocks its cochains fall in (many, when dim M > 1).  `block_rank` ranks a
+block and keeps only the rank, so H^k holds one block of d^k at a time and
+H^k and H^{k+1} on one complex assemble d^k once between them.
+`differential(k)` is the union of the block assemblies, built once and
+kept, for the callers that need all of d^k: the d o d = 0 check, the
+cocycle scan, `export_triples` and the Hochschild-Serre coefficient
+modules; the last two number its rows through `word_index` with
+`indexed_differential`, which enumerates C^{k+1}.
 
 The dual-action convention, chosen once and validated end to end, is
 (x.f)(v) = -(-1)^{|x||f|} f(x.v); the opposite global sign is available
@@ -58,14 +66,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .linalg import Sparse, SparseRow, add_to, sparse_matmul
+from .linalg import Sparse, SparseRow, add_to, rank, sparse_matmul
 from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
 from .supercore import EVEN, ODD, Parity, Rational, Weight, exact, parity_sum, swap_sign
 
 Word = tuple[int, ...]
 Row = tuple[Word, int]  # a cochain named by (canonical word, module index)
+# a letter's action on M by column: c -> [(r, value)]
+ByColumn = dict[int, list[tuple[int, Rational]]]
+# a degree-k word's terms in d^k (see `CochainComplex._word_terms`)
+WordTerms = tuple[list[tuple[Word, Rational]], list[tuple[Word, ByColumn, list[int]]]]
 
 
 # -- monomials -----------------------------------------------------------------
@@ -293,8 +305,15 @@ class CochainComplex:
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
-        # per differential: block key -> its rows, the row dicts of _diffs
+        # per built differential: block key -> its rows, the row dicts of _diffs
         self._buckets: dict[int, dict[BlockKey, dict[Row, SparseRow]]] = {}
+        # with dim M > 1, per degree: word index -> that word's terms in d;
+        # and row word -> the BlockKey of each of its rows
+        self._shared_terms: dict[int, dict[int, WordTerms]] = {}
+        self._row_keys: dict[Word, list[BlockKey]] = {}
+        self._terms: Callable[[Word], WordTerms] | None = None
+        # (k, block key) -> rank of that block of d^k
+        self.ranks: dict[tuple[int, BlockKey], int] = {}
 
     def weight(self, key: BlockKey) -> Weight:
         """The Weight of the block `key`."""
@@ -340,26 +359,34 @@ class CochainComplex:
     def dim(self, k: int) -> int:
         return len(self.degree(k).words) * self.module.dim
 
-    def differential(self, k: int) -> dict[Row, SparseRow]:
-        """d^k: C^k -> C^{k+1} as sparse rows {C^k cochain index: value}.
+    def _word_terms(self) -> Callable[[Word], WordTerms]:
+        """The function that gives a degree-k word u its terms in d^k.
 
-        A row is named by the degree-(k+1) cochain (canonical word, module
-        index) and exists only when it has a nonzero entry; C^{k+1} is not
-        enumerated (see `indexed_differential`).  Entries are those of the
-        two-sum formula: each (position pair, or position) of a row word
-        that the formula visits contributes with its own sign, odd letters
-        repeating.
+        It returns (brackets, actions).  brackets holds (w, value) per
+        bracket term: w = (a, b) + (u less one t), t a letter of u, puts
+        value in the row (w, c) of each column (u, c).  actions holds
+        (w, by_col, totals) per letter x acting nontrivially, w = x + u:
+        the column (u, c) gets v * totals[|c|] in the row (w, r) for each
+        (r, v) of by_col[c], the column c of x's action.  Entries are those
+        of the two-sum formula: each (position pair, or position) of a row
+        word that the formula visits contributes with its own sign, odd
+        letters repeating.  The setup shared by every word is made once
+        per complex.
         """
-        if k in self._diffs:
-            return self._diffs[k]
+        if self._terms is not None:
+            return self._terms
         alg, m = self.alg, self.module
         par = alg.parities
-        src = self.degree(k)
-        nm = m.dim
         # each letter's place in the canonical (parity, id) order
         place = {x: i for i, x in enumerate(sorted(range(alg.dim), key=lambda x: (par[x], x)))}
         inverse = alg.inverse_table
-        acting = [x for x in range(alg.dim) if m.action[x]]
+        acting: list[tuple[int, ByColumn]] = []
+        for x in range(alg.dim):
+            if m.action[x]:
+                by_col: ByColumn = {}
+                for (r, c), v in m.action[x].items():
+                    by_col.setdefault(c, []).append((r, v))
+                acting.append((x, by_col))
 
         def insert(word: Word, letters: Word) -> Word | None:
             """The canonical word of word + letters, None if an even letter repeats."""
@@ -368,13 +395,11 @@ class CochainComplex:
                     return None
             return tuple(sorted(word + letters, key=place.__getitem__))
 
-        d: dict[Row, SparseRow] = {}
-        for ui, u in enumerate(src.words):
-            col = ui * nm
+        def terms(u: Word) -> WordTerms:
+            brackets: list[tuple[Word, Rational]] = []
             # a canonical word's odd letters all follow its even ones, so the
             # prefix before an odd letter's place i has parity i - (evens)
             evens = sum(1 for x in u if par[x] == EVEN)
-            # bracket terms: rows (a, b) + (u less one t), t a letter of u
             for cut, t in enumerate(u):
                 if (cut and u[cut - 1] == t) or t not in inverse:
                     continue
@@ -398,14 +423,10 @@ class CochainComplex:
                             sigma = i + j + pa * pb + pa * (i - we) + pb * (j - we)
                             total += -1 if sigma % 2 else 1
                     if total:
-                        val = cval * total * s
-                        for r in range(nm):
-                            add_to(d.setdefault((w, r), {}), col + r, val)
-            # action terms: rows x + u, for x acting nontrivially
-            if not acting:
-                continue
+                        brackets.append((w, cval * total * s))
+            actions: list[tuple[Word, ByColumn, list[int]]] = []
             upar = (len(u) - evens) % 2
-            for x in acting:
+            for x, by_col in acting:
                 w = insert(u, (x,))
                 if w is None:
                     continue
@@ -419,31 +440,82 @@ class CochainComplex:
                         for i in range(ix, ix + w.count(x)))
                     for f_par in (upar, upar ^ 1)
                 ]
-                for (r, c), v in m.action[x].items():
-                    total = totals[m.parities[c]]
-                    if total:
-                        add_to(d.setdefault((w, r), {}), col + c, v * total)
+                if any(totals):
+                    actions.append((w, by_col, totals))
+            return brackets, actions
 
+        self._terms = terms
+        return terms
+
+    def _assemble(self, k: int, key: BlockKey, cols: list[int]) -> dict[Row, SparseRow]:
+        """The nonzero rows of the d^k block `key`, whose degree-k cochain
+        indices are `cols`, by the degree-(k+1) cochain (word, module
+        index) each row stands for.  Every d^k entry is made here, for
+        `block_rows` and `differential` alike."""
+        terms = self._word_terms()
+        words = self.degree(k).words
+        nm, mpar = self.module.dim, self.module.parities
+        # with dim M > 1 a word's cochains spread over many blocks; its
+        # terms are then made once and shared by those blocks
+        shared = self._shared_terms.setdefault(k, {}) if nm > 1 else None
+        # the block's cochains (u, c) by word: u's index, then the c's
+        if nm == 1:
+            runs: Iterable[tuple[int, list[int]]] = zip(cols, itertools.repeat([0]))
+        else:
+            by_word: dict[int, list[int]] = {}
+            for idx in cols:
+                by_word.setdefault(idx // nm, []).append(idx % nm)
+            runs = by_word.items()
+        d: dict[Row, SparseRow] = {}
+        for ui, mcs in runs:
+            col = ui * nm
+            if shared is None:
+                brackets, actions = terms(words[ui])
+            else:
+                found = shared.get(ui)
+                if found is None:
+                    found = shared[ui] = terms(words[ui])
+                brackets, actions = found
+            for w, val in brackets:
+                for c in mcs:
+                    add_to(d.setdefault((w, c), {}), col + c, val)
+            for w, by_col, totals in actions:
+                for c in mcs:
+                    total = totals[mpar[c]]
+                    if total:
+                        for r, v in by_col.get(c, ()):
+                            add_to(d.setdefault((w, r), {}), col + c, v * total)
         # the differential must preserve (weight, parity) blocks: each row's
-        # own key must be its columns' key; group the rows by block for
-        # block_rows in the same pass
-        buckets: dict[BlockKey, dict[Row, SparseRow]] = {}
-        word_keys: dict[Word, list[BlockKey]] = {}
+        # own key (from the int weights of its word's letters) must be its
+        # columns' key; a row word's keys are shared like its terms
+        word_keys = self._row_keys if shared is not None else {}
         for name in [name for name, row in d.items() if not row]:
             del d[name]  # its entries cancelled
-        for name, row in d.items():
-            w, r = name
+        for w, r in d:
             wkeys = word_keys.get(w)
             if wkeys is None:
                 wkeys = word_keys[w] = self._block_keys(self._mono(w))
-            rkey = wkeys[r]
-            for c in row:
-                if src.keys[c] != rkey:
-                    raise AssertionError("differential entry crosses weight blocks")
-            buckets.setdefault(rkey, {})[name] = row
-        self._buckets[k] = buckets
-        self._diffs[k] = d
+            if wkeys[r] != key:
+                raise AssertionError("differential entry crosses weight blocks")
         return d
+
+    def differential(self, k: int) -> dict[Row, SparseRow]:
+        """d^k: C^k -> C^{k+1} as sparse rows {C^k cochain index: value}:
+        the union of the assemblies of its blocks, kept once built.
+
+        A row is named by the degree-(k+1) cochain (canonical word, module
+        index) and exists only when it has a nonzero entry; C^{k+1} is not
+        enumerated (see `indexed_differential`).
+        """
+        if k not in self._diffs:
+            buckets: dict[BlockKey, dict[Row, SparseRow]] = {}
+            for key, cols in self.degree(k).blocks.items():
+                rows = self._assemble(k, key, cols)
+                if rows:
+                    buckets[key] = rows
+            self._buckets[k] = buckets
+            self._diffs[k] = {name: row for rows in buckets.values() for name, row in rows.items()}
+        return self._diffs[k]
 
     def indexed_differential(self, k: int) -> Sparse:
         """d^k as one sparse matrix {(row, col): value}, each row numbered
@@ -472,15 +544,27 @@ class CochainComplex:
 
     def block_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
         """The nonzero rows of the d^k block `key`, by the degree-(k+1)
-        cochain (word, module index) each stands for: the very row dicts of
-        `differential(k)`, over the degree-k cochain indices in `key`.
-        Any key equal to a block's key finds that block."""
-        self.differential(k)
-        return self._buckets[k].get(key, {})
+        cochain (word, module index) each stands for, over the degree-k
+        cochain indices in `key`.  Once `differential(k)` is built these
+        are its very row dicts; before, the block alone is assembled and
+        not kept.  Any key equal to a block's key finds that block."""
+        if k in self._diffs:
+            return self._buckets[k].get(key, {})
+        cols = self.degree(k).blocks.get(key)
+        return self._assemble(k, key, cols) if cols else {}
 
     def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
         """The nonzero rows of the d^k block `key` (see `block_rows`)."""
         return list(self.block_rows(k, key).values())
+
+    def block_rank(self, k: int, key: BlockKey) -> int:
+        """The rank of the d^k block `key`, computed once per complex and
+        kept in `ranks` as an int; the block's rows are not kept."""
+        job = (k, key)
+        found = self.ranks.get(job)
+        if found is None:
+            found = self.ranks[job] = rank(self.block_matrix(k, key))
+        return found
 
     def export_triples(self, k: int) -> list[list]:
         """Differential as sorted (block key, row, col, "p/q") triples."""

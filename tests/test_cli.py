@@ -260,8 +260,12 @@ def test_ideal_reading_flag():
          "--coefficients", "lambda-s-j", "--j", "-2"),
         ("compute", "--family", "exc", "--degree", "1"),
         ("extension-check", "--family", "gl", "--m", "2", "--n", "2", "--samples", "-2"),
+        ("compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "1", "--workers", "0"),
+        ("compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "1", "--workers", "-3"),
+        ("verify-tables", "--gl-h1-max", "-5"),
     ],
-    ids=["degree", "K", "j", "exc-without-name", "samples"],
+    ids=["degree", "K", "j", "exc-without-name", "samples", "workers-0", "workers-negative",
+         "table-range"],
 )
 def test_bad_numbers_and_missing_name_exit_2(args):
     proc = run_cli(*args)
@@ -333,6 +337,8 @@ t = tracer.install()
 from supernil import cli
 code = cli.main(["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "1",
                  "--workers", "2"])
+# compute ranks d^k block by block; the cocycle scan needs all of d^2
+code = code or cli.main(["extension-check", "--family", "q", "--n", "3", "--samples", "1"])
 names = {span[1] for span in t.spans}
 missing = {"cli", "realize.build", "realize.verify", "koszul.degree", "koszul.differential",
            "koszul.block_matrix", "linalg.rank", "linalg.elim", "cohomology"} - names

@@ -497,21 +497,70 @@ ORACLE_MATRIX = [
 ]
 
 
-@pytest.mark.parametrize("family,params", ORACLE_MATRIX)
-def test_source_side_differential_matches_target_side_oracle(built, family, params):
-    # every entry, each repeated-odd-letter position pair included, equals
-    # the brute-force formula's; trivial, I*, Lambda_s^2(I*) and fractional
-    # (1/2, 1/3) coefficients
+def _oracle_cases(built, family, params):
+    """Trivial, fractional (1/2, 1/3), I* and Lambda_s^2(I*) coefficients."""
     alg, ideal = built(family, params)
     cases = [(alg, trivial_module(alg)), (alg, _fractional_module(alg))]
     if ideal is not None and realize.ideal_is_abelian(alg, ideal):
         quo = realize.quotient_algebra(alg, ideal)
         dm = dual_module(alg, ideal, quo)
         cases += [(quo, dm), (quo, lambda_s_module(quo, dm, 2))]
-    for a, module in cases:
+    return cases
+
+
+@pytest.mark.parametrize("family,params", ORACLE_MATRIX)
+def test_source_side_differential_matches_target_side_oracle(built, family, params):
+    # every entry, each repeated-odd-letter position pair included, equals
+    # the brute-force formula's
+    for a, module in _oracle_cases(built, family, params):
         cx = CochainComplex(a, module)
         for k in range(4):
             assert cx.differential(k) == _target_side_differential(cx, k), (module.name, k)
+
+
+@pytest.mark.parametrize("family,params", ORACLE_MATRIX)
+def test_blocks_assembled_alone_are_the_cuts_of_the_differential(built, monkeypatch, family,
+                                                                 params):
+    # a block assembled on its own, with d^k never built on its complex, is
+    # the block's cut of the whole d^k, and the blocks together are d^k
+    # with no row in two of them
+    for a, module in _oracle_cases(built, family, params):
+        fresh = CochainComplex(a, module)
+        for k in range(4):
+            d = CochainComplex(a, module).differential(k)
+            keys = fresh.degree(k).keys
+            with monkeypatch.context() as patch:
+                patch.setattr(CochainComplex, "differential", _refuse)
+                blocks = {key: fresh.block_rows(k, key) for key in fresh.degree(k).blocks}
+            union = {}
+            for key, rows in blocks.items():
+                cut = {name: row for name, row in d.items() if keys[next(iter(row))] == key}
+                assert rows == cut, (module.name, k, key)
+                union.update(rows)
+            assert union == d and sum(map(len, blocks.values())) == len(d), (module.name, k)
+
+
+def _refuse(*args):
+    raise AssertionError("whole differential built")
+
+
+@pytest.mark.parametrize("family,params", [("gl", (3, 3)), ("osp_odd", (2, 2)), ("q", (4,))])
+def test_cohomology_never_builds_a_whole_differential(built, monkeypatch, family, params):
+    # H^k ranks each block of d^k and d^{k-1} as it is assembled alone;
+    # the results are those ranked from the blocks of whole differentials
+    alg, ideal = built(family, params)
+    quo = realize.quotient_algebra(alg, ideal)
+    cases = [(alg, trivial_module(alg)), (quo, dual_module(alg, ideal, quo))]
+    expected = []
+    for a, module in cases:
+        whole = CochainComplex(a, module)
+        for k in range(4):
+            whole.differential(k)
+        expected.append([cohomology(a, module, k, complex_cache=whole).blocks
+                         for k in range(4)])
+    monkeypatch.setattr(CochainComplex, "differential", _refuse)
+    for (a, module), want in zip(cases, expected):
+        assert [cohomology(a, module, k).blocks for k in range(4)] == want
 
 
 def test_a_row_whose_entries_cancel_is_dropped():

@@ -224,6 +224,30 @@ def test_nonabelian_e2_page_builds_the_ideal_complex_once(built, monkeypatch):
     assert len(e2_page(alg, ideal, 0).terms) == 1 and len(subs) == 1
 
 
+@pytest.mark.parametrize("family, params", [
+    ("gl", (3, 2)),        # abelian ideal: Lambda_s^j(I*) rows
+    ("osp_even", (1, 3)),  # non-abelian ideal: H^j(I) rows and the ideal complex
+])
+def test_collapse_assembles_each_block_once(built, monkeypatch, family, params):
+    # H^k and H^{k+1} on one complex both rank d^k: the rank of each block
+    # is kept, so no (complex, k, block) is assembled twice
+    alg, ideal = built(family, params)
+    assemble = CochainComplex._assemble
+    calls = []
+
+    def counting(cx, k, key, cols):
+        calls.append((cx, k, key))  # holds cx, so no complex id is reused
+        return assemble(cx, k, key, cols)
+
+    monkeypatch.setattr(CochainComplex, "_assemble", counting)
+    rep = collapse_check(alg, ideal, 3)
+    assert rep["all_match"] and calls
+    named = [(id(cx), k, key) for cx, k, key in calls]
+    assert len(set(named)) == len(named)
+    # the direct H^0..H^3 ranked blocks of d^0..d^3 on n's own complex
+    assert {k for cx, k, _ in calls if cx is rep.complex} == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("family, params, builds", [
     ("osp_odd", (3, 1), 3),  # osp(7|2) -> osp(5|2) -> osp(3|2)
     ("gl", (3, 3), 2),       # gl(3|3) -> gl(2|2)

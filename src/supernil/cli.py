@@ -12,14 +12,17 @@ Subcommands:
 
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
 (including a negative --degree, --K, --j, --samples or verify-tables range
-flag, and a --workers below 1), 3 internal invariant violation.  Output is
-deterministic: repeated runs and different --workers counts produce
-byte-identical bytes.  Cache entries are keyed by the
+flag, and a --workers below 1), 3 internal invariant violation.  --workers
+is accepted and validated but changes nothing: every rank is taken in this
+process, one weight block at a time.  Output is deterministic: repeated
+runs produce byte-identical bytes.  Cache entries are keyed by the
 arguments, the package version and a digest of the package source.  A
 cache directory that cannot be created is bad input.  A cache entry that
 cannot be read or parsed is reported on stderr and recomputed; entries are
-written to a temporary file and renamed into place.  A closed stdout ends
-the run quietly with exit 0.
+written to a temporary file and renamed into place.  An entry that cannot
+be written (a full disk, a read-only directory) is reported on stderr, its
+temporary file is removed and the result is still printed.  A closed
+stdout ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .cohomology import (
     h1_via_superderivations,
     is_cocycle,
 )
-from .koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
+from .koszul import CochainComplex, dual_module, lambda_s_module, monomial_words, trivial_module
 from .realize import build_family, quotient_algebra
 from .spectral import collapse_check, h2_recursive
 
@@ -123,9 +126,15 @@ def _cache_store(cache_dir, key, payload) -> None:
     # write a per-process temporary file and rename it into place, so no
     # reader ever sees a partial entry
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        # a full disk or read-only directory costs the cache, not the result
+        print(f"warning: cannot write cache entry {path}: {exc}", file=sys.stderr)
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _source_digest() -> str:
@@ -193,7 +202,7 @@ def cmd_compute(args) -> int:
         )
     payload = _cache_lookup(cache_dir, key)
     if payload is None:
-        res = cohomology(target, module, args.degree, workers=args.workers)
+        res = cohomology(target, module, args.degree)
         payload = res.to_json(target.symbols)
         if args.routes and args.degree == 1:
             routes = {"koszul": res.total}
@@ -208,7 +217,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify_tables(args) -> int:
     rows = tables.default_expectations(**{name: getattr(args, name) for name in TABLE_RANGES})
-    report, code = tables.run_expectations(rows, workers=args.workers)
+    report, code = tables.run_expectations(rows)
     if args.format == "json":
         print(json.dumps({"rows": report, "exit": code}, sort_keys=True, indent=2))
     else:
@@ -220,15 +229,15 @@ def cmd_spectral(args) -> int:
     alg, ideal = _build(args)
     if ideal is None:
         _fail_input("spectral needs a family with a distinguished ideal")
-    rep = collapse_check(alg, ideal, args.K, args.dual_sign, args.workers)
+    rep = collapse_check(alg, ideal, args.K, args.dual_sign)
     if args.recursive and args.family in ("gl", "sl", "q", "osp_even", "osp_odd"):
         # direct H^2 is collapse row k = 2, or taken on the same complex
         if args.K >= 2:
             direct = rep.direct[2]
         else:
-            direct = cohomology(alg, None, 2, workers=args.workers, complex_cache=rep.complex)
+            direct = cohomology(alg, None, 2, complex_cache=rep.complex)
         fam, params = _family_params(args)
-        rec = h2_recursive(fam, params, args.dual_sign, args.workers, alg, direct, rep.page)
+        rec = h2_recursive(fam, params, args.dual_sign, alg, direct, rep.page)
         rep["h2_recursive"] = rec.total
         rep["h2_direct"] = direct.total
         rep["h2_match"] = rec.blocks == direct.blocks
@@ -265,8 +274,6 @@ def cmd_extension_check(args) -> int:
         checked["non_cocycles"] += 1
         if not central_extension(alg, h).jacobi_failures():
             failures.append(("non-cocycle gave Jacobi extension", h))
-    from .koszul import monomial_words
-
     even_words = [
         w
         for w in monomial_words(alg.parities, 2)
@@ -336,7 +343,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="text", choices=["text", "json"])
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--force", action="store_true")
 

@@ -9,10 +9,9 @@ sparse rows: integer elimination after each row's denominators are
 cleared, with no dense matrix built.  The blocks stream: each block of
 d^k and d^{k-1} is assembled alone, ranked and dropped before the next
 (`CochainComplex.block_rank`), so d^k is never held whole, and the complex
-keeps each rank for the next degree.  With several workers the blocks not
-yet ranked are assembled the same way and their ranks taken on a process
-pool.  Only C^{k-1} and C^k are enumerated; d^k is assembled from its
-source side, so H^k never builds the basis of C^{k+1}.
+keeps each rank for the next degree.  Every rank is taken in the calling
+process, one block at a time.  Only C^{k-1} and C^k are enumerated; d^k is
+assembled from its source side, so H^k never builds the basis of C^{k+1}.
 Two independent degree-specific routes (dual of the abelianization for H^1
 with trivial coefficients, and the superderivation quotient for H^1 with
 any coefficients) plus the fixed-point route for H^0 serve as cross-checks;
@@ -27,10 +26,10 @@ weights, matching the appendix tables which list e.g. e_{i+1} - e_i.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
+# not called here: perfbench/tracer.py rebinds `cohomology.Pool` on install
+from multiprocessing import Pool  # noqa: F401
 
 from . import linalg
 from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
@@ -103,26 +102,10 @@ class CohomologyResult:
         return json.dumps(self.to_json(symbols), sort_keys=True, indent=2)
 
 
-def _pool_ranks(cx: CochainComplex, jobs: list[tuple[int, BlockKey]], workers: int) -> None:
-    """Rank on a process pool the blocks (k, key) of `jobs` that `cx` has
-    not ranked yet, into `cx.ranks`; no more processes start than there
-    are workers, CPUs or blocks to rank.  With one, the ranks are left to
-    `block_rank`, block by block."""
-    todo = [job for job in jobs if job not in cx.ranks]
-    processes = min(workers, os.cpu_count() or 1, len(todo))
-    if processes <= 1:
-        return
-    # the workers fork before the blocks are assembled, so they share none
-    with Pool(processes=processes) as pool:
-        mats = [cx.block_matrix(k, key) for k, key in todo]
-        cx.ranks.update(zip(todo, pool.map(linalg.rank, mats)))
-
-
 def cohomology(
     alg: NilpotentAlgebra,
     module: GModule | None,
     k: int,
-    workers: int = 1,
     complex_cache: CochainComplex | None = None,
 ) -> CohomologyResult:
     """H^k(n, M) with full (weight, parity) decomposition, Koszul route."""
@@ -132,9 +115,6 @@ def cohomology(
     src = cx.degree(k)
     res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
                            family=alg.family, params=alg.params)
-    if workers > 1:
-        # d^{k-1} has no block outside C^k's: its rows are C^k cochains
-        _pool_ranks(cx, [(j, key) for j in (k, k - 1) if j >= 0 for key in src.blocks], workers)
     # blocks in the order `degree` met them: every consumer of the result
     # is order-free
     for key, cols in src.blocks.items():

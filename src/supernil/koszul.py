@@ -47,8 +47,9 @@ that block's own C^k cochains alone, asserting that every row's own key
 (from the int weights of its word's letters) is the block's; no zero entry
 is ever made.  A word's terms are made once per complex and shared by the
 blocks its cochains fall in (many, when dim M > 1).  `block_rank` ranks a
-block and keeps only the rank, so H^k holds one block of d^k at a time and
-H^k and H^{k+1} on one complex assemble d^k once between them.
+block in the calling process and keeps only the rank, so H^k holds one
+block of d^k at a time and H^k and H^{k+1} on one complex assemble d^k
+once between them.
 `differential(k)` is the union of the block assemblies, built once and
 kept, for the callers that need all of d^k: the d o d = 0 check, the
 cocycle scan, `export_triples` and the Hochschild-Serre coefficient

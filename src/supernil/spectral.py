@@ -289,7 +289,6 @@ def e2_page(
     ideal: IdealDesignation,
     K: int,
     dual_sign: int = -1,
-    workers: int = 1,
 ) -> E2Page:
     """All E_2^{i,j} with i + j <= K for the Hochschild-Serre sequence."""
     verify_ideal(alg, ideal)
@@ -309,7 +308,7 @@ def e2_page(
     for j in range(K + 1):
         cx = CochainComplex(quo, modules[j])
         for i in range(K + 1 - j):
-            page.terms[(i, j)] = cohomology(quo, modules[j], i, workers=workers, complex_cache=cx)
+            page.terms[(i, j)] = cohomology(quo, modules[j], i, complex_cache=cx)
     return page
 
 
@@ -334,16 +333,15 @@ def collapse_check(
     ideal: IdealDesignation,
     K: int,
     dual_sign: int = -1,
-    workers: int = 1,
 ) -> CollapseReport:
     """Compare dim H^k(n, C) with sum_{i+j=k} dim E_2^{i,j}, k <= K."""
-    page = e2_page(alg, ideal, K, dual_sign, workers)
+    page = e2_page(alg, ideal, K, dual_sign)
     cx = CochainComplex(alg, trivial_module(alg))
     rows = []
     directs = []
     all_match = True
     for k in range(K + 1):
-        direct = cohomology(alg, None, k, workers=workers, complex_cache=cx)
+        direct = cohomology(alg, None, k, complex_cache=cx)
         directs.append(direct)
         merged: dict[tuple, list[int]] = {}
         for i in range(k + 1):
@@ -422,7 +420,6 @@ def h2_recursive(
     family: str,
     params: tuple,
     dual_sign: int = -1,
-    workers: int = 1,
     alg: NilpotentAlgebra | None = None,
     direct: CohomologyResult | None = None,
     page: E2Page | None = None,
@@ -458,7 +455,7 @@ def h2_recursive(
         and page.dual_sign == dual_sign
     ):
         page = None
-    return _h2_recursive(alg, ideal, family, params, dual_sign, workers, direct, page)
+    return _h2_recursive(alg, ideal, family, params, dual_sign, direct, page)
 
 
 def _h2_recursive(
@@ -467,7 +464,6 @@ def _h2_recursive(
     family: str,
     params: tuple,
     dual_sign: int,
-    workers: int,
     direct: CohomologyResult | None = None,
     page: E2Page | None = None,
 ) -> CohomologyResult:
@@ -478,7 +474,7 @@ def _h2_recursive(
     out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C", family=alg.family, params=alg.params)
     step = _recursion_step(family, params)
     if step is None:
-        res = direct if direct is not None else cohomology(alg, None, 2, workers=workers)
+        res = direct if direct is not None else cohomology(alg, None, 2)
         out.blocks = dict(res.blocks)
         out.weight_of = dict(res.weight_of)
         return out
@@ -495,8 +491,8 @@ def _h2_recursive(
     dm = modules[1] if 1 in modules else dual_module(alg, ideal, quo, dual_sign)
     lam2 = modules[2] if 2 in modules else lambda_s_module(quo, dm, 2)
     h0 = h0_fixed_points(quo, lam2)
-    h1 = terms[(1, 1)] if (1, 1) in terms else cohomology(quo, dm, 1, workers=workers)
-    rest = _h2_recursive(smaller, smaller_ideal, family, step, dual_sign, workers)
+    h1 = terms[(1, 1)] if (1, 1) in terms else cohomology(quo, dm, 1)
+    rest = _h2_recursive(smaller, smaller_ideal, family, step, dual_sign)
     for part in (h0, h1):
         for key, eo in part.blocks.items():
             for parity in (0, 1):

@@ -225,9 +225,7 @@ def default_expectations(
     return rows
 
 
-def run_expectations(
-    rows: list[TableExpectation], workers: int = 1
-) -> tuple[list[dict], int]:
+def run_expectations(rows: list[TableExpectation]) -> tuple[list[dict], int]:
     """Evaluate all expectation rows; returns (report rows, exit code)."""
     algebra_cache: dict[tuple, object] = {}
     result_cache: dict[tuple, CohomologyResult] = {}
@@ -241,7 +239,7 @@ def run_expectations(
         alg = algebra_cache[akey]
         rkey = akey + (row.degree,)
         if rkey not in result_cache:
-            result_cache[rkey] = cohomology(alg, None, row.degree, workers=workers)
+            result_cache[rkey] = cohomology(alg, None, row.degree)
         res = result_cache[rkey]
         computed = {
             "total": res.total,

@@ -325,6 +325,50 @@ def test_cache_key_covers_source_digest(tmp_path, monkeypatch, capsys):
     assert outs[0] == outs[1]
 
 
+def test_failed_cache_write_still_prints_result(tmp_path, monkeypatch, capsys):
+    import errno
+
+    import supernil.cli as cli
+
+    argv = ["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "2",
+            "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full_disk)
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert "warning" in err and "cache" in err
+    # neither an entry nor its temporary file is left behind
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_workers_start_no_process(monkeypatch, capsys):
+    import multiprocessing
+
+    import supernil.cohomology as cohomology_module
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    # two CPUs claimed, so a pool would be worth starting on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cohomology_module, "Pool", NoPool)
+    monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+    argv = ["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "2",
+            "--format", "json", "--workers"]
+    outs = []
+    for workers in ("1", "2"):
+        assert main(argv + [workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["total"] > 0
+
+
 def test_benchmark_tracer_wraps_every_layer():
     # perfbench/tracer.py wraps supernil functions by name; a rename must
     # fail here, not only in a traced benchmark run

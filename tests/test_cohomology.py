@@ -1,13 +1,11 @@
 import hashlib
 import itertools
-import os
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from supernil import cohomology as cohomology_module
 from supernil import koszul, linalg, realize
 from supernil.cohomology import (
     central_extension,
@@ -171,64 +169,6 @@ def test_abelian_h_k_equals_lambda_s(built):
                 if i <= d0
             )
             assert cohomology(alg, None, k).total == expected
-
-
-def test_workers_do_not_change_results(built, monkeypatch):
-    # two CPUs claimed, so --workers 2 ranks on a real pool on any host
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    alg, ideal = built("gl", (3, 3))
-    quo = realize.quotient_algebra(alg, ideal)
-    dm = dual_module(alg, ideal, quo)
-    for a, module in [(alg, trivial_module(alg)), (quo, lambda_s_module(quo, dm, 2))]:
-        serial, pooled = koszul.CochainComplex(a, module), koszul.CochainComplex(a, module)
-        for k in range(4):
-            one = cohomology(a, module, k, workers=1, complex_cache=serial)
-            two = cohomology(a, module, k, workers=2, complex_cache=pooled)
-            assert one.blocks == two.blocks, (module.name, k)
-        assert serial.ranks == pooled.ranks and serial.ranks
-
-
-def test_pool_starts_no_more_processes_than_can_help(built, monkeypatch):
-    # a recording stand-in for the pool: it starts no process
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(cohomology_module, "Pool", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    alg, _ = built("gl", (3, 3))
-    expected = cohomology(alg, None, 2).blocks
-    for workers, processes in [(100000, 8), (3, 3), (1, None)]:
-        started.clear()
-        assert cohomology(alg, None, 2, workers=workers).blocks == expected
-        assert started == ([processes] if processes else [])
-    # fewer blocks to rank than CPUs: one process per block
-    small, _ = built("gl", (2, 1))
-    jobs = 2 * len(koszul.CochainComplex(small, trivial_module(small)).degree(1).blocks)
-    assert 1 < jobs < 8
-    started.clear()
-    cohomology(small, None, 1, workers=100000)
-    assert started == [jobs]
-    # blocks whose ranks the complex already holds are not ranked again
-    cx = koszul.CochainComplex(alg, trivial_module(alg))
-    cohomology(alg, None, 2, complex_cache=cx)
-    started.clear()
-    assert cohomology(alg, None, 2, workers=4, complex_cache=cx).blocks == expected
-    assert started == []
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cohomology(alg, None, 2, workers=4).blocks == expected
-    assert started == []
 
 
 # -- central extensions ---------------------------------------------------------

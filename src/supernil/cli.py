@@ -12,17 +12,20 @@ Subcommands:
 
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
 (including a negative --degree, --K, --j, --samples or verify-tables range
-flag, and a --workers below 1), 3 internal invariant violation.  --workers
-is accepted and validated but changes nothing: every rank is taken in this
-process, one weight block at a time.  Output is deterministic: repeated
-runs produce byte-identical bytes.  Cache entries are keyed by the
-arguments, the package version and a digest of the package source.  A
+flag, a --workers below 1 and compute --routes off degree 1), 3 internal
+invariant violation (including an H^1 route that disagrees with the
+Koszul route on a block).  --workers is accepted and validated but
+changes nothing: every rank is taken in this process, one weight block at
+a time.  Output is deterministic: repeated runs produce byte-identical
+bytes.  Cache entries are keyed by the arguments, the package version and
+a digest of the package source, and store the sha256 of their payload.  A
 cache directory that cannot be created is bad input.  A cache entry that
-cannot be read or parsed is reported on stderr and recomputed; entries are
-written to a temporary file and renamed into place.  An entry that cannot
-be written (a full disk, a read-only directory) is reported on stderr, its
-temporary file is removed and the result is still printed.  A closed
-stdout ends the run quietly with exit 0.
+cannot be read or parsed, or whose digest is missing or wrong, is
+reported on stderr and recomputed; entries are written to a temporary
+file and renamed into place.  An entry that cannot be written (a full
+disk, a read-only directory) is reported on stderr, its temporary file is
+removed and the result is still printed.  A closed stdout ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -105,6 +108,10 @@ def _cache_dir(args) -> str | None:
     return path
 
 
+def _json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def _cache_lookup(cache_dir, key):
     if not cache_dir:
         return None
@@ -113,7 +120,11 @@ def _cache_lookup(cache_dir, key):
         return None
     try:
         with open(path) as fh:
-            return json.load(fh)
+            entry = json.load(fh)
+        digest = entry.pop("payload_sha256", None) if isinstance(entry, dict) else None
+        if digest != _json_digest(entry):
+            raise ValueError("payload digest missing or wrong")
+        return entry
     except (OSError, ValueError) as exc:
         print(f"warning: recomputing unreadable cache entry {path}: {exc}", file=sys.stderr)
         return None
@@ -128,7 +139,7 @@ def _cache_store(cache_dir, key, payload) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            json.dump({**payload, "payload_sha256": _json_digest(payload)}, fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError as exc:
         # a full disk or read-only directory costs the cache, not the result
@@ -150,10 +161,7 @@ def _source_digest() -> str:
 
 
 def _cache_key(**parts) -> str:
-    blob = json.dumps(
-        {"version": __version__, "source": _source_digest(), **parts}, sort_keys=True
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return _json_digest({"version": __version__, "source": _source_digest(), **parts})[:24]
 
 
 def _emit(args, payload: dict) -> None:
@@ -168,6 +176,8 @@ def _render_text(payload: dict) -> None:
         print(f"{payload['algebra']}  degree {payload['degree']}  "
               f"coefficients {payload['coefficients']}  route {payload['route']}")
         print(f"total {payload['total']}")
+        if "routes" in payload:
+            print("routes", *(f"{name} {n}" for name, n in sorted(payload["routes"].items())))
         for row in payload["blocks"]:
             label = row.get("label", " ".join(row["weight"]))
             print(f"  {label:<24} even {row['even']}  odd {row['odd']}")
@@ -176,6 +186,8 @@ def _render_text(payload: dict) -> None:
 
 
 def cmd_compute(args) -> int:
+    if args.routes and args.degree != 1:
+        _fail_input("--routes compares the H^1 routes; it needs --degree 1")
     cache_dir = _cache_dir(args)
     alg, ideal = _build(args)
     mod_name = args.coefficients
@@ -204,12 +216,14 @@ def cmd_compute(args) -> int:
     if payload is None:
         res = cohomology(target, module, args.degree)
         payload = res.to_json(target.symbols)
-        if args.routes and args.degree == 1:
-            routes = {"koszul": res.total}
+        if args.routes:
+            routes = {"koszul": res, "superderivation": h1_via_superderivations(target, module)}
             if mod_name == "trivial":
-                routes["quotient_dual"] = h1_via_quotient(target).total
-            routes["superderivation"] = h1_via_superderivations(target, module).total
-            payload["routes"] = routes
+                routes["quotient_dual"] = h1_via_quotient(target)
+            for name, other in routes.items():
+                if other.blocks != res.blocks:
+                    raise AssertionError(f"H^1 route {name} disagrees with the Koszul route")
+            payload["routes"] = {name: other.total for name, other in routes.items()}
         _cache_store(cache_dir, key, payload)
     _emit(args, payload)
     return 0
@@ -364,7 +378,7 @@ def main(argv=None) -> int:
                    choices=["trivial", "ideal-dual", "lambda-s-j"])
     p.add_argument("--j", type=nonnegative_int, default=2, help="j for lambda-s-j coefficients")
     p.add_argument("--routes", action="store_true",
-                   help="also report the independent H^1 routes")
+                   help="also cross-check H^1 by the independent routes (degree 1)")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify-tables", help="check published dimension tables")

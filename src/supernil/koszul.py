@@ -41,19 +41,21 @@ sparse {C^k cochain index: value}, each named by its (canonical word,
 module index) rather than by an index into C^{k+1}; only rows with a
 nonzero entry exist, and the rank of a block needs no others.
 
-The weight block is the unit of assembly.  A column (u, c) feeds only
-rows of its own block, so `block_rows(k, key)` builds a block's rows from
-that block's own C^k cochains alone, asserting that every row's own key
-(from the int weights of its word's letters) is the block's; no zero entry
-is ever made.  A word's terms are made once per complex and shared by the
+The weight block is the unit of assembly, and `block_rows(k, key)` is
+the one routine that makes a d^k entry.  A column (u, c) feeds only rows
+of its own block, so `block_rows` builds a block's rows from that
+block's own C^k cochains alone, asserting that every row's own key (from
+the int weights of its word's letters) is the block's; no zero entry is
+ever made.  A word's terms are made once per complex and shared by the
 blocks its cochains fall in (many, when dim M > 1).  `block_rank` ranks a
 block in the calling process and keeps only the rank, so H^k holds one
 block of d^k at a time and H^k and H^{k+1} on one complex assemble d^k
 once between them.
-`differential(k)` is the union of the block assemblies, built once and
-kept, for the callers that need all of d^k: the d o d = 0 check, the
-cocycle scan, `export_triples` and the Hochschild-Serre coefficient
-modules; the last two number its rows through `word_index` with
+`differential(k)` is the union of `block_rows` over the blocks of C^k,
+built once and kept, the only store of rows, for the callers that need
+all of d^k: the d o d = 0 check, the cocycle scan, `export_triples` and
+the Hochschild-Serre coefficient modules (which cut it back into blocks).
+All but the scan number its rows through `word_index` with
 `indexed_differential`, which enumerates C^{k+1}.
 
 The dual-action convention, chosen once and validated end to end, is
@@ -306,8 +308,6 @@ class CochainComplex:
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
-        # per built differential: block key -> its rows, the row dicts of _diffs
-        self._buckets: dict[int, dict[BlockKey, dict[Row, SparseRow]]] = {}
         # with dim M > 1, per degree: word index -> that word's terms in d;
         # and row word -> the BlockKey of each of its rows
         self._shared_terms: dict[int, dict[int, WordTerms]] = {}
@@ -448,11 +448,12 @@ class CochainComplex:
         self._terms = terms
         return terms
 
-    def _assemble(self, k: int, key: BlockKey, cols: list[int]) -> dict[Row, SparseRow]:
-        """The nonzero rows of the d^k block `key`, whose degree-k cochain
-        indices are `cols`, by the degree-(k+1) cochain (word, module
-        index) each row stands for.  Every d^k entry is made here, for
-        `block_rows` and `differential` alike."""
+    def block_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
+        """The nonzero rows of the d^k block `key`, by the degree-(k+1)
+        cochain (word, module index) each stands for, over the degree-k
+        cochain indices in `key`.  Every d^k entry is made here, from the
+        block's own cochains, and the rows are not kept; an unknown key
+        gives {}.  Any key equal to a block's key finds that block."""
         terms = self._word_terms()
         words = self.degree(k).words
         nm, mpar = self.module.dim, self.module.parities
@@ -460,15 +461,11 @@ class CochainComplex:
         # terms are then made once and shared by those blocks
         shared = self._shared_terms.setdefault(k, {}) if nm > 1 else None
         # the block's cochains (u, c) by word: u's index, then the c's
-        if nm == 1:
-            runs: Iterable[tuple[int, list[int]]] = zip(cols, itertools.repeat([0]))
-        else:
-            by_word: dict[int, list[int]] = {}
-            for idx in cols:
-                by_word.setdefault(idx // nm, []).append(idx % nm)
-            runs = by_word.items()
+        by_word: dict[int, list[int]] = {}
+        for idx in self.degree(k).blocks.get(key, ()):
+            by_word.setdefault(idx // nm, []).append(idx % nm)
         d: dict[Row, SparseRow] = {}
-        for ui, mcs in runs:
+        for ui, mcs in by_word.items():
             col = ui * nm
             if shared is None:
                 brackets, actions = terms(words[ui])
@@ -502,20 +499,15 @@ class CochainComplex:
 
     def differential(self, k: int) -> dict[Row, SparseRow]:
         """d^k: C^k -> C^{k+1} as sparse rows {C^k cochain index: value}:
-        the union of the assemblies of its blocks, kept once built.
+        the union of `block_rows` over the blocks of C^k, kept once built.
 
         A row is named by the degree-(k+1) cochain (canonical word, module
         index) and exists only when it has a nonzero entry; C^{k+1} is not
         enumerated (see `indexed_differential`).
         """
         if k not in self._diffs:
-            buckets: dict[BlockKey, dict[Row, SparseRow]] = {}
-            for key, cols in self.degree(k).blocks.items():
-                rows = self._assemble(k, key, cols)
-                if rows:
-                    buckets[key] = rows
-            self._buckets[k] = buckets
-            self._diffs[k] = {name: row for rows in buckets.values() for name, row in rows.items()}
+            self._diffs[k] = {name: row for key in self.degree(k).blocks
+                              for name, row in self.block_rows(k, key).items()}
         return self._diffs[k]
 
     def indexed_differential(self, k: int) -> Sparse:
@@ -531,28 +523,8 @@ class CochainComplex:
         }
 
     def check_d_squared(self, k: int) -> bool:
-        """Exact check that d^{k+1} o d^k = 0, row by row of d^{k+1}."""
-        index, nm = self.degree(k + 1).word_index, self.module.dim
-        inner = {index[w] * nm + r: row for (w, r), row in self.differential(k).items()}
-        for row in self.differential(k + 1).values():
-            out: SparseRow = {}
-            for c, x in row.items():
-                for c2, y in inner.get(c, {}).items():
-                    add_to(out, c2, x * y)
-            if out:
-                return False
-        return True
-
-    def block_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
-        """The nonzero rows of the d^k block `key`, by the degree-(k+1)
-        cochain (word, module index) each stands for, over the degree-k
-        cochain indices in `key`.  Once `differential(k)` is built these
-        are its very row dicts; before, the block alone is assembled and
-        not kept.  Any key equal to a block's key finds that block."""
-        if k in self._diffs:
-            return self._buckets[k].get(key, {})
-        cols = self.degree(k).blocks.get(key)
-        return self._assemble(k, key, cols) if cols else {}
+        """Exact check that d^{k+1} o d^k = 0, as one sparse product."""
+        return not sparse_matmul(self.indexed_differential(k + 1), self.indexed_differential(k))
 
     def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
         """The nonzero rows of the d^k block `key` (see `block_rows`)."""

@@ -37,6 +37,7 @@ from .koszul import (
     CochainComplex,
     DegreeData,
     GModule,
+    Row,
     dual_module,
     lambda_s_module,
     normalize_word,
@@ -147,6 +148,8 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     deg = cx.degree(j)
     lam = ic.action(j)
     _assert_commutes_with_d(cx, j, lam, ic.action(j + 1))
+    # d^j is kept from that check: cut it and d^{j-1}, assembling no block twice
+    d_outs, d_ins = _cut_into_blocks(cx, j), _cut_into_blocks(cx, j - 1)
 
     blocks: dict[BlockKey, _Block] = {}
     classes: Sparse = {}  # class representatives as columns over C^j(I)
@@ -155,13 +158,13 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
         cpos = {c: i for i, c in enumerate(cols)}
-        d_out = [{cpos[c]: x for c, x in row.items()} for row in cx.block_matrix(j, key)]
+        d_out = [{cpos[c]: x for c, x in row.items()} for row in d_outs.get(key, {}).values()]
         kernel = linalg.nullspace(d_out, len(cols))
         # the image of d^{j-1} is the row space of its block's transpose,
         # each row put at its cochain's position in the block (trivial
         # coefficients: a cochain's index is its word's)
         d_in: dict[int, linalg.SparseRow] = {}
-        for (w, _), row in cx.block_rows(j - 1, key).items():
+        for (w, _), row in d_ins.get(key, {}).items():
             r = cpos[deg.word_index[w]]
             for c, x in row.items():
                 d_in.setdefault(c, {})[r] = x
@@ -202,6 +205,15 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     )
     mod.verify()
     return mod
+
+
+def _cut_into_blocks(cx: CochainComplex, k: int) -> dict[BlockKey, dict[Row, linalg.SparseRow]]:
+    """The rows of `differential(k)` by the block of each row's first column."""
+    keys = cx.degree(k).keys
+    out: dict[BlockKey, dict[Row, linalg.SparseRow]] = {}
+    for name, row in cx.differential(k).items():
+        out.setdefault(keys[next(iter(row))], {})[name] = row
+    return out
 
 
 def _act_on_classes(

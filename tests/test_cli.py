@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,34 @@ def test_bad_input_exit_2():
     proc = run_cli("compute", "--family", "exc", "--name", "G3",
                    "--degree", "1", "--coefficients", "ideal-dual")
     assert proc.returncode == 2
+    # the routes are H^1 routes: another degree is refused, not ignored
+    proc = run_cli("compute", "--family", "q", "--n", "3", "--degree", "2", "--routes")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and proc.stdout == ""
+
+
+def test_compute_routes_in_text_output(capsys):
+    assert main(["compute", "--family", "q", "--n", "3", "--degree", "1", "--routes"]) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("routes")]
+    assert line == "routes koszul 4 quotient_dual 4 superderivation 4"
+
+
+def test_compute_routes_disagreement_exits_3(monkeypatch, capsys):
+    import supernil.cli as cli
+
+    superderivations = cli.h1_via_superderivations
+
+    def one_block_off(alg, module):
+        res = superderivations(alg, module)
+        res.blocks[min(res.blocks)][0] += 1
+        return res
+
+    monkeypatch.setattr(cli, "h1_via_superderivations", one_block_off)
+    assert main(["compute", "--family", "q", "--n", "3", "--degree", "1", "--routes",
+                 "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "superderivation" in err
 
 
 def test_spectral_command():
@@ -286,6 +315,46 @@ def test_truncated_cache_entry_is_recomputed(tmp_path):
     assert "cache" in again.stderr and "Traceback" not in again.stderr
     # the bad entry was overwritten with a good one
     assert json.loads(entry.read_text())["total"] == json.loads(first.stdout)["total"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: "[]",
+        lambda text: '"hello"',
+        lambda text: '{"blocks": 5}',
+        lambda text: json.dumps({**json.loads(text), "total": json.loads(text)["total"] + 1}),
+    ],
+    ids=["list", "string", "foreign-dict", "total-changed"],
+)
+def test_cache_entry_not_as_written_is_recomputed(tmp_path, capsys, corrupt):
+    # an entry that parses but is not the payload that was stored with its
+    # digest is reported, recomputed and overwritten, like an unparseable one
+    argv = ["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "2",
+            "--format", "json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(corrupt(entry.read_text()))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    assert "cache" in err and "Traceback" not in err
+    # the overwritten entry is read back without a warning
+    assert main(argv) == 0
+    assert capsys.readouterr() == (cold, "")
+
+
+def test_readme_commands_run(monkeypatch, capsys):
+    # every line of README's "Command line" block runs as documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 8 and all(line.startswith("supernil ") for line in lines)
+    monkeypatch.delenv("SUPERNIL_CACHE_DIR", raising=False)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out.strip(), line
 
 
 def test_closed_stdout_exits_quietly():

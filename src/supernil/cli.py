@@ -197,7 +197,7 @@ def cmd_compute(args) -> int:
         if ideal is None:
             _fail_input("this family has no distinguished ideal")
         target = quotient_algebra(alg, ideal)
-        dm = dual_module(alg, ideal, target, args.dual_sign)
+        dm = dual_module(alg, ideal, target)
         module = dm if mod_name == "ideal-dual" else lambda_s_module(target, dm, args.j)
     est = _estimate_cochains(target, args.degree + 1, module.dim)
     if est > MONOMIAL_GUARD and not args.force:
@@ -209,8 +209,7 @@ def cmd_compute(args) -> int:
         key = _cache_key(
             cmd="compute", family=alg.family, params=list(alg.params),
             degree=args.degree, coefficients=mod_name, j=args.j,
-            dual_sign=args.dual_sign, ideal_reading=args.ideal_reading,
-            routes=args.routes,
+            ideal_reading=args.ideal_reading, routes=args.routes,
         )
     payload = _cache_lookup(cache_dir, key)
     if payload is None:
@@ -243,15 +242,14 @@ def cmd_spectral(args) -> int:
     alg, ideal = _build(args)
     if ideal is None:
         _fail_input("spectral needs a family with a distinguished ideal")
-    rep = collapse_check(alg, ideal, args.K, args.dual_sign)
-    if args.recursive and args.family in ("gl", "sl", "q", "osp_even", "osp_odd"):
+    rep = collapse_check(alg, ideal, args.K)
+    if args.recursive:
         # direct H^2 is collapse row k = 2, or taken on the same complex
         if args.K >= 2:
             direct = rep.direct[2]
         else:
             direct = cohomology(alg, None, 2, complex_cache=rep.complex)
-        fam, params = _family_params(args)
-        rec = h2_recursive(fam, params, args.dual_sign, alg, direct, rep.page)
+        rec = h2_recursive(alg.family, alg.params, alg, direct, rep.page)
         rep["h2_recursive"] = rec.total
         rep["h2_direct"] = direct.total
         rep["h2_match"] = rec.blocks == direct.blocks
@@ -351,8 +349,6 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ideal-reading", default="auto",
                    choices=["auto", "eps_only", "delta_only", "eps_or_delta"],
                    help="reading of the garbled osp ideal description")
-    p.add_argument("--dual-sign", type=int, default=-1, choices=[-1, 1],
-                   help="global sign of the contragredient action")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

@@ -336,8 +336,10 @@ def cocycle_space(alg: NilpotentAlgebra, complex_cache: CochainComplex | None = 
 def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
     """Per-weight Euler identity sum_k (-1)^k dim C^k = sum_k (-1)^k dim H^k.
 
-    The grading functional bounds the degrees in which the weight can occur,
-    so both sums are finite.  Trivial coefficients.
+    `weight` is in the convention `cohomology` reports: a cochain on the
+    word w_1 .. w_k has weight -(wt(w_1) + .. + wt(w_k)).  The grading
+    functional bounds the degrees in which the weight can occur, so both
+    sums are finite.  Trivial coefficients.
     """
     cx = CochainComplex(alg, trivial_module(alg))
     vals = [alg.grading_value(b.weight) for b in alg.basis]
@@ -345,7 +347,7 @@ def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
         return {"weight": weight.to_json(), "lhs": 1, "rhs": 1, "equal": True}
     vmax = max(vals)  # closest to zero, still negative
     target = alg.grading_value(weight)
-    kmax = 0 if target == 0 else target // vmax + 1
+    kmax = -target // vmax  # each letter adds at least -vmax > 0
     key_par = weight.sort_key()
     lhs = 0
     rhs = 0

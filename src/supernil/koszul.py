@@ -58,9 +58,11 @@ the Hochschild-Serre coefficient modules (which cut it back into blocks).
 All but the scan number its rows through `word_index` with
 `indexed_differential`, which enumerates C^{k+1}.
 
-The dual-action convention, chosen once and validated end to end, is
-(x.f)(v) = -(-1)^{|x||f|} f(x.v); the opposite global sign is available
-behind the `dual_sign` flag and produces an isomorphic complex.
+The dual-action convention, the one every contragredient here uses
+(`dual_module` and the spectral sequence's cochain action), is
+(x.f)(v) = -(-1)^{|x||f|} f(x.v).  The opposite global sign gives
++rho(x)^T, which reverses the bracket: it is not a representation in
+general (it fails `GModule.verify` on gl(4|3) and q(4)).
 """
 
 from __future__ import annotations
@@ -198,12 +200,11 @@ def dual_module(
     parent: NilpotentAlgebra,
     ideal: IdealDesignation,
     quotient: NilpotentAlgebra,
-    dual_sign: int = -1,
 ) -> GModule:
     """I* as a module over n/I (contragredient of the bracket action).
 
-    Convention: (x.f)(v) = dual_sign * (-1)^{|x||f|} f(x.v) with
-    dual_sign = -1 by default.  Weights are negated; parities kept.
+    Convention: (x.f)(v) = -(-1)^{|x||f|} f(x.v).  Weights are negated;
+    parities kept.
     """
     verify_ideal(parent, ideal)
     members = ideal.sorted_ids()
@@ -221,11 +222,10 @@ def dual_module(
         for b, mid in enumerate(members):
             for t, c in parent.bracket(pid, mid).items():
                 add_to(direct, (pos_of[t], b), c)
-        # contragredient: (x.m_b*)(m_a) = dual_sign*(-1)^{|x||m_b*|} m_b*(x.m_a)
+        # contragredient: (x.m_b*)(m_a) = -(-1)^{|x||m_b*|} m_b*(x.m_a)
         mat: Sparse = {}
         for (a, b), val in direct.items():
-            sgn = dual_sign if not (px and parities[b]) else -dual_sign
-            mat[(b, a)] = sgn * val
+            mat[(b, a)] = val if px and parities[b] else -val
         action.append(mat)
     mod = GModule(quotient, "I*", parities, weights, action)
     mod.verify()

@@ -70,13 +70,12 @@ def _cochain_action(
     ideal: IdealDesignation,
     words,
     parities,
-    dual_sign: int = -1,
 ) -> list[Sparse]:
     """Lie-derivative action of parent basis vectors on C^j(I, C).
 
     Defined on the evaluation side, matching the differential's
-    conventions: (x.f)(w_0 ^ .. ^ w_{j-1}) =
-    dual_sign * sum_t (-1)^{|x|(|f| + |w_0|+..+|w_{t-1}|)} f(.. [x, w_t] ..).
+    conventions and `dual_module`'s sign: (x.f)(w_0 ^ .. ^ w_{j-1}) =
+    -sum_t (-1)^{|x|(|f| + |w_0|+..+|w_{t-1}|)} f(.. [x, w_t] ..).
     Returns per parent id the sparse matrix of the action on the word index.
 
     This action commutes with d_I exactly (asserted by the caller), which
@@ -99,7 +98,7 @@ def _cochain_action(
                     if not s:
                         continue
                     f_par = sum(parities[y] for y in canon) % 2
-                    sgn = dual_sign * (-1 if (px and (f_par + pre) % 2) else 1) * s
+                    sgn = (1 if (px and (f_par + pre) % 2) else -1) * s
                     add_to(act, (ridx, index[canon]), sgn * c)
                 pre ^= parities[x]
         out.append(act)
@@ -111,10 +110,9 @@ class IdealComplex:
     right, and the parent's Lie-derivative action on each of its degrees;
     each is built once and shared by the H^j(I, C) of every j."""
 
-    def __init__(self, parent: NilpotentAlgebra, ideal: IdealDesignation, dual_sign: int = -1):
+    def __init__(self, parent: NilpotentAlgebra, ideal: IdealDesignation):
         self.parent = parent
         self.ideal = ideal
-        self.dual_sign = dual_sign
         self.sub = ideal_subalgebra(parent, ideal)
         self.cx = CochainComplex(self.sub, trivial_module(self.sub))
         self._actions: dict[int, list[Sparse]] = {}
@@ -123,8 +121,7 @@ class IdealComplex:
         """Per parent basis vector, its Lie-derivative action on C^j(I)."""
         if j not in self._actions:
             self._actions[j] = _cochain_action(
-                self.parent, self.ideal, self.cx.degree(j).words, self.sub.parities,
-                self.dual_sign,
+                self.parent, self.ideal, self.cx.degree(j).words, self.sub.parities
             )
         return self._actions[j]
 
@@ -274,10 +271,9 @@ class E2Page:
     K: int
     abelian_ideal: bool
     terms: dict[tuple[int, int], CohomologyResult] = field(default_factory=dict)
-    # what the terms were computed from: the ideal, the dual sign, n/I and
-    # the coefficient module of each row j (Lambda_s^j(I*) when I is abelian)
+    # what the terms were computed from: the ideal, n/I and the coefficient
+    # module of each row j (Lambda_s^j(I*) when I is abelian)
     ideal: IdealDesignation | None = None
-    dual_sign: int = -1
     quotient: NilpotentAlgebra | None = None
     modules: dict[int, GModule] = field(default_factory=dict)
 
@@ -300,21 +296,19 @@ def e2_page(
     alg: NilpotentAlgebra,
     ideal: IdealDesignation,
     K: int,
-    dual_sign: int = -1,
 ) -> E2Page:
     """All E_2^{i,j} with i + j <= K for the Hochschild-Serre sequence."""
     verify_ideal(alg, ideal)
     quo = quotient_algebra(alg, ideal)
     abelian = ideal_is_abelian(alg, ideal)
     modules: dict[int, GModule] = {0: trivial_module(quo)}
-    page = E2Page(alg.name, K, abelian, ideal=ideal, dual_sign=dual_sign, quotient=quo,
-                  modules=modules)
+    page = E2Page(alg.name, K, abelian, ideal=ideal, quotient=quo, modules=modules)
     if K > 0 and abelian:
-        dm = dual_module(alg, ideal, quo, dual_sign)
+        dm = dual_module(alg, ideal, quo)
         for j in range(1, K + 1):
             modules[j] = lambda_s_module(quo, dm, j)
     elif K > 0:
-        ic = IdealComplex(alg, ideal, dual_sign)
+        ic = IdealComplex(alg, ideal)
         for j in range(1, K + 1):
             modules[j] = hj_ideal_module(ic, quo, j)
     for j in range(K + 1):
@@ -344,10 +338,9 @@ def collapse_check(
     alg: NilpotentAlgebra,
     ideal: IdealDesignation,
     K: int,
-    dual_sign: int = -1,
 ) -> CollapseReport:
     """Compare dim H^k(n, C) with sum_{i+j=k} dim E_2^{i,j}, k <= K."""
-    page = e2_page(alg, ideal, K, dual_sign)
+    page = e2_page(alg, ideal, K)
     cx = CochainComplex(alg, trivial_module(alg))
     rows = []
     directs = []
@@ -431,7 +424,6 @@ def _recursion_step(family: str, params: tuple) -> tuple | None:
 def h2_recursive(
     family: str,
     params: tuple,
-    dual_sign: int = -1,
     alg: NilpotentAlgebra | None = None,
     direct: CohomologyResult | None = None,
     page: E2Page | None = None,
@@ -442,47 +434,22 @@ def h2_recursive(
     recursion bottoms out in a direct Koszul computation.  The quotient is
     identified with the freshly rebuilt smaller algebra by comparing
     (weight, parity) multisets, never by index surgery; a mismatch is a
-    hard error.
+    hard error.  Each algebra of the chain is built once: a step builds
+    the smaller algebra and recurses on it as `alg`.
 
     `alg` is the already built `build_family(family, params)` algebra,
     under any ideal reading; it is built here when None.  Either way the
     recursion ideal is the default ("auto") reading's, `family_ideal(alg)`.
     `direct` is alg's direct Koszul H^2(n, C), if already computed: when
     alg is itself a base case that direct computation is the result.
-    `page` is an E_2 page of alg, if already built: when its ideal is
-    abelian with the recursion ideal's members and its dual sign is
-    `dual_sign`, the top step takes n/I, I*, Lambda_s^2(I*) and (K >= 2)
-    H^1(n/I, I*) from it and computes only what it left out.
+    `page` is an E_2 page of alg, if already built: when its ideal is the
+    recursion ideal, the top step takes n/I, I*, Lambda_s^2(I*) and
+    (K >= 2) H^1(n/I, I*) from it and computes only what it left out.
     """
     if alg is None:
-        alg, ideal = build_family(family, params)
+        alg = build_family(family, params)[0]
     elif (alg.family, alg.params) != (family, tuple(params)):
         raise ValueError(f"{alg.name} is not the {family}{tuple(params)} algebra")
-    else:
-        ideal = family_ideal(alg)
-    if page is not None and not (
-        page.algebra == alg.name
-        and page.abelian_ideal
-        and page.ideal.member_ids == ideal.member_ids
-        and page.dual_sign == dual_sign
-    ):
-        page = None
-    return _h2_recursive(alg, ideal, family, params, dual_sign, direct, page)
-
-
-def _h2_recursive(
-    alg: NilpotentAlgebra,
-    ideal: IdealDesignation | None,
-    family: str,
-    params: tuple,
-    dual_sign: int,
-    direct: CohomologyResult | None = None,
-    page: E2Page | None = None,
-) -> CohomologyResult:
-    """`h2_recursive` on the already built `build_family(family, params)`;
-    each algebra of the chain is built once, as the previous level's
-    `smaller`, and the top one's quotient, modules and H^1(n/I, I*) come
-    from `page` where it has them."""
     out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C", family=alg.family, params=alg.params)
     step = _recursion_step(family, params)
     if step is None:
@@ -490,21 +457,23 @@ def _h2_recursive(
         out.blocks = dict(res.blocks)
         out.weight_of = dict(res.weight_of)
         return out
+    ideal = family_ideal(alg)
     if not ideal_is_abelian(alg, ideal):
         raise AssertionError(f"{alg.name}: recursion ideal is not abelian")
-    modules = page.modules if page is not None else {}
-    terms = page.terms if page is not None else {}
-    quo = page.quotient if page is not None else quotient_algebra(alg, ideal)
-    smaller, smaller_ideal = build_family(family, step)
+    if page is None or not (page.algebra == alg.name and page.ideal == ideal):
+        # an empty page: every term below is computed here
+        page = E2Page(alg.name, 0, True, ideal=ideal, quotient=quotient_algebra(alg, ideal))
+    modules, terms, quo = page.modules, page.terms, page.quotient
+    smaller = build_family(family, step)[0]
     if sorted(quo.weight_multiset()) != _embedded_multiset(smaller, quo.symbols):
         raise AssertionError(
             f"{alg.name}: quotient does not match rebuilt {smaller.name}"
         )
-    dm = modules[1] if 1 in modules else dual_module(alg, ideal, quo, dual_sign)
+    dm = modules[1] if 1 in modules else dual_module(alg, ideal, quo)
     lam2 = modules[2] if 2 in modules else lambda_s_module(quo, dm, 2)
     h0 = h0_fixed_points(quo, lam2)
     h1 = terms[(1, 1)] if (1, 1) in terms else cohomology(quo, dm, 1)
-    rest = _h2_recursive(smaller, smaller_ideal, family, step, dual_sign)
+    rest = h2_recursive(family, step, smaller)
     for part in (h0, h1):
         for key, eo in part.blocks.items():
             for parity in (0, 1):

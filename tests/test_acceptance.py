@@ -264,14 +264,18 @@ def test_criterion_8_structural_property_suite():
     for fam, params in [("gl", (2, 2)), ("gl", (3, 2)), ("q", (3,)), ("osp_even", (2, 1))]:
         alg, _ = build_family(fam, params)
         assert alg.dim <= 8
+        # cochain weights: the negated weights of words of one and two letters
         weights = sorted(
-            {b.weight for b in alg.basis}
-            | {b.weight + c.weight for b in alg.basis for c in alg.basis},
+            {-b.weight for b in alg.basis}
+            | {-(b.weight + c.weight) for b in alg.basis for c in alg.basis},
             key=lambda w: w.sort_key(),
         )
+        lhs = []
         for w in weights[:8]:
             rep = euler_characteristic_check(alg, w)
             _check(failures, rep["equal"], f"{alg.name}: Euler fails at {rep['weight']}")
+            lhs.append(rep["lhs"])
+        _check(failures, any(lhs), f"{alg.name}: Euler identity compares only zeros")
     print(f"criterion 8: structural suite complete; failures: {len(failures)}")
     assert not failures, failures
 

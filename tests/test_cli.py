@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -292,9 +293,11 @@ def test_ideal_reading_flag():
         ("compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "1", "--workers", "0"),
         ("compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "1", "--workers", "-3"),
         ("verify-tables", "--gl-h1-max", "-5"),
+        ("compute", "--family", "q", "--n", "4", "--degree", "1",
+         "--coefficients", "ideal-dual", "--dual-sign", "1"),
     ],
     ids=["degree", "K", "j", "exc-without-name", "samples", "workers-0", "workers-negative",
-         "table-range"],
+         "table-range", "removed-dual-sign"],
 )
 def test_bad_numbers_and_missing_name_exit_2(args):
     proc = run_cli(*args)
@@ -355,6 +358,23 @@ def test_readme_commands_run(monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().out.strip(), line
+
+
+def test_readme_flags_are_accepted(capsys):
+    # every --flag README's command-line section names is some subcommand's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    subcommands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    accepted = set()
+    for sub in subcommands:
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        accepted |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert len(subcommands) == 5 and len(named) >= 10
+    assert named <= accepted, sorted(named - accepted)
 
 
 def test_closed_stdout_exits_quietly():

@@ -317,14 +317,19 @@ def test_euler_characteristic_blocks():
     for fam, params in [("gl", (3, 2)), ("q", (3,)), ("osp_even", (2, 1))]:
         alg, _ = realize.build_family(fam, params)
         assert alg.dim <= 8
+        # cochain weights: the negated weights of words of one and two letters
         seen = set()
         for b in alg.basis:
-            seen.add(b.weight)
+            seen.add(-b.weight)
             for b2 in alg.basis:
-                seen.add(b.weight + b2.weight)
+                seen.add(-(b.weight + b2.weight))
+        lhs = []
         for w in sorted(seen, key=lambda x: x.sort_key())[:10]:
             rep = euler_characteristic_check(alg, w)
             assert rep["equal"], rep
+            lhs.append(rep["lhs"])
+        # the identity compares nonzero sums, not 0 with 0
+        assert any(lhs), (alg.name, lhs)
 
 
 def test_result_serialization(built):

@@ -238,13 +238,6 @@ def test_dual_module_weights_negated():
     assert member_weights == dual_weights
 
 
-def test_dual_module_opposite_sign_still_representation():
-    alg, ideal = realize.build_gl(3, 3)
-    quo = realize.quotient_algebra(alg, ideal)
-    dm = dual_module(alg, ideal, quo, dual_sign=1)
-    dm.verify()
-
-
 def test_lambda_s_module_degree_zero_is_trivial():
     alg, ideal = realize.build_gl(3, 3)
     quo = realize.quotient_algebra(alg, ideal)

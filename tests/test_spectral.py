@@ -165,18 +165,6 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
         spectral._assert_commutes_with_d(cx, j, lam, lam_next)
 
 
-def test_opposite_dual_sign_gives_same_dimensions(built):
-    # both contragredient sign conventions produce isomorphic complexes
-    alg, ideal = built("gl", (3, 3))
-    a = collapse_check(alg, ideal, 2, dual_sign=-1)
-    b = collapse_check(alg, ideal, 2, dual_sign=1)
-    assert a["all_match"] and b["all_match"]
-    assert [r["terms"] for r in a["rows"]] == [r["terms"] for r in b["rows"]]
-    alg, ideal = built("osp_even", (1, 2))
-    rep = collapse_check(alg, ideal, 2, dual_sign=1)
-    assert rep["all_match"]
-
-
 def test_e2_page_serialization(built):
     alg, ideal = built("q", (3,))
     page = e2_page(alg, ideal, 1)

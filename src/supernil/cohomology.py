@@ -26,6 +26,7 @@ weights, matching the appendix tables which list e.g. e_{i+1} - e_i.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 # not called here: perfbench/tracer.py rebinds `cohomology.Pool` on install
@@ -61,6 +62,16 @@ class CohomologyResult:
         key = weight.sort_key()
         self.blocks.setdefault(key, [0, 0])[parity] += dim
         self.weight_of.setdefault(key, weight)
+
+    def absorb(
+        self, other: CohomologyResult, embed: Callable[[tuple], Weight] | None = None
+    ) -> None:
+        """Add other's dimensions, block by block; `embed` gives the Weight
+        here of one of other's block keys (default: other's own Weight)."""
+        for key, eo in other.blocks.items():
+            w = other.weight_of[key] if embed is None else embed(key)
+            for parity in (0, 1):
+                self.add(w, parity, eo[parity])
 
     @property
     def total(self) -> int:

@@ -58,11 +58,13 @@ the Hochschild-Serre coefficient modules (which cut it back into blocks).
 All but the scan number its rows through `word_index` with
 `indexed_differential`, which enumerates C^{k+1}.
 
-The dual-action convention, the one every contragredient here uses
-(`dual_module` and the spectral sequence's cochain action), is
-(x.f)(v) = -(-1)^{|x||f|} f(x.v).  The opposite global sign gives
-+rho(x)^T, which reverses the bracket: it is not a representation in
-general (it fails `GModule.verify` on gl(4|3) and q(4)).
+Every dual action is (x.f)(v) = -(-1)^{|x||f|} f(x.v), f the column
+functional, written once, in `contragredient`.  `dual_module` (I* over
+n/I) and the spectral sequence's action on C^j(I) = Lambda_s^j(I)* are
+both that sign applied to `ideal_module`, the latter after `word_action`.
+The opposite global sign gives +rho(x)^T, which reverses the bracket: it
+is not a representation in general (it fails `GModule.verify` on gl(4|3)
+and q(4)).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import Sparse, SparseRow, add_to, rank, sparse_matmul
 from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
@@ -196,60 +198,59 @@ def trivial_module(alg: NilpotentAlgebra) -> GModule:
     return GModule(alg, "C", (EVEN,), (w0,), [dict() for _ in range(alg.dim)])
 
 
+def ideal_module(parent: NilpotentAlgebra, ideal: IdealDesignation) -> GModule:
+    """The ideal I as a module over all of n by the bracket, x.m = [x, m],
+    on the members in ascending id order."""
+    verify_ideal(parent, ideal)
+    members = ideal.sorted_ids()
+    pos_of = {mid: a for a, mid in enumerate(members)}
+    action: list[Sparse] = []
+    for pid in range(parent.dim):
+        mat: Sparse = {}
+        for b, mid in enumerate(members):
+            for t, c in parent.bracket(pid, mid).items():
+                mat[(pos_of[t], b)] = c
+        action.append(mat)
+    return GModule(parent, "I", tuple(parent.parities[mid] for mid in members),
+                   tuple(parent.weights[mid] for mid in members), action)
+
+
+def contragredient(mat: Sparse, px: Parity, parities: Sequence[Parity]) -> Sparse:
+    """The matrix of x on M* in the dual basis, from its matrix `mat` on M.
+
+    (x.f)(v) = -(-1)^{|x||f|} f(x.v), so the column of f = m_r* takes
+    mat's row r; `parities` are those of M's basis and of its dual basis.
+    """
+    return {(c, r): v if px and parities[r] else -v for (r, c), v in mat.items()}
+
+
 def dual_module(
     parent: NilpotentAlgebra,
     ideal: IdealDesignation,
     quotient: NilpotentAlgebra,
 ) -> GModule:
-    """I* as a module over n/I (contragredient of the bracket action).
-
-    Convention: (x.f)(v) = -(-1)^{|x||f|} f(x.v).  Weights are negated;
-    parities kept.
-    """
-    verify_ideal(parent, ideal)
-    members = ideal.sorted_ids()
-    pos_of = {mid: a for a, mid in enumerate(members)}
+    """I* as a module over n/I: the contragredient of `ideal_module` on
+    the ids outside I.  Weights are negated; parities kept."""
+    im = ideal_module(parent, ideal)
     keep = [b.id for b in parent.basis if b.id not in ideal.member_ids]
     if len(keep) != quotient.dim:
         raise ValueError("quotient does not match the ideal complement")
-    parities = tuple(parent.parities[mid] for mid in members)
-    weights = tuple(-parent.weights[mid] for mid in members)
-    action: list[Sparse] = []
-    for pid in keep:
-        px = parent.parities[pid]
-        # direct bracket action on I: x . m_b = sum_a direct[(a, b)] m_a
-        direct: Sparse = {}
-        for b, mid in enumerate(members):
-            for t, c in parent.bracket(pid, mid).items():
-                add_to(direct, (pos_of[t], b), c)
-        # contragredient: (x.m_b*)(m_a) = -(-1)^{|x||m_b*|} m_b*(x.m_a)
-        mat: Sparse = {}
-        for (a, b), val in direct.items():
-            mat[(b, a)] = val if px and parities[b] else -val
-        action.append(mat)
-    mod = GModule(quotient, "I*", parities, weights, action)
+    action = [contragredient(im.action[pid], parent.parities[pid], im.parities) for pid in keep]
+    mod = GModule(quotient, "I*", im.parities, tuple(-w for w in im.weights), action)
     mod.verify()
     return mod
 
 
-def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
-    """Superexterior power Lambda_s^j(M) with the derivation action."""
-    if j == 0:
-        return trivial_module(alg)
-    words = monomial_words(module.parities, j)
+def word_action(module: GModule, words: Sequence[Word]) -> Iterator[Sparse]:
+    """Per algebra basis vector in turn, its unverified derivation action
+    on the superexterior words `words` (all of one degree) over M's basis:
+    x.(m_0 ^ ..) = sum_t (-1)^{|x|(|m_0|+..+|m_{t-1}|)} m_0 ^ .. x.m_t .. ."""
+    alg = module.algebra
     index = {w: a for a, w in enumerate(words)}
-    parities = tuple(parity_sum(module.parities[x] for x in w) for w in words)
-    zero = (0,) * len(alg.symbols)
-    coeffs = [wt.coeffs for wt in module.weights]
-    weights = tuple(
-        Weight(alg.wtag, tuple(map(sum, zip(zero, *[coeffs[x] for x in w])))) for w in words
-    )
-    action: list[Sparse] = []
     for i in range(alg.dim):
         px = alg.parities[i]
-        rho = module.action[i]
         cols: dict[int, list[tuple[int, Rational]]] = {}
-        for (r, c), v in rho.items():
+        for (r, c), v in module.action[i].items():
             cols.setdefault(c, []).append((r, v))
         mat: Sparse = {}
         for widx, w in enumerate(words):
@@ -261,7 +262,22 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
                     if s:
                         add_to(mat, (index[canon], widx), sgn_pre * s * v)
                 pre ^= module.parities[x]
-        action.append(mat)
+        yield mat
+
+
+def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
+    """Superexterior power Lambda_s^j(M) with the derivation action
+    (`word_action`), verified."""
+    if j == 0:
+        return trivial_module(alg)
+    words = monomial_words(module.parities, j)
+    parities = tuple(parity_sum(module.parities[x] for x in w) for w in words)
+    zero = (0,) * len(alg.symbols)
+    coeffs = [wt.coeffs for wt in module.weights]
+    weights = tuple(
+        Weight(alg.wtag, tuple(map(sum, zip(zero, *[coeffs[x] for x in w])))) for w in words
+    )
+    action = list(word_action(module, words))
     mod = GModule(alg, f"L^{j}({module.name})", parities, weights, action)
     mod.verify()
     return mod

@@ -38,12 +38,14 @@ from .koszul import (
     DegreeData,
     GModule,
     Row,
+    contragredient,
     dual_module,
+    ideal_module,
     lambda_s_module,
-    normalize_word,
     trivial_module,
+    word_action,
 )
-from .linalg import Sparse, add_to, sparse_matmul
+from .linalg import Sparse, sparse_matmul
 from .realize import (
     IdealDesignation,
     NilpotentAlgebra,
@@ -54,7 +56,7 @@ from .realize import (
     restrict_algebra,
     verify_ideal,
 )
-from .supercore import Weight, exact
+from .supercore import Weight, exact, parity_sum
 
 
 def ideal_subalgebra(parent: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
@@ -65,64 +67,32 @@ def ideal_subalgebra(parent: NilpotentAlgebra, ideal: IdealDesignation) -> Nilpo
     )
 
 
-def _cochain_action(
-    parent: NilpotentAlgebra,
-    ideal: IdealDesignation,
-    words,
-    parities,
-) -> list[Sparse]:
-    """Lie-derivative action of parent basis vectors on C^j(I, C).
-
-    Defined on the evaluation side, matching the differential's
-    conventions and `dual_module`'s sign: (x.f)(w_0 ^ .. ^ w_{j-1}) =
-    -sum_t (-1)^{|x|(|f| + |w_0|+..+|w_{t-1}|)} f(.. [x, w_t] ..).
-    Returns per parent id the sparse matrix of the action on the word index.
-
-    This action commutes with d_I exactly (asserted by the caller), which
-    is what makes the Hochschild-Serre coefficient modules well defined.
-    """
-    members = ideal.sorted_ids()
-    local = {mid: a for a, mid in enumerate(members)}
-    index = {w: i for i, w in enumerate(words)}
-    out = []
-    for pid in range(parent.dim):
-        px = parent.parities[pid]
-        act: Sparse = {}
-        for ridx, w in enumerate(words):
-            pre = 0
-            for t, x in enumerate(w):
-                for u, c in parent.bracket(pid, members[x]).items():
-                    s, canon = normalize_word(
-                        parities, w[:t] + (local[u],) + w[t + 1 :]
-                    )
-                    if not s:
-                        continue
-                    f_par = sum(parities[y] for y in canon) % 2
-                    sgn = (1 if (px and (f_par + pre) % 2) else -1) * s
-                    add_to(act, (ridx, index[canon]), sgn * c)
-                pre ^= parities[x]
-        out.append(act)
-    return out
-
-
 class IdealComplex:
     """The Koszul complex of an ideal I, taken as an algebra in its own
-    right, and the parent's Lie-derivative action on each of its degrees;
-    each is built once and shared by the H^j(I, C) of every j."""
+    right, and the parent's Lie-derivative action on each of its degrees:
+    on C^j(I) = Lambda_s^j(I)*, the `contragredient` of `word_action` on
+    `ideal_module` over the words of `cx.degree(j)`.  The action commutes
+    with d_I exactly (asserted by `hj_ideal_module`), which makes the
+    Hochschild-Serre coefficient modules well defined.  Each is built once
+    and shared by the H^j(I, C) of every j."""
 
     def __init__(self, parent: NilpotentAlgebra, ideal: IdealDesignation):
         self.parent = parent
         self.ideal = ideal
         self.sub = ideal_subalgebra(parent, ideal)
         self.cx = CochainComplex(self.sub, trivial_module(self.sub))
+        self.adjoint = ideal_module(parent, ideal)
         self._actions: dict[int, list[Sparse]] = {}
 
     def action(self, j: int) -> list[Sparse]:
         """Per parent basis vector, its Lie-derivative action on C^j(I)."""
         if j not in self._actions:
-            self._actions[j] = _cochain_action(
-                self.parent, self.ideal, self.cx.degree(j).words, self.sub.parities
-            )
+            words = self.cx.degree(j).words
+            word_par = [parity_sum(self.sub.parities[x] for x in w) for w in words]
+            self._actions[j] = [
+                contragredient(mat, self.parent.parities[pid], word_par)
+                for pid, mat in enumerate(word_action(self.adjoint, words))
+            ]
         return self._actions[j]
 
 
@@ -348,23 +318,18 @@ def collapse_check(
     for k in range(K + 1):
         direct = cohomology(alg, None, k, complex_cache=cx)
         directs.append(direct)
-        merged: dict[tuple, list[int]] = {}
+        merged = CohomologyResult(alg.name, k, ROUTE_SPECTRAL, "C")
         for i in range(k + 1):
-            term = page.terms[(i, k - i)]
-            for key, eo in term.blocks.items():
-                slot = merged.setdefault(key, [0, 0])
-                slot[0] += eo[0]
-                slot[1] += eo[1]
-        merged = {k2: v for k2, v in merged.items() if v != [0, 0]}
-        match = merged == direct.blocks
+            merged.absorb(page.terms[(i, k - i)])
+        match = merged.blocks == direct.blocks
         all_match = all_match and match
         rows.append(
             {
                 "k": k,
                 "direct_total": direct.total,
-                "e2_total": sum(e + o for e, o in merged.values()),
+                "e2_total": merged.total,
                 "terms": {f"{i},{k - i}": page.term_total(i, k - i) for i in range(k + 1)},
-                "match_total": direct.total == sum(e + o for e, o in merged.values()),
+                "match_total": direct.total == merged.total,
                 "match_blocks": match,
             }
         )
@@ -453,9 +418,7 @@ def h2_recursive(
     out = CohomologyResult(alg.name, 2, ROUTE_SPECTRAL, "C", family=alg.family, params=alg.params)
     step = _recursion_step(family, params)
     if step is None:
-        res = direct if direct is not None else cohomology(alg, None, 2)
-        out.blocks = dict(res.blocks)
-        out.weight_of = dict(res.weight_of)
+        out.absorb(direct if direct is not None else cohomology(alg, None, 2))
         return out
     ideal = family_ideal(alg)
     if not ideal_is_abelian(alg, ideal):
@@ -474,12 +437,7 @@ def h2_recursive(
     h0 = h0_fixed_points(quo, lam2)
     h1 = terms[(1, 1)] if (1, 1) in terms else cohomology(quo, dm, 1)
     rest = h2_recursive(family, step, smaller)
-    for part in (h0, h1):
-        for key, eo in part.blocks.items():
-            for parity in (0, 1):
-                out.add(part.weight_of[key], parity, eo[parity])
-    for key, eo in rest.blocks.items():
-        w = Weight(alg.wtag, _embed_key(key, smaller.symbols, alg.symbols))
-        for parity in (0, 1):
-            out.add(w, parity, eo[parity])
+    out.absorb(h0)
+    out.absorb(h1)
+    out.absorb(rest, lambda key: Weight(alg.wtag, _embed_key(key, smaller.symbols, alg.symbols)))
     return out

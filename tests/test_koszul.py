@@ -238,6 +238,46 @@ def test_dual_module_weights_negated():
     assert member_weights == dual_weights
 
 
+@pytest.mark.parametrize(
+    "family,params", [("gl", (3, 2)), ("q", (4,)), ("osp_odd", (2, 1)), ("osp_even", (2, 2))]
+)
+def test_dual_module_is_the_contragredient_entry_for_entry(built, family, params):
+    # (x.f)(v) = -(-1)^{|x||f|} f([x, v]) straight from the bracket, with
+    # f = m_a* the column functional: x.m_a* has f([x, m_b]) at row b
+    alg, ideal = built(family, params)
+    quo = realize.quotient_algebra(alg, ideal)
+    dm = dual_module(alg, ideal, quo)
+    members = ideal.sorted_ids()
+    keep = [b.id for b in alg.basis if b.id not in ideal.member_ids]
+    odd_acts = False
+    for q_id, x in enumerate(keep):
+        px = alg.parities[x]
+        expected = {}
+        for a, f in enumerate(members):
+            for b, v in enumerate(members):
+                coeff = alg.bracket(x, v).get(f, 0)
+                if coeff:
+                    expected[(b, a)] = -((-1) ** (px * alg.parities[f])) * coeff
+                    odd_acts = odd_acts or px == ODD
+        assert dm.action[q_id] == expected
+    assert odd_acts  # an odd x acts, so the sign is tested
+
+
+def test_block_rows_detects_an_entry_crossing_weight_blocks(built):
+    # the assertion in block_rows is the one check that d^k keeps (weight,
+    # parity) blocks: once degree(k) is built, a letter whose scaled weight
+    # is off files the rows of words holding it under another block
+    alg, _ = built("gl", (3, 2))
+    k = 1
+    letter = next(iter(CochainComplex(alg, trivial_module(alg)).differential(k)))[0][0]
+    cx = CochainComplex(alg, trivial_module(alg))
+    blocks = cx.degree(k).blocks
+    cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
+    with pytest.raises(AssertionError, match="crosses weight blocks"):
+        for key in blocks:
+            cx.block_rows(k, key)
+
+
 def test_lambda_s_module_degree_zero_is_trivial():
     alg, ideal = realize.build_gl(3, 3)
     quo = realize.quotient_algebra(alg, ideal)

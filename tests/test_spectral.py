@@ -7,7 +7,7 @@ import pytest
 
 from supernil import cli, linalg, realize, spectral
 from supernil.cohomology import cohomology
-from supernil.koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
+from supernil.koszul import CochainComplex, dual_module, lambda_s_module
 from supernil.spectral import collapse_check, e2_page, h2_recursive, hj_ideal_module
 
 
@@ -83,18 +83,30 @@ def test_collapse_nonabelian_ideal(built):
 def test_hj_module_matches_lambda_route_for_abelian_ideal(built):
     # when I is abelian the general subquotient module must have the same
     # dimensions, weights and cohomology as Lambda_s^j(I*)
-    alg, ideal = built("gl", (3, 3))
-    quo = realize.quotient_algebra(alg, ideal)
-    dm = dual_module(alg, ideal, quo)
-    ic = spectral.IdealComplex(alg, ideal)
-    for j in (1, 2):
-        lam = lambda_s_module(quo, dm, j)
-        gen = hj_ideal_module(ic, quo, j)
-        assert sorted(
-            (w.sort_key(), p) for w, p in zip(lam.weights, lam.parities)
-        ) == sorted((w.sort_key(), p) for w, p in zip(gen.weights, gen.parities))
-        for i in (0, 1):
-            assert cohomology(quo, lam, i).blocks == cohomology(quo, gen, i).blocks
+    for family, params in [("gl", (3, 3)), ("q", (4,))]:
+        alg, ideal = built(family, params)
+        assert realize.ideal_is_abelian(alg, ideal)
+        quo = realize.quotient_algebra(alg, ideal)
+        dm = dual_module(alg, ideal, quo)
+        ic = spectral.IdealComplex(alg, ideal)
+        # C^1(I) is I*: on the n/I ids its action is dual_module's, entry
+        # for entry, once the word (a,) is read as the basis index a (q
+        # lists its even members' words first, so the two orders differ)
+        words = ic.cx.degree(1).words
+        assert any(w != (a,) for a, w in enumerate(words)) == (family == "q")
+        lam = ic.action(1)
+        keep = [b.id for b in alg.basis if b.id not in ideal.member_ids]
+        for q_id, pid in enumerate(keep):
+            aligned = {(words[r][0], words[c][0]): v for (r, c), v in lam[pid].items()}
+            assert aligned == dm.action[q_id]
+        for j in (1, 2):
+            lam = lambda_s_module(quo, dm, j)
+            gen = hj_ideal_module(ic, quo, j)
+            assert sorted(
+                (w.sort_key(), p) for w, p in zip(lam.weights, lam.parities)
+            ) == sorted((w.sort_key(), p) for w, p in zip(gen.weights, gen.parities))
+            for i in (0, 1):
+                assert cohomology(quo, lam, i).blocks == cohomology(quo, gen, i).blocks
 
 
 RECURSION_MATRIX = [
@@ -149,11 +161,11 @@ def test_ideal_subalgebra(built):
 
 def test_commutes_with_d_detects_a_corrupted_action(built):
     alg, ideal = built("osp_even", (1, 2))
-    sub = spectral.ideal_subalgebra(alg, ideal)
-    cx = CochainComplex(sub, trivial_module(sub))
+    ic = spectral.IdealComplex(alg, ideal)
+    cx = ic.cx
     j = 2
-    lam = spectral._cochain_action(alg, ideal, cx.degree(j).words, sub.parities)
-    lam_next = spectral._cochain_action(alg, ideal, cx.degree(j + 1).words, sub.parities)
+    lam = [dict(act) for act in ic.action(j)]
+    lam_next = ic.action(j + 1)
     spectral._assert_commutes_with_d(cx, j, lam, lam_next)
     # an action entry whose row feeds d^j: doubling it breaks commutation
     used = {c for row in cx.differential(j).values() for c in row}
@@ -193,19 +205,20 @@ def test_abelian_e2_page_builds_the_dual_module_once(built, monkeypatch):
 def test_nonabelian_e2_page_builds_the_ideal_complex_once(built, monkeypatch):
     # osp(2|6): its ideal is not abelian; K = 3 needs the action on C^1..C^4(I)
     alg, ideal = built("osp_even", (1, 3))
-    build_sub, build_action = spectral.ideal_subalgebra, spectral._cochain_action
+    build_sub, action = spectral.ideal_subalgebra, spectral.IdealComplex.action
     subs, degrees = [], []
 
     def counting_sub(*args):
         subs.append(args)
         return build_sub(*args)
 
-    def counting_action(parent, ideal, words, *rest):
-        degrees.append(len(words[0]))
-        return build_action(parent, ideal, words, *rest)
+    def counting_action(ic, j):
+        if j not in ic._actions:
+            degrees.append(j)  # built now, not taken from the complex's store
+        return action(ic, j)
 
     monkeypatch.setattr(spectral, "ideal_subalgebra", counting_sub)
-    monkeypatch.setattr(spectral, "_cochain_action", counting_action)
+    monkeypatch.setattr(spectral.IdealComplex, "action", counting_action)
     rep = collapse_check(alg, ideal, 3)
     assert not rep["abelian_ideal"] and rep["all_match"]
     assert len(subs) == 1 and sorted(degrees) == [1, 2, 3, 4]

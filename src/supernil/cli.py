@@ -199,7 +199,8 @@ def cmd_compute(args) -> int:
         target = quotient_algebra(alg, ideal)
         dm = dual_module(alg, ideal, target)
         module = dm if mod_name == "ideal-dual" else lambda_s_module(target, dm, args.j)
-    est = _estimate_cochains(target, args.degree + 1, module.dim)
+    # H^k enumerates C^{k-1} and C^k, and holds one block of d^k at a time
+    est = _estimate_cochains(target, args.degree, module.dim)
     if est > MONOMIAL_GUARD and not args.force:
         _fail_input(
             f"estimated cochain count {est} exceeds {MONOMIAL_GUARD}; pass --force"

@@ -23,7 +23,10 @@ checked as an exact sparse product wherever a test asks for it.
 Block bookkeeping is done in integers too.  Each complex scales the
 algebra and module weights once by the lcm of their denominators (1 for
 every algebra and module built from the families), so a cochain's block
-comes from a sum of int tuples.  A block's key is that (int tuple, parity)
+comes from a sum of int tuples; `_block_keys` finds it by the word's
+parity and its letters' weights packed into ints, sum_i v_i * 2**(64 i)
+(`_packed`: linear, and injective while every |v_i| < 2**63), and makes
+tuples only for a new pair.  A block's key is the (int tuple, parity)
 itself when the scale is 1, and otherwise the tuple divided back by the
 scale, so it always equals (Weight.sort_key(), parity), and blocks are
 found by that value: `degree` files cochains, and `block_rows` finds a
@@ -45,7 +48,7 @@ The weight block is the unit of assembly, and `block_rows(k, key)` is
 the one routine that makes a d^k entry.  A column (u, c) feeds only rows
 of its own block, so `block_rows` builds a block's rows from that
 block's own C^k cochains alone, asserting that every row's own key (from
-the int weights of its word's letters) is the block's; no zero entry is
+the packed weights of its word's letters) is the block's; no zero entry is
 ever made.  A word's terms are made once per complex and shared by the
 blocks its cochains fall in (many, when dim M > 1).  `block_rank` ranks a
 block in the calling process and keeps only the rank, so H^k holds one
@@ -302,6 +305,13 @@ def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
     return tuple(c.numerator * (scale // c.denominator) for c in w.coeffs)
 
 
+def _packed(v: Sequence[int]) -> int:
+    """sum_i v_i * 2**(64 i): linear, and injective while every |v_i| < 2**63."""
+    if any(abs(c) >> 63 for c in v):
+        raise ValueError(f"weight coordinate out of the packed range: {v}")
+    return sum(c << 64 * i for i, c in enumerate(v))
+
+
 class CochainComplex:
     """C^*(n, M) with lazily built bases and differentials."""
 
@@ -319,8 +329,9 @@ class CochainComplex:
         self._scale = lcm(*(c.denominator for w in weights for c in w.coeffs))
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
+        self._alg_pw = [_packed(iw) for iw in self._alg_iw]
         self._keys: dict[BlockKey, BlockKey] = {}  # interns equal keys
-        self._mono_keys: dict[tuple[tuple[int, ...], Parity], list[BlockKey]] = {}
+        self._mono_keys: dict[tuple[int, Parity], list[BlockKey]] = {}
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
@@ -336,21 +347,17 @@ class CochainComplex:
         """The Weight of the block `key`."""
         return Weight(self.alg.wtag, key[0])
 
-    def _mono(self, word: Word) -> tuple[tuple[int, ...], Parity]:
-        """The scaled int weight and the parity of a monomial word."""
-        return (
-            tuple(map(sum, zip(self._zero, *[self._alg_iw[x] for x in word]))),
-            sum([self.alg.parities[x] for x in word]) & 1,
-        )
-
-    def _block_keys(self, mono: tuple[tuple[int, ...], Parity]) -> list[BlockKey]:
+    def _block_keys(self, word: Word) -> list[BlockKey]:
         """The BlockKey of each cochain (word, c), c over the module basis,
-        for a word of scaled weight and parity `mono`."""
+        found by the word's packed weight and parity (built on a miss)."""
+        par = self.alg.parities
+        mono = (sum(map(self._alg_pw.__getitem__, word)), sum(map(par.__getitem__, word)) & 1)
         found = self._mono_keys.get(mono)
         if found is None:
             found = self._mono_keys[mono] = []
-            for iw, p in zip(self._mod_iw, self.module.parities):
-                wt = tuple(a - b for a, b in zip(iw, mono[0]))
+            iw = tuple(map(sum, zip(self._zero, *[self._alg_iw[x] for x in word])))
+            for miw, p in zip(self._mod_iw, self.module.parities):
+                wt = tuple(a - b for a, b in zip(miw, iw))
                 if self._scale != 1:
                     wt = tuple(exact(Fraction(v, self._scale)) for v in wt)
                 key = (wt, (mono[1] + p) % 2)
@@ -366,7 +373,7 @@ class CochainComplex:
         keys: list[BlockKey] = []
         blocks: dict[BlockKey, list[int]] = {}
         for w in words:
-            for key in self._block_keys(self._mono(w)):
+            for key in self._block_keys(w):
                 blocks.setdefault(key, []).append(len(keys))
                 keys.append(key)
         data = DegreeData(words, word_index, keys, blocks)
@@ -469,7 +476,8 @@ class CochainComplex:
         cochain (word, module index) each stands for, over the degree-k
         cochain indices in `key`.  Every d^k entry is made here, from the
         block's own cochains, and the rows are not kept; an unknown key
-        gives {}.  Any key equal to a block's key finds that block."""
+        gives {}.  Any key equal to a block's key finds that block.  Each
+        row's own key (`_block_keys` of its word) must be `key`."""
         terms = self._word_terms()
         words = self.degree(k).words
         nm, mpar = self.module.dim, self.module.parities
@@ -499,16 +507,14 @@ class CochainComplex:
                     if total:
                         for r, v in by_col.get(c, ()):
                             add_to(d.setdefault((w, r), {}), col + c, v * total)
-        # the differential must preserve (weight, parity) blocks: each row's
-        # own key (from the int weights of its word's letters) must be its
-        # columns' key; a row word's keys are shared like its terms
-        word_keys = self._row_keys if shared is not None else {}
         for name in [name for name, row in d.items() if not row]:
             del d[name]  # its entries cancelled
+        # d keeps (weight, parity) blocks; a row word's keys are shared like its terms
+        word_keys = self._row_keys if shared is not None else {}
         for w, r in d:
             wkeys = word_keys.get(w)
             if wkeys is None:
-                wkeys = word_keys[w] = self._block_keys(self._mono(w))
+                wkeys = word_keys[w] = self._block_keys(w)
             if wkeys[r] != key:
                 raise AssertionError("differential entry crosses weight blocks")
         return d

@@ -10,8 +10,9 @@ takes and returns sparse rows, never dense ones.
 
 One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace`,
 `row_space_basis`, `solve` and `solve_all`: integer elimination on the rows
-once their denominators are cleared, one pivot per leading (smallest)
-column.
+once their denominators are cleared (a row with no `Fraction`, as every
+`block_rows` row of integral data, only loses its zeros), one pivot per
+leading (smallest) column.
 `Fraction`s appear again only in the reduced rows `rref` returns.  The RREF
 is unique, so kernels, row spaces and solutions do not depend on the order
 in which the kernel picks its pivots.
@@ -64,8 +65,10 @@ def _integer_rows(rows: Sequence[SparseRow]) -> list[IntRow]:
     """The nonzero rows, each with its denominators cleared by their lcm."""
     out = []
     for row in rows:
-        denom = lcm(*(x.denominator for x in row.values()))
-        vec = {c: x.numerator * (denom // x.denominator) for c, x in row.items() if x}
+        if Fraction in set(map(type, row.values())):
+            denom = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (denom // x.denominator) for c, x in row.items()}
+        vec = {c: x for c, x in row.items() if x}
         if vec:
             out.append(vec)
     return out

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from supernil import cli
 from supernil.cli import main
+from supernil.koszul import monomial_words
+from supernil.realize import build_family
 
 
 def run_cli(*args):
@@ -260,6 +263,32 @@ def test_guardrail_refuses_huge_computation():
                    "--degree", "5")
     assert proc.returncode == 2
     assert "force" in proc.stderr
+
+
+def test_guardrail_bounds_the_cochains_h_k_enumerates(monkeypatch, capsys):
+    # H^k enumerates C^{k-1} and C^k, never C^{k+1}: a guard of exactly
+    # dim C^k lets gl(2|2) H^2 run, and one below refuses it
+    alg, _ = build_family("gl", (2, 2))
+    dim_ck = len(monomial_words(alg.parities, 2))
+    argv = ["compute", "--family", "gl", "--m", "2", "--n", "2", "--degree", "2"]
+    monkeypatch.setattr(cli, "MONOMIAL_GUARD", dim_ck)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MONOMIAL_GUARD", dim_ck - 1)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["gl", "osp_odd", "osp_even", "q"])
+def test_cochain_estimate_matches_the_enumerator(family):
+    # the guardrail's closed form counts exactly the words it guards
+    params = [(n,) for n in (2, 3)] if family == "q" else [
+        (m, n) for m in (1, 2, 3) for n in (1, 2, 3) if family == "osp_even" or n <= m]
+    for p in params:
+        alg, _ = build_family(family, p)
+        for k in range(5):
+            assert cli._estimate_cochains(alg, k, 1) == len(monomial_words(alg.parities, k)), (p, k)
 
 
 def test_degenerate_algebra():

@@ -10,6 +10,7 @@ from supernil.cohomology import cohomology
 from supernil.koszul import (
     CochainComplex,
     GModule,
+    _packed,
     dual_module,
     lambda_s_module,
     monomial_words,
@@ -266,16 +267,47 @@ def test_dual_module_is_the_contragredient_entry_for_entry(built, family, params
 def test_block_rows_detects_an_entry_crossing_weight_blocks(built):
     # the assertion in block_rows is the one check that d^k keeps (weight,
     # parity) blocks: once degree(k) is built, a letter whose scaled weight
-    # is off files the rows of words holding it under another block
+    # is off, in both its int forms (tuple and packed), files the rows of
+    # words holding it under another block
     alg, _ = built("gl", (3, 2))
     k = 1
     letter = next(iter(CochainComplex(alg, trivial_module(alg)).differential(k)))[0][0]
     cx = CochainComplex(alg, trivial_module(alg))
     blocks = cx.degree(k).blocks
     cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
+    cx._alg_pw[letter] = _packed(cx._alg_iw[letter])
     with pytest.raises(AssertionError, match="crosses weight blocks"):
         for key in blocks:
             cx.block_rows(k, key)
+
+
+def vector_pairs(coords):
+    """Two int vectors of one length, 1 to 5, with coordinates from coords."""
+    def pair(n):
+        vec = st.lists(coords, min_size=n, max_size=n)
+        return st.tuples(vec, vec)
+    return st.integers(1, 5).flatmap(pair)
+
+
+@given(vector_pairs(st.integers(-(2**62) + 1, 2**62 - 1)))
+def test_packed_is_linear(uv):
+    u, v = uv
+    assert _packed(u) + _packed(v) == _packed([a + b for a, b in zip(u, v)])
+
+
+@given(vector_pairs(st.integers(-(2**63) + 1, 2**63 - 1) | st.integers(-3, 3)))
+def test_packed_is_injective_below_2_63(uv):
+    u, v = uv
+    assert (_packed(u) == _packed(v)) == (u == v)
+
+
+def test_packed_refuses_coordinates_from_2_63():
+    # at 2**63 the packing would stop being injective: (2**64, 0) and (0, 1)
+    # would both give 2**64
+    assert _packed((2**63 - 1, -(2**63) + 1)) == 2**63 - 1 - (2**63 - 1) * 2**64
+    for v in [(2**63,), (0, -(2**63)), (1, 2**64)]:
+        with pytest.raises(ValueError, match="packed range"):
+            _packed(v)
 
 
 def test_lambda_s_module_degree_zero_is_trivial():

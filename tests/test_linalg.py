@@ -284,3 +284,38 @@ def test_sparse_matmul_matches_dense_product():
         prod = linalg.sparse_matmul(to_sparse(a), to_sparse(b))
         assert prod == to_sparse(dense)
         assert all(prod.values())
+
+
+def test_int_fraction_and_mixed_rows_agree():
+    # block_rows gives rank rows of plain ints; those skip clearing
+    # denominators, so the same integer matrix must give the same rank,
+    # RREF and solutions as ints, as Fractions and mixed within a row,
+    # whatever zeros (0 or Fraction(0)) are stored
+    rng = random.Random(43)
+    casts = {"int": int, "fraction": Fraction,
+             "mixed": lambda x: rng.choice([int, Fraction])(x)}
+    for _ in range(80):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice([0.2, 0.5, 1.0])
+        a = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)]
+        x = {j: rng.randint(-2, 2) for j in range(n)}
+        b = {i: sum(v * x[j] for j, v in enumerate(row)) for i, row in enumerate(a)}
+        rhss = [{i: v for i, v in b.items() if v}, {rng.randrange(m): 1}]
+        got = []
+        for kind, cast in casts.items():
+            # about half the zeros are stored, each as its form's 0
+            rows = [{j: cast(v) for j, v in enumerate(row) if v or rng.random() < 0.5}
+                    for row in a]
+            if kind == "int":
+                assert all(type(v) is int for row in rows for v in row.values())
+            copies = [dict(row) for row in rows]
+            rhs = [{i: cast(v) for i, v in r.items()} for r in rhss]
+            got.append((linalg.rank(rows), linalg.rref(rows), linalg.solve_all(rows, rhs)))
+            assert rows == copies  # the input is left as it was
+        assert got[0] == got[1] == got[2]
+        assert got[0][0] == naive_rank([[Fraction(v) for v in row] for row in a])
+        sol = got[0][2][0]
+        assert sol is not None
+        assert all(sum(v * sol.get(j, 0) for j, v in enumerate(row)) == b[i]
+                   for i, row in enumerate(a))

@@ -14,6 +14,9 @@ The differential follows the two-sum formula
 with tau_i = i + |w_i| (|w_0|+...+|w_{i-1}| + |f|) and
 sigma_ij = i + j + |w_i||w_j| + |w_i|(|w_0|+..+|w_{i-1}|)
          + |w_j|(|w_0|+..+|w_{j-1}|).
+On a canonical word with `we` even letters, sigma_ij reduces mod 2 to
+i(1+|w_i|) + j(1+|w_j|) + |w_i||w_j| + we(|w_i|+|w_j|), so each letter pair's
+(or acting letter's) sum over its places is closed-form (`_word_terms`).
 
 Every entry is exact: an int unless a bracket coefficient or module action
 entry has a true denominator.  Because the torus action commutes with d,
@@ -23,10 +26,11 @@ checked as an exact sparse product wherever a test asks for it.
 Block bookkeeping is done in integers too.  Each complex scales the
 algebra and module weights once by the lcm of their denominators (1 for
 every algebra and module built from the families), so a cochain's block
-comes from a sum of int tuples; `_block_keys` finds it by the word's
-parity and its letters' weights packed into ints, sum_i v_i * 2**(64 i)
-(`_packed`: linear, and injective while every |v_i| < 2**63), and makes
-tuples only for a new pair.  A block's key is the (int tuple, parity)
+comes from a sum of int tuples; `_block_keys` finds it by one sum of the
+word's letters packed as (parity, weight) into ints, sum_i v_i * 2**(64 i)
+(`_packed`: linear, and injective while every |v_i| < 2**63, which
+`degree` and `block_rows` check for their sums), and makes tuples only
+for a new (weight, parity).  A block's key is the (int tuple, parity)
 itself when the scale is 1, and otherwise the tuple divided back by the
 scale, so it always equals (Weight.sort_key(), parity), and blocks are
 found by that value: `degree` files cochains, and `block_rows` finds a
@@ -48,12 +52,12 @@ The weight block is the unit of assembly, and `block_rows(k, key)` is
 the one routine that makes a d^k entry.  A column (u, c) feeds only rows
 of its own block, so `block_rows` builds a block's rows from that
 block's own C^k cochains alone, asserting that every row's own key (from
-the packed weights of its word's letters) is the block's; no zero entry is
-ever made.  A word's terms are made once per complex and shared by the
-blocks its cochains fall in (many, when dim M > 1).  `block_rank` ranks a
-block in the calling process and keeps only the rank, so H^k holds one
-block of d^k at a time and H^k and H^{k+1} on one complex assemble d^k
-once between them.
+its word's packed letters) is the block's; no zero entry is ever made.  A
+word's terms are made once per complex and shared by the blocks its
+cochains fall in (many, when dim M > 1).  `block_rank` ranks a block in
+the calling process and keeps only the rank, so H^k holds one block of
+d^k at a time and H^k and H^{k+1} on one complex assemble d^k once
+between them.
 `differential(k)` is the union of `block_rows` over the blocks of C^k,
 built once and kept, the only store of rows, for the callers that need
 all of d^k: the d o d = 0 check, the cocycle scan, `export_triples` and
@@ -306,7 +310,9 @@ def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
 
 
 def _packed(v: Sequence[int]) -> int:
-    """sum_i v_i * 2**(64 i): linear, and injective while every |v_i| < 2**63."""
+    """sum_i v_i * 2**(64 i): linear, and injective while every |v_i| < 2**63.
+    A sum s of letters packed as (parity,) + weight has their odd count, in
+    [0, 2**63), as its lowest coordinate: s & 1 is the parity, s >> 64 the weight."""
     if any(abs(c) >> 63 for c in v):
         raise ValueError(f"weight coordinate out of the packed range: {v}")
     return sum(c << 64 * i for i, c in enumerate(v))
@@ -329,9 +335,10 @@ class CochainComplex:
         self._scale = lcm(*(c.denominator for w in weights for c in w.coeffs))
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
-        self._alg_pw = [_packed(iw) for iw in self._alg_iw]
+        self._alg_pw = [_packed((p,) + iw) for p, iw in zip(alg.parities, self._alg_iw)]
+        self._max_coord = max((abs(c) for iw in self._alg_iw for c in iw), default=0)
         self._keys: dict[BlockKey, BlockKey] = {}  # interns equal keys
-        self._mono_keys: dict[tuple[int, Parity], list[BlockKey]] = {}
+        self._mono_keys: dict[int, list[BlockKey]] = {}  # by 2 * packed weight + parity
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
@@ -347,11 +354,16 @@ class CochainComplex:
         """The Weight of the block `key`."""
         return Weight(self.alg.wtag, key[0])
 
+    def _fits(self, letters: int) -> None:  # every sum of that many letters packs injectively
+        if letters * self._max_coord >> 63:
+            raise ValueError(f"weights of {letters} letters leave the packed range")
+
     def _block_keys(self, word: Word) -> list[BlockKey]:
         """The BlockKey of each cochain (word, c), c over the module basis,
-        found by the word's packed weight and parity (built on a miss)."""
-        par = self.alg.parities
-        mono = (sum(map(self._alg_pw.__getitem__, word)), sum(map(par.__getitem__, word)) & 1)
+        found by one sum s of the word's packed letters (built on a miss):
+        s >> 64 is its packed weight and s & 1 its parity."""
+        s = sum(map(self._alg_pw.__getitem__, word))
+        mono = (s >> 64) * 2 + (s & 1)  # not s: that splits the keys by odd count
         found = self._mono_keys.get(mono)
         if found is None:
             found = self._mono_keys[mono] = []
@@ -360,7 +372,7 @@ class CochainComplex:
                 wt = tuple(a - b for a, b in zip(miw, iw))
                 if self._scale != 1:
                     wt = tuple(exact(Fraction(v, self._scale)) for v in wt)
-                key = (wt, (mono[1] + p) % 2)
+                key = (wt, (s & 1) ^ p)
                 found.append(self._keys.setdefault(key, key))
         return found
 
@@ -368,6 +380,7 @@ class CochainComplex:
     def degree(self, k: int) -> DegreeData:
         if k in self._degrees:
             return self._degrees[k]
+        self._fits(k + 1)
         words = monomial_words(self.alg.parities, k)
         word_index = {w: i for i, w in enumerate(words)}
         keys: list[BlockKey] = []
@@ -392,10 +405,14 @@ class CochainComplex:
         (w, by_col, totals) per letter x acting nontrivially, w = x + u:
         the column (u, c) gets v * totals[|c|] in the row (w, r) for each
         (r, v) of by_col[c], the column c of x's action.  Entries are those
-        of the two-sum formula: each (position pair, or position) of a row
-        word that the formula visits contributes with its own sign, odd
-        letters repeating.  The setup shared by every word is made once
-        per complex.
+        of the two-sum formula, summed in closed form over the places of the
+        letters in the row word w: an even letter x has one, i_x, an odd one
+        a run of c_x; w has we even letters, and a comes before b.  By the
+        reduced sigma_ij (module docstring) the bracket total is
+        (-1)^(i_a+i_b) for a, b even, c_b (-1)^(i_a+we) for a even and b odd,
+        -c_a c_b for a != b odd and -c_a(c_a-1)/2 for a = b odd; the action
+        total is (-1)^(i_x) for x even and c_x (-1)^(we+|f|) for x odd.  No
+        total is 0.  The setup shared by every word is made once per complex.
         """
         if self._terms is not None:
             return self._terms
@@ -421,8 +438,6 @@ class CochainComplex:
 
         def terms(u: Word) -> WordTerms:
             brackets: list[tuple[Word, Rational]] = []
-            # a canonical word's odd letters all follow its even ones, so the
-            # prefix before an odd letter's place i has parity i - (evens)
             evens = sum(1 for x in u if par[x] == EVEN)
             for cut, t in enumerate(u):
                 if (cut and u[cut - 1] == t) or t not in inverse:
@@ -431,41 +446,31 @@ class CochainComplex:
                 # the sign of sorting (t,) + rest into u: t passes the cut
                 # letters before it, which change the sign unless both odd
                 s = -1 if (evens if par[t] else cut) % 2 else 1
-                ne = evens - (par[t] == EVEN)
                 for a, b, cval in inverse[t]:
                     w = insert(rest, (a, b))
                     if w is None:
                         continue
-                    pa, pb = par[a], par[b]
-                    we = ne + (pa == EVEN) + (pb == EVEN)
-                    # every place i of a before a place j of b; an odd
-                    # letter's places are a run, an even letter has one
-                    ia, ib = w.index(a), w.index(b)
-                    total = 0
-                    for i in range(ia, ia + w.count(a)):
-                        for j in range(max(ib, i + 1), ib + w.count(b)):
-                            sigma = i + j + pa * pb + pa * (i - we) + pb * (j - we)
-                            total += -1 if sigma % 2 else 1
-                    if total:
-                        brackets.append((w, cval * total * s))
+                    if par[b] == EVEN:
+                        total = -1 if (w.index(a) + w.index(b)) % 2 else 1
+                    elif par[a] == EVEN:  # w has evens - |t| + 1 = evens + |t| even letters
+                        total = -w.count(b) if (w.index(a) + evens + par[t]) % 2 else w.count(b)
+                    elif a != b:
+                        total = -w.count(a) * w.count(b)
+                    else:
+                        total = -w.count(a) * (w.count(a) - 1) // 2
+                    brackets.append((w, cval * total * s))
             actions: list[tuple[Word, ByColumn, list[int]]] = []
             upar = (len(u) - evens) % 2
             for x, by_col in acting:
                 w = insert(u, (x,))
                 if w is None:
                     continue
-                px = par[x]
-                we = evens + (px == EVEN)
-                ix = w.index(x)
-                # the signed count of the places of x, by the parity of the
-                # module vector c; |f| is the parity of the column cochain (u, c)
-                totals = [
-                    sum(-1 if (i + px * (i - we + f_par)) % 2 else 1
-                        for i in range(ix, ix + w.count(x)))
-                    for f_par in (upar, upar ^ 1)
-                ]
-                if any(totals):
-                    actions.append((w, by_col, totals))
+                if par[x] == EVEN:
+                    total = -1 if w.index(x) % 2 else 1
+                    actions.append((w, by_col, [total, total]))
+                else:
+                    total = -w.count(x) if (evens + upar) % 2 else w.count(x)
+                    actions.append((w, by_col, [total, -total]))
             return brackets, actions
 
         self._terms = terms
@@ -479,24 +484,25 @@ class CochainComplex:
         gives {}.  Any key equal to a block's key finds that block.  Each
         row's own key (`_block_keys` of its word) must be `key`."""
         terms = self._word_terms()
-        words = self.degree(k).words
+        self._fits(k + 2)  # the row words
+        data = self.degree(k)
         nm, mpar = self.module.dim, self.module.parities
         # with dim M > 1 a word's cochains spread over many blocks; its
         # terms are then made once and shared by those blocks
         shared = self._shared_terms.setdefault(k, {}) if nm > 1 else None
         # the block's cochains (u, c) by word: u's index, then the c's
         by_word: dict[int, list[int]] = {}
-        for idx in self.degree(k).blocks.get(key, ()):
+        for idx in data.blocks.get(key, ()):
             by_word.setdefault(idx // nm, []).append(idx % nm)
         d: dict[Row, SparseRow] = {}
         for ui, mcs in by_word.items():
             col = ui * nm
             if shared is None:
-                brackets, actions = terms(words[ui])
+                brackets, actions = terms(data.words[ui])
             else:
                 found = shared.get(ui)
                 if found is None:
-                    found = shared[ui] = terms(words[ui])
+                    found = shared[ui] = terms(data.words[ui])
                 brackets, actions = found
             for w, val in brackets:
                 for c in mcs:
@@ -504,9 +510,8 @@ class CochainComplex:
             for w, by_col, totals in actions:
                 for c in mcs:
                     total = totals[mpar[c]]
-                    if total:
-                        for r, v in by_col.get(c, ()):
-                            add_to(d.setdefault((w, r), {}), col + c, v * total)
+                    for r, v in by_col.get(c, ()):
+                        add_to(d.setdefault((w, r), {}), col + c, v * total)
         for name in [name for name, row in d.items() if not row]:
             del d[name]  # its entries cancelled
         # d keeps (weight, parity) blocks; a row word's keys are shared like its terms

@@ -165,6 +165,24 @@ def test_spectral_stdout_matches_benchmark_pins(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == pinned["sha256"]
 
 
+@pytest.mark.parametrize("argv,total,sha256", [
+    ("compute --family q --n 4 --degree 5 --format json", 48,
+     "8f97281795d9a51c6309c9944da101c842828b96b346af976d72bb702552732d"),
+    ("compute --family osp_odd --m 2 --n 2 --degree 5 --format json", 76,
+     "9e9c77985806bd1ddf8bdd78fe452b7b5f270d43f4e598ce3e80a71bb7734b5a"),
+    ("compute --family gl --m 3 --n 3 --degree 4 --coefficients ideal-dual --format json", 16,
+     "7ceb41c7daf5905cb899f924fd04c0cd2235d866c525f58a701aa71abf2c74c4"),
+], ids=["q4-deg5", "osp_odd22-deg5", "gl33-ideal-dual-deg4"])
+def test_deep_compute_stdout_pins(capsys, argv, total, sha256):
+    # odd letters repeated up to 6 times in a row word, past the degrees
+    # the target-side oracle in test_koszul reaches
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["total"] == total
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_extension_check_command():
     proc = run_cli("extension-check", "--family", "gl", "--m", "2", "--n", "2",
                    "--samples", "4", "--format", "json")

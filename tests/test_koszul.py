@@ -1,4 +1,6 @@
+import copy
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -267,15 +269,15 @@ def test_dual_module_is_the_contragredient_entry_for_entry(built, family, params
 def test_block_rows_detects_an_entry_crossing_weight_blocks(built):
     # the assertion in block_rows is the one check that d^k keeps (weight,
     # parity) blocks: once degree(k) is built, a letter whose scaled weight
-    # is off, in both its int forms (tuple and packed), files the rows of
-    # words holding it under another block
+    # is off, in both its int forms (tuple and packed with its parity),
+    # files the rows of words holding it under another block
     alg, _ = built("gl", (3, 2))
     k = 1
     letter = next(iter(CochainComplex(alg, trivial_module(alg)).differential(k)))[0][0]
     cx = CochainComplex(alg, trivial_module(alg))
     blocks = cx.degree(k).blocks
     cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
-    cx._alg_pw[letter] = _packed(cx._alg_iw[letter])
+    cx._alg_pw[letter] = _packed((alg.parities[letter],) + cx._alg_iw[letter])
     with pytest.raises(AssertionError, match="crosses weight blocks"):
         for key in blocks:
             cx.block_rows(k, key)
@@ -308,6 +310,37 @@ def test_packed_refuses_coordinates_from_2_63():
     for v in [(2**63,), (0, -(2**63)), (1, 2**64)]:
         with pytest.raises(ValueError, match="packed range"):
             _packed(v)
+
+
+@pytest.mark.parametrize("big", [2**62, -(2**62)])
+def test_block_keys_refuse_sums_past_the_packed_range(built, big):
+    # a letter at 2**62 packs, but two of them sum to a coordinate that
+    # carries into the next one: degree(k) sums k+1 letters, and block_rows(k)
+    # the k+2 of a row word
+    alg, _ = built("gl", (3, 2))
+    alg = copy.copy(alg)
+    alg.weights = (Weight(alg.wtag, (big,) + alg.weights[0].coeffs[1:]),) + alg.weights[1:]
+    cx = CochainComplex(alg, trivial_module(alg))
+    key = cx.degree(0).keys[0]
+    for call in [lambda: cx.block_rows(1, key), lambda: cx.block_rows(0, key),
+                 lambda: cx.degree(1)]:
+        with pytest.raises(ValueError, match="packed range"):
+            call()
+
+
+packed_letters = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, 1), st.lists(st.integers(-(2**60), 2**60), min_size=n,
+                                          max_size=n)),
+    min_size=1, max_size=6))
+
+
+@given(packed_letters)
+def test_packed_letters_sum_to_the_packed_weight_and_the_parity(letters):
+    # a letter packed as (parity,) + weight: a sum of up to 6 such letters
+    # keeps the odd count in its lowest 64 bits
+    s = sum(_packed((p,) + tuple(v)) for p, v in letters)
+    assert s >> 64 == _packed([sum(c) for c in zip(*(v for _, v in letters))])
+    assert s & 1 == sum(p for p, _ in letters) % 2
 
 
 def test_lambda_s_module_degree_zero_is_trivial():
@@ -564,6 +597,48 @@ def test_source_side_differential_matches_target_side_oracle(built, family, para
         cx = CochainComplex(a, module)
         for k in range(4):
             assert cx.differential(k) == _target_side_differential(cx, k), (module.name, k)
+
+
+def _closed_form_cases(alg, module, k):
+    """How often each closed-form sign case of `_word_terms` occurs in d^k,
+    counted from `inverse_table` and the degree-k words alone: bracket
+    cases by the parities of (a, b), with a = b by its multiplicity in the
+    row word, and action cases by the acting letter's parity and
+    multiplicity."""
+    par, inverse = alg.parities, alg.inverse_table
+    cases = Counter()
+    for u in monomial_words(par, k):
+        for t in set(u) & set(inverse):
+            rest = list(u)
+            rest.remove(t)
+            for a, b, _ in inverse[t]:
+                sign, w = normalize_word(par, rest + [a, b])
+                if not sign:
+                    continue
+                if a == b:
+                    cases["self", w.count(a)] += 1
+                else:
+                    cases["pair", par[a], par[b]] += 1
+        for x in range(alg.dim):
+            sign, w = normalize_word(par, u + (x,))
+            if sign and module.action[x]:
+                cases["act", par[x], w.count(x)] += 1
+    return cases
+
+
+def test_oracle_matrix_reaches_every_closed_form_case(built):
+    # shrinking ORACLE_MATRIX must not drop a case the oracle checks
+    cases = Counter()
+    for family, params in ORACLE_MATRIX:
+        for a, module in _oracle_cases(built, family, params):
+            for k in range(4):
+                cases.update(_closed_form_cases(a, module, k))
+    # a before b in inverse_table, so an odd a never meets an even b
+    assert cases["pair", EVEN, EVEN] and cases["pair", EVEN, ODD] and cases["pair", ODD, ODD]
+    assert not cases["pair", ODD, EVEN]
+    assert any(case[0] == "self" and case[1] >= 3 for case in cases)
+    assert cases["act", EVEN, 1]
+    assert any(case[:2] == ("act", ODD) and case[2] >= 2 for case in cases)
 
 
 @pytest.mark.parametrize("family,params", ORACLE_MATRIX)

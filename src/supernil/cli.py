@@ -31,6 +31,7 @@ quietly with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -360,7 +361,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--force", action="store_true")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each build leaves cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="supernil",
         description="Exact cohomology of BBW-parabolic nilpotent subalgebras",
@@ -404,8 +407,11 @@ def main(argv=None) -> int:
     _add_family_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_dump_algebra)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

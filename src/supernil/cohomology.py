@@ -25,17 +25,18 @@ weights, matching the appendix tables which list e.g. e_{i+1} - e_i.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-# not called here: perfbench/tracer.py rebinds `cohomology.Pool` on install
-from multiprocessing import Pool  # noqa: F401
 
 from . import linalg
 from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
 from .realize import NilpotentAlgebra, derived_subalgebra, jacobi_failures
 from .supercore import EVEN, ODD, Rational, Weight, exact
+
+# A placeholder: nothing here starts a pool.  Only perfbench/tracer.py
+# rebinds the name; ROADMAP item 1 deletes it with that rebinding.
+Pool = None
 
 ROUTE_KOSZUL = "koszul"
 ROUTE_QUOTIENT = "quotient_dual"
@@ -108,9 +109,6 @@ class CohomologyResult:
             for row, (key, _) in zip(out["blocks"], self.block_items()):
                 row["label"] = self.weight_of[key].describe(symbols)
         return out
-
-    def dumps(self, symbols=None) -> str:
-        return json.dumps(self.to_json(symbols), sort_keys=True, indent=2)
 
 
 def cohomology(

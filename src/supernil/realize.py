@@ -2,10 +2,12 @@
 
 Each infinite family (gl, sl, osp, q) is realized by explicit sparse
 matrices inside an ambient gl(M|N); brackets are computed by the sparse
-supercommutator and re-expressed in the chosen basis, so no structure
-constant is ever transcribed by hand.  Weights are read off mechanically by
-bracketing with a fixed basis of the diagonal torus, which makes the
-realization, not any table, the authority on signs.
+supercommutator and read back in the chosen basis, so no structure
+constant is ever transcribed by hand.  No two basis matrices share a
+matrix position (every build asserts it), so each position of a product
+is read through the one basis matrix that owns it.  Weights are read off
+mechanically by bracketing with a fixed basis of the diagonal torus, which
+makes the realization, not any table, the authority on signs.
 
 Conventions that the code commits to (validated by the closure, Jacobi and
 ideal checks that run on every build):
@@ -39,7 +41,6 @@ degrees in which a fixed weight can appear in the superexterior algebra.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -262,9 +263,6 @@ class NilpotentAlgebra:
             ],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
 
 def jacobi_failures(
     parities: Sequence[Parity], bracket: Callable[[int, int], dict[int, Rational]]
@@ -361,7 +359,16 @@ def _assemble(
     raw_basis: list[tuple[str, SuperMatrix]],
     grading: tuple[Rational, ...],
 ) -> NilpotentAlgebra:
-    """Build an algebra from labelled matrices: weights, then all brackets."""
+    """Build an algebra from labelled matrices: weights, then all brackets.
+
+    Each matrix position belongs to at most one basis matrix, its owner;
+    two basis matrices that share a position raise AssertionError.  A
+    product [x_i, x_j] is read back through the owners: its coefficient on
+    x_t is its entry at one of x_t's positions over x_t's entry there.  The
+    product rebuilt from these coefficients must equal it exactly; if it
+    does not, or a position has no owner, the bracket leaves the span of
+    the basis and the build fails.
+    """
     wtag = ",".join(symbols)
     basis: list[BasisVector] = []
     for idx, (label, mat) in enumerate(raw_basis):
@@ -369,54 +376,35 @@ def _assemble(
         w = _extract_weight(wtag, torus, mat, p)
         basis.append(BasisVector(idx, label, p, w, mat))
 
-    # entry -> candidate basis ids, for expressing products in the basis
-    support_index: dict[Entry, list[int]] = {}
-    for b in basis:
-        for pos in b.realization.entries:
-            support_index.setdefault(pos, []).append(b.id)
-
-    def express(mat: SuperMatrix, context: str) -> dict[int, Rational]:
-        if mat.is_zero():
-            return {}
-        # candidates: basis matrices touching the result's support, closed
-        # transitively so partially cancelled combinations are still found
-        cand: set[int] = set()
-        frontier = set(mat.entries)
-        positions: set[Entry] = set()
-        while frontier:
-            positions |= frontier
-            new = {
-                i for pos in frontier for i in support_index.get(pos, ()) if i not in cand
-            }
-            cand |= new
-            frontier = {
-                pos for i in new for pos in basis[i].realization.entries
-            } - positions
-        if set(mat.entries) - positions:
-            raise AssertionError(f"{name}: {context} leaves the span of the basis")
-        cand_list = sorted(cand)
-        # one equation per matrix position, one unknown per candidate
-        row_of = {pos: r for r, pos in enumerate(sorted(positions))}
-        rows: list[linalg.SparseRow] = [{} for _ in row_of]
-        for a, i in enumerate(cand_list):
-            for pos, v in basis[i].realization.entries.items():
-                rows[row_of[pos]][a] = v
-        sol = linalg.solve(rows, {row_of[pos]: v for pos, v in mat.entries.items()})
-        if sol is None:
-            raise AssertionError(f"{name}: {context} leaves the span of the basis")
-        return {cand_list[a]: exact(c) for a, c in sol.items()}
+    mats = [b.realization.entries for b in basis]
+    # matrix position -> the one basis matrix that has it
+    owner: dict[Entry, int] = {}
+    for t, mat in enumerate(mats):
+        for pos in mat:
+            if owner.setdefault(pos, t) != t:
+                raise AssertionError(
+                    f"{name}: {basis[owner[pos]].label} and {basis[t].label} share position {pos}"
+                )
 
     table: BracketTable = {}
-    for i in range(len(basis)):
-        xi = basis[i]
-        for j in range(i, len(basis)):
-            xj = basis[j]
-            if i == j and xi.parity == EVEN:
+    for i, xi in enumerate(basis):
+        for xj in basis[i:]:
+            if xi is xj and xi.parity == EVEN:
                 continue
-            br = _supercomm(xi.realization, xi.parity, xj.realization, xj.parity)
-            if br.is_zero():
+            br = _supercomm(xi.realization, xi.parity, xj.realization, xj.parity).entries
+            if not br:
                 continue
-            table[(i, j)] = express(br, f"[{xi.label}, {xj.label}]")
+            # an unowned position is missing from the rebuild, so it fails there
+            coeffs: dict[int, Rational] = {}
+            for pos, v in br.items():
+                t = owner.get(pos)
+                if t is not None and t not in coeffs:
+                    coeffs[t] = exact(Fraction(v, mats[t][pos]))
+            if br != {pos: c * v for t, c in coeffs.items() for pos, v in mats[t].items()}:
+                raise AssertionError(
+                    f"{name}: [{xi.label}, {xj.label}] leaves the span of the basis"
+                )
+            table[(i, xj.id)] = dict(sorted(coeffs.items()))
 
     alg = NilpotentAlgebra(name, family, params, symbols, basis, table, grading)
     alg.verify()
@@ -525,8 +513,10 @@ def build_q(n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
 # -- osp ----------------------------------------------------------------------
 
 
-def _osp_raw(m: int, n: int, odd_case: bool):
-    """Shared matrix data for osp(2m+1|2n) (odd_case) and osp(2m|2n)."""
+def _build_osp(
+    m: int, n: int, odd_case: bool, ideal_reading: str
+) -> tuple[NilpotentAlgebra, IdealDesignation]:
+    """osp(2m+1|2n) (odd_case) or osp(2m|2n) from one set of matrix data."""
     M = 2 * m + 1 if odd_case else 2 * m
     shape = (M, 2 * n)
     so_p = lambda i: i - 1            # +i slot of the so block
@@ -571,7 +561,11 @@ def _osp_raw(m: int, n: int, odd_case: bool):
     if odd_case:
         for t in range(1, n + 1):
             raw.append((f"D({t})", E(corner, sp_m(t)) - E(sp_p(t), corner)))
-    return torus, raw
+    family = "osp_odd" if odd_case else "osp_even"
+    alg = _assemble(
+        f"osp({M}|{2 * n})", family, (m, n), _gl_symbols(m, n), torus, raw, _gl_grading(m, n)
+    )
+    return alg, family_ideal(alg, ideal_reading)
 
 
 def build_osp_odd(
@@ -589,17 +583,7 @@ def build_osp_odd(
     """
     if not (m >= n >= 1):
         raise ValueError("osp(2m+1|2n) requires m >= n >= 1")
-    torus, raw = _osp_raw(m, n, odd_case=True)
-    alg = _assemble(
-        f"osp({2 * m + 1}|{2 * n})",
-        "osp_odd",
-        (m, n),
-        _gl_symbols(m, n),
-        torus,
-        raw,
-        _gl_grading(m, n),
-    )
-    return alg, family_ideal(alg, ideal_reading)
+    return _build_osp(m, n, True, ideal_reading)
 
 
 def build_osp_even(
@@ -613,17 +597,7 @@ def build_osp_even(
     """
     if m < 1 or n < 1:
         raise ValueError("osp(2m|2n) requires m, n >= 1")
-    torus, raw = _osp_raw(m, n, odd_case=False)
-    alg = _assemble(
-        f"osp({2 * m}|{2 * n})",
-        "osp_even",
-        (m, n),
-        _gl_symbols(m, n),
-        torus,
-        raw,
-        _gl_grading(m, n),
-    )
-    return alg, family_ideal(alg, ideal_reading)
+    return _build_osp(m, n, False, ideal_reading)
 
 
 # -- exceptional families ------------------------------------------------------

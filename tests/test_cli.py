@@ -505,6 +505,33 @@ def test_workers_start_no_process(monkeypatch, capsys):
     assert outs[0] == outs[1] and json.loads(outs[0])["total"] > 0
 
 
+def test_import_does_not_load_multiprocessing():
+    code = "import sys, supernil.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    argv = ["dump-algebra", "--family", "gl", "--m", "2", "--n", "1"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    # one root parser and one per subcommand, all from the first call
+    assert builds.count("supernil") == 1 and len(builds) == 6
+    assert outs[0] == outs[1]
+
+
 def test_benchmark_tracer_wraps_every_layer():
     # perfbench/tracer.py wraps supernil functions by name; a rename must
     # fail here, not only in a traced benchmark run

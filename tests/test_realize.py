@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -124,6 +126,44 @@ def test_gl_torus_weights_from_realization():
             br = supercommutator(h, b.realization)
             expect = b.realization.scale(b.weight.coeffs[t])
             assert br.entries == expect.entries
+
+
+def _assemble_gl31(raw):
+    shape = (3, 1)
+    torus = [elementary(shape, t, t) for t in range(4)]
+    return realize._assemble("gl(3|1)", "gl", (3, 1), realize._gl_symbols(3, 1), torus,
+                             [(label, elementary(shape, r, c)) for label, r, c in raw],
+                             realize._gl_grading(3, 1))
+
+
+GL31_ROOTS = [("E(1b,2b)", 0, 1), ("E(1b,3b)", 0, 2), ("E(2b,3b)", 1, 2),
+              ("E(1,2b)", 3, 1), ("E(1,3b)", 3, 2)]
+
+
+def test_assemble_refuses_a_basis_not_closed_under_the_bracket():
+    assert _assemble_gl31(GL31_ROOTS).dim == 5
+    # [E(1b,2b), E(2b,3b)] = E(1b,3b), a position no basis matrix has
+    without = [root for root in GL31_ROOTS if root[0] != "E(1b,3b)"]
+    with pytest.raises(AssertionError, match=r"\[E\(1b,2b\), E\(2b,3b\)\] leaves the span"):
+        _assemble_gl31(without)
+
+
+def test_assemble_refuses_a_product_off_its_owners_ratio():
+    # q(3) with Et(1,3) = E(1b,3b) + E(1,3) replaced by E(1b,3b) - E(1,3):
+    # [Et(1,2), Et(2,3)] = E(1b,3b) + E(1,3) has owners for every position,
+    # but no multiple of the new matrix
+    shape = (3, 3)
+    torus = [elementary(shape, t, t) + elementary(shape, t + 3, t + 3) for t in range(3)]
+    raw = [(f"Et({i + 1},{j + 1})", elementary(shape, i, j) + elementary(shape, i + 3, j + 3))
+           for i, j in ((0, 1), (1, 2))]
+    raw.append(("Et'(1,3)", elementary(shape, 0, 2) - elementary(shape, 3, 5)))
+    with pytest.raises(AssertionError, match=r"\[Et\(1,2\), Et\(2,3\)\] leaves the span"):
+        realize._assemble("q(3)", "q", (3,), ("e1", "e2", "e3"), torus, raw, (1, 2, 3))
+
+
+def test_assemble_refuses_basis_matrices_that_share_a_position():
+    with pytest.raises(AssertionError, match=r"E\(1b,2b\) and E\(1b,2b\)' share position \(0, 1\)"):
+        _assemble_gl31(GL31_ROOTS + [("E(1b,2b)'", 0, 1)])
 
 
 # -- q(n) -----------------------------------------------------------------------
@@ -356,3 +396,116 @@ def test_verify_rejects_every_doubled_bracket_coefficient(built, family, params,
                 bad.verify()
             perturbed += 1
     assert perturbed == n_coeffs
+
+
+# -- pinned bracket tables ---------------------------------------------------------
+
+# sha256 of json.dumps({"algebra": alg.to_json(), "ideal": ideal.sorted_ids()},
+# sort_keys=True) for every family algebra with parameters up to 4 (gl, sl),
+# 5 (q) and 3 (osp), under every ideal reading that builds.  Any change to a
+# basis, a label, a weight, a bracket coefficient or an ideal shows here.
+BRACKET_PINS = {
+    "gl 1,1 auto": "356cf7c7e21be88cebe255aae451abf7c874505726efbcc8e0415ad8bdd17717",
+    "gl 2,1 auto": "56004f64e356fc286809a50cd74e51918d2bbc20f01af366f4ce924cd1edee73",
+    "gl 2,2 auto": "d04dc1ebb27d3956f7384770e007bccc103dee4b1a97941f0a01ffcc1cc77513",
+    "gl 3,1 auto": "36c06abb9b84a52aea09e9df2dc77fac9eb23c587769ab801b5f0f6362975c53",
+    "gl 3,2 auto": "21e0b66e693bbd2b101ffcca441a5ac98800e58a9a729bc076e283b126596019",
+    "gl 3,3 auto": "e1ae8437351626f539e527383fc0fea355b039366bfae3e96c857cf6bf717f27",
+    "gl 4,1 auto": "7c2b1d119825f7a0f9073992d4fa6545e2aa719bb4e6717e73e2884c902f17e3",
+    "gl 4,2 auto": "ecec58733965a20f7aa41087586bcd2001a035c831faac3edbd3ca72b1757a82",
+    "gl 4,3 auto": "3f89224d7b8e0e4a21884bdcf5e893bdd46e463f146cf6c1613b47244641df70",
+    "gl 4,4 auto": "8b0c08371014df4bd559ee7652f60059d3ca8a927edf7161535e44e7551282ad",
+    "sl 1,1 auto": "41a46c329bda92d3ce03b6d12a8b95660b830f5776315676361df9f97090d821",
+    "sl 2,1 auto": "e7570d1f77bb2a197923468add871d9d8d8f44053aace74a6fd812e33b9c3600",
+    "sl 2,2 auto": "61f80aa8c947d89ae7224423011b2d20fcbc087fcf51c26221142d60811925b8",
+    "sl 3,1 auto": "e100fcb01402907179d94342b3dee1aa4194834fa7e8ab75539ad651a19879e5",
+    "sl 3,2 auto": "48d82ffa6016069df0446e4f02ab2e5dcd2606e455249abd02cc7204622068da",
+    "sl 3,3 auto": "295f7e264f6cbeacc42ee01cea5224b4bf7384b0e51443b0472327ddb07976d1",
+    "sl 4,1 auto": "2f54a4676c6dde0f3123ed84b40b699646b96e6986006bced7a779b70e6f0ae1",
+    "sl 4,2 auto": "dd061a5232972c81f235dea4b79b2c68a030aeb54d23f95c797094d3076ed0f3",
+    "sl 4,3 auto": "7da0dabb2a56a3308b5a12fcd482f930f4beb9090f8b1c980444e08a2af3126c",
+    "sl 4,4 auto": "899c72a52dfaa126685892ff6de2ab4bdfedc4c1bd6aeccabab99d860734c539",
+    "q 2 auto": "57afd08ad60d18ce4548ed7094e5dd4a48a0dfaa1b56b5f5a8fd85c27add0314",
+    "q 3 auto": "e9e118353a7b48ae7e1f85a7149cda18b440c8a27b0eb8d7095697a9cbbd6325",
+    "q 4 auto": "ce21b854f27c516e735b0e36b259055e8564cca9b594eac405097622bd38a337",
+    "q 5 auto": "40895d14f2563a8224352d3b712abf2aa3f91fa5ca06c8b52d05c1f3cf9ce06d",
+    "osp_odd 1,1 auto": "a5a8aca89f7bfdfdc1d5eaddca871f88d36e7b4ccab54009c9e4e9b2ea34ad6f",
+    "osp_odd 1,1 eps_only": "a5a8aca89f7bfdfdc1d5eaddca871f88d36e7b4ccab54009c9e4e9b2ea34ad6f",
+    "osp_odd 1,1 delta_only": "19efda925dde0d6c6a6b4a0011f02820ec37908c194c3385c3088752a37f0575",
+    "osp_odd 1,1 eps_or_delta": "c49af45cf3829901f36fc5189fa3074a0019f1ecc7302d530b426c8f4322f957",
+    "osp_odd 2,1 auto": "612e13c745551e4a8401ffb080051e526206e7059612147e793afb645f1125f1",
+    "osp_odd 2,1 eps_only": "612e13c745551e4a8401ffb080051e526206e7059612147e793afb645f1125f1",
+    "osp_odd 2,1 eps_or_delta": "e84e126d6c961d20f1c0850fb6dc88e739eb3094d70793a93652d2c19e47d667",
+    "osp_odd 2,2 auto": "44cc0a619741a1bb69582dec07a5cd4bd83c665c1557fc74313ebd29d600da97",
+    "osp_odd 2,2 eps_only": "44cc0a619741a1bb69582dec07a5cd4bd83c665c1557fc74313ebd29d600da97",
+    "osp_odd 2,2 delta_only": "ff5640cb9b3c320f34321c1305d9cf1acdc290a58b382036f206a2e25a663944",
+    "osp_odd 2,2 eps_or_delta": "a8721348d857d707c08ca3372850d84e7504112cfb12717a2fc8fcf064a4deb2",
+    "osp_odd 3,1 auto": "5b36a4257d1e9186c3187f7d94f4456cddc5adc1586c1dbc56f71170d0280a7e",
+    "osp_odd 3,1 eps_only": "5b36a4257d1e9186c3187f7d94f4456cddc5adc1586c1dbc56f71170d0280a7e",
+    "osp_odd 3,2 auto": "a30babd1641c7e903980d52f4b6b774464e0401bb7cf7289741bcb9747674a82",
+    "osp_odd 3,2 eps_only": "a30babd1641c7e903980d52f4b6b774464e0401bb7cf7289741bcb9747674a82",
+    "osp_odd 3,2 eps_or_delta": "14e68e26941b6e301ad9eb6c64d9f64cd326cafe5cb37a4fbe3b0694417ad0d2",
+    "osp_odd 3,3 auto": "9cd4952630b872088972f833f9e4d4c17c0a81e14816552ab7b19c3a032e6adc",
+    "osp_odd 3,3 eps_only": "9cd4952630b872088972f833f9e4d4c17c0a81e14816552ab7b19c3a032e6adc",
+    "osp_odd 3,3 delta_only": "06f1bcf6af3aec7ee57431571228fca984ff05f903a3bb7c5c77d090c0b80429",
+    "osp_odd 3,3 eps_or_delta": "19ba8932b5c5080c3732c088b869544882a612b7f7dc87e34eb1e06db6a99985",
+    "osp_even 1,1 auto": "1d717e62fd53c26db03ee8943f714377324100db769f4ba65ca681ee4fbfe2eb",
+    "osp_even 1,1 eps_only": "1d717e62fd53c26db03ee8943f714377324100db769f4ba65ca681ee4fbfe2eb",
+    "osp_even 1,1 delta_only": "920a1e35056ba7e1b9794242a7671530a9116f088b801ea9ba46c0a1940a5141",
+    "osp_even 1,1 eps_or_delta": "920a1e35056ba7e1b9794242a7671530a9116f088b801ea9ba46c0a1940a5141",
+    "osp_even 1,2 auto": "aadac9d9d7ffd32fd4076dac5128d34b736a0858224467d5eccea465d2c4376a",
+    "osp_even 1,2 delta_only": "aadac9d9d7ffd32fd4076dac5128d34b736a0858224467d5eccea465d2c4376a",
+    "osp_even 1,2 eps_or_delta": "132650d14941a0143e39218b39d117b6f7ecbd3fc12f5c39652284aaf45d3b00",
+    "osp_even 1,3 auto": "4e952baca4c860409cf01c558ae012384c63e30d94b76baf051a0dfd4f3305ab",
+    "osp_even 1,3 delta_only": "4e952baca4c860409cf01c558ae012384c63e30d94b76baf051a0dfd4f3305ab",
+    "osp_even 2,1 auto": "817facce374ce545eb79899bf2c4e5c1cd9f906ab0c17598a27a145f0cc9cdc8",
+    "osp_even 2,1 eps_only": "817facce374ce545eb79899bf2c4e5c1cd9f906ab0c17598a27a145f0cc9cdc8",
+    "osp_even 2,1 eps_or_delta": "9f2bb65afa9ebf69e0f03fb655d124d714c5564cb3b3de4f4cbd99e04dea14c3",
+    "osp_even 2,2 auto": "5e65dc3347aa2ec302b931167d9ea9185ff1d614311349d259fd2ec4cf7b8fbf",
+    "osp_even 2,2 eps_only": "5e65dc3347aa2ec302b931167d9ea9185ff1d614311349d259fd2ec4cf7b8fbf",
+    "osp_even 2,2 delta_only": "78d5751a117d2e0240256cd5fbb0631020a26c4a7de8babc94204ec142ef4c49",
+    "osp_even 2,2 eps_or_delta": "4415a2d31f12d7d09cb2e713d66bdb655fdcc7e402aee5933991f760e4cb754c",
+    "osp_even 2,3 auto": "4675fd6adac2c8c53fdb4cbfb078b1aacf38108c27d202b7b2d18b68863c70b0",
+    "osp_even 2,3 delta_only": "4675fd6adac2c8c53fdb4cbfb078b1aacf38108c27d202b7b2d18b68863c70b0",
+    "osp_even 2,3 eps_or_delta": "38883f146b9e7fef27d0e48a5b73f8ded2d30e72fa89abc9f0489233fd753534",
+    "osp_even 3,1 auto": "7e5fb83d5b2a10974931977c1ef8b63c9b5b69cdb8a90650c01c48ab326f50bd",
+    "osp_even 3,1 eps_only": "7e5fb83d5b2a10974931977c1ef8b63c9b5b69cdb8a90650c01c48ab326f50bd",
+    "osp_even 3,2 auto": "4e336edf907428bf3b228163dd1c4d469866d4a9f52f4a10680eda3fffa081eb",
+    "osp_even 3,2 eps_only": "4e336edf907428bf3b228163dd1c4d469866d4a9f52f4a10680eda3fffa081eb",
+    "osp_even 3,2 eps_or_delta": "90c101ef91c90d63c80a332501517c1123a2d27d0b545c8a4f4af081139f5cbe",
+    "osp_even 3,3 auto": "5827366be07e6e81136a7276f4706e86361601689d898eeadceb82c51f6d7be6",
+    "osp_even 3,3 eps_only": "5827366be07e6e81136a7276f4706e86361601689d898eeadceb82c51f6d7be6",
+    "osp_even 3,3 delta_only": "10b9bc684642f3d1d6580a2a3a74e4c49ef0471133f79d0ae12cce3f399cb93d",
+    "osp_even 3,3 eps_or_delta": "b36fda9c654ed378a44efa6abc15fafe7fc1e2ded7523736743f095083cfcaec",
+}
+
+
+def _pinned_cases():
+    for fam in ("gl", "sl"):
+        for m in range(1, 5):
+            for n in range(1, m + 1):
+                yield fam, (m, n), "auto"
+    for n in range(2, 6):
+        yield "q", (n,), "auto"
+    for fam in ("osp_odd", "osp_even"):
+        for m in range(1, 4):
+            # osp(2m+1|2n) requires m >= n
+            for n in range(1, (m if fam == "osp_odd" else 3) + 1):
+                for reading in ("auto", "eps_only", "delta_only", "eps_or_delta"):
+                    yield fam, (m, n), reading
+
+
+def test_bracket_tables_are_pinned():
+    seen = set()
+    for fam, params, reading in _pinned_cases():
+        key = f"{fam} {','.join(map(str, params))} {reading}"
+        if key not in BRACKET_PINS:
+            # a reading left unpinned is one whose ideal is not closed
+            with pytest.raises(AssertionError, match="ideal not closed"):
+                realize.build_family(fam, params, reading)
+            continue
+        alg, ideal = realize.build_family(fam, params, reading)
+        data = json.dumps({"algebra": alg.to_json(), "ideal": ideal.sorted_ids()}, sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == BRACKET_PINS[key], key
+        seen.add(key)
+    assert seen == set(BRACKET_PINS)

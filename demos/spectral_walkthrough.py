@@ -18,6 +18,7 @@ from supernil import (
     h2_recursive,
     quotient_algebra,
 )
+from supernil.supercore import describe
 
 alg, ideal = build_gl(3, 3)
 print(f"n in {alg.name}: dim {alg.dim} "
@@ -30,7 +31,7 @@ print(f"n/I: dim {quo.dim} (the n of gl(2|2), relabelled)")
 h2 = compute_cohomology(alg, None, 2)
 print(f"\ndirect H^2(n, C): total {h2.total}")
 for key, (even, odd) in h2.block_items():
-    print(f"  {h2.weight_of[key].describe(alg.symbols):<16} even {even} odd {odd}")
+    print(f"  {describe(key, alg.symbols):<16} even {even} odd {odd}")
 
 page = e2_page(alg, ideal, 2)
 print("\nE_2 page totals:")

@@ -16,6 +16,7 @@ from supernil import (
     tables,
     trivial_module,
 )
+from supernil.supercore import describe
 
 for family, params in [("gl", (3, 3)), ("q", (4,)), ("osp_even", (2, 2))]:
     alg, _ = build_family(family, params)
@@ -25,7 +26,7 @@ for family, params in [("gl", (3, 3)), ("q", (4,)), ("osp_even", (2, 2))]:
     agree = koszul_route.blocks == quotient_route.blocks == superder_route.blocks
     print(f"{alg.name}: H^1 total {koszul_route.total}, routes agree: {agree}")
     for key, (even, odd) in koszul_route.block_items():
-        label = koszul_route.weight_of[key].describe(alg.symbols)
+        label = describe(key, alg.symbols)
         print(f"  {label:<14} even {even} odd {odd}")
     print()
 

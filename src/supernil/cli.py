@@ -49,7 +49,7 @@ from .cohomology import (
     h1_via_superderivations,
     is_cocycle,
 )
-from .koszul import CochainComplex, dual_module, lambda_s_module, monomial_words, trivial_module
+from .koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
 from .realize import build_family, quotient_algebra
 from .spectral import collapse_check, h2_recursive
 
@@ -210,7 +210,7 @@ def cmd_compute(args) -> int:
     if cache_dir:
         key = _cache_key(
             cmd="compute", family=alg.family, params=list(alg.params),
-            degree=args.degree, coefficients=mod_name, j=args.j,
+            degree=args.degree, coefficients=module.name,  # C, I* or L^j(I*)
             ideal_reading=args.ideal_reading, routes=args.routes,
         )
     payload = _cache_lookup(cache_dir, key)
@@ -290,7 +290,7 @@ def cmd_extension_check(args) -> int:
             failures.append(("non-cocycle gave Jacobi extension", h))
     even_words = [
         w
-        for w in monomial_words(alg.parities, 2)
+        for w in cx.degree(2).words
         if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == 0
     ]
     for _ in range(args.samples):

@@ -20,11 +20,15 @@ any disagreement is a hard failure, never auto-resolved.
 Weight convention for reported classes: a cochain on the monomial xi with
 values in the module vector w sits in the block wt(w) - wt(xi), so with
 trivial coefficients H^k classes carry the *negatives* of the monomial
-weights, matching the appendix tables which list e.g. e_{i+1} - e_i.
+weights, matching the appendix tables which list e.g. e_{i+1} - e_i.  Every
+route names a block of its result by its weight key alone, the tuple of
+the block's weight coordinates (`Weight.sort_key`), from the complex's
+block keys to the JSON labels; no `Weight` is kept beside it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +36,7 @@ from fractions import Fraction
 from . import linalg
 from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
 from .realize import NilpotentAlgebra, derived_subalgebra, jacobi_failures
-from .supercore import EVEN, ODD, Rational, Weight, exact
+from .supercore import EVEN, ODD, Rational, Weight, describe, exact
 
 # A placeholder: nothing here starts a pool.  Only perfbench/tracer.py
 # rebinds the name; ROADMAP item 1 deletes it with that rebinding.
@@ -47,32 +51,31 @@ ROUTE_SPECTRAL = "spectral_sum"
 
 @dataclass
 class CohomologyResult:
+    """H^k block by block.  `blocks` maps each block's weight key, the tuple
+    of its weight coordinates, to [even dim, odd dim]; the key is the
+    block's only name."""
+
     algebra: str
     degree: int
     route: str
     coefficients: str
     blocks: dict[tuple, list[int]] = field(default_factory=dict)
-    # blocks: weight sort key -> [even dim, odd dim]
-    weight_of: dict[tuple, Weight] = field(default_factory=dict)
     family: str = ""
     params: tuple = ()
 
-    def add(self, weight: Weight, parity: int, dim: int) -> None:
-        if dim == 0:
-            return
-        key = weight.sort_key()
-        self.blocks.setdefault(key, [0, 0])[parity] += dim
-        self.weight_of.setdefault(key, weight)
+    def add(self, key: tuple, parity: int, dim: int) -> None:
+        if dim:
+            self.blocks.setdefault(key, [0, 0])[parity] += dim
 
     def absorb(
-        self, other: CohomologyResult, embed: Callable[[tuple], Weight] | None = None
+        self, other: CohomologyResult, embed: Callable[[tuple], tuple] | None = None
     ) -> None:
-        """Add other's dimensions, block by block; `embed` gives the Weight
-        here of one of other's block keys (default: other's own Weight)."""
+        """Add other's dimensions, block by block; `embed` maps one of
+        other's block keys to its key here (default: the same key)."""
         for key, eo in other.blocks.items():
-            w = other.weight_of[key] if embed is None else embed(key)
+            here = key if embed is None else embed(key)
             for parity in (0, 1):
-                self.add(w, parity, eo[parity])
+                self.add(here, parity, eo[parity])
 
     @property
     def total(self) -> int:
@@ -107,7 +110,7 @@ class CohomologyResult:
         }
         if symbols is not None:
             for row, (key, _) in zip(out["blocks"], self.block_items()):
-                row["label"] = self.weight_of[key].describe(symbols)
+                row["label"] = describe(key, symbols)
         return out
 
 
@@ -132,31 +135,23 @@ def cohomology(
             h -= cx.block_rank(k - 1, key)
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")
-        if h:
-            res.add(cx.weight(key), key[1], h)
+        res.add(*key, h)
     return res
 
 
 def h0_fixed_points(alg: NilpotentAlgebra, module: GModule) -> CohomologyResult:
-    """H^0 as the joint kernel of all action matrices, blocked by weight."""
+    """H^0 as the joint kernel of all action matrices, blocked by weight:
+    one pass files each action entry under the block of its column."""
     res = CohomologyResult(alg.name, 0, ROUTE_FIXED, module.name,
                            family=alg.family, params=alg.params)
-    blocks: dict[BlockKey, list[int]] = {}
-    weights: dict[BlockKey, Weight] = {}
-    for c in range(module.dim):
-        key = (module.weights[c].sort_key(), module.parities[c])
-        blocks.setdefault(key, []).append(c)
-        weights.setdefault(key, module.weights[c])
-    for key in sorted(blocks):
-        cols = blocks[key]
-        cpos = {c: i for i, c in enumerate(cols)}
-        rows: dict[tuple[int, int], linalg.SparseRow] = {}
-        for i in range(alg.dim):
-            for (r, c), v in module.action[i].items():
-                if c in cpos:
-                    rows.setdefault((i, r), {})[cpos[c]] = v
-        h = len(cols) - linalg.rank(list(rows.values()))
-        res.add(weights[key], key[1], h)
+    keys = [(w.sort_key(), p) for w, p in zip(module.weights, module.parities)]
+    width = Counter(keys)
+    rows: dict[BlockKey, dict[tuple[int, int], linalg.SparseRow]] = {key: {} for key in width}
+    for i in range(alg.dim):
+        for (r, c), v in module.action[i].items():
+            rows[keys[c]].setdefault((i, r), {})[c] = v
+    for key in sorted(width):
+        res.add(*key, width[key] - linalg.rank(list(rows[key].values())))
     return res
 
 
@@ -165,16 +160,9 @@ def h1_via_quotient(alg: NilpotentAlgebra) -> CohomologyResult:
     derived = derived_subalgebra(alg)
     res = CohomologyResult(alg.name, 1, ROUTE_QUOTIENT, "C",
                            family=alg.family, params=alg.params)
-    blocks: dict[BlockKey, int] = {}
-    weights: dict[BlockKey, Weight] = {}
-    for b in alg.basis:
-        key = (b.weight.sort_key(), b.parity)
-        blocks[key] = blocks.get(key, 0) + 1
-        weights.setdefault(key, b.weight)
-    for key in sorted(blocks):
-        h = blocks[key] - derived["blocks"].get(key, 0)
-        if h:
-            res.add(-weights[key], key[1], h)
+    width = Counter((b.weight.sort_key(), b.parity) for b in alg.basis)
+    for (wt, p), n in sorted(width.items()):
+        res.add(tuple(-c for c in wt), p, n - derived["blocks"].get((wt, p), 0))
     return res
 
 
@@ -184,60 +172,48 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
     A homogeneous phi of parity p satisfies, for all basis pairs,
     phi([x,y]) = (-1)^{|x| p} x.phi(y) - (-1)^{|y|(|x|+p)} y.phi(x); inner
     superderivations are spanned by x -> (-1)^{|x||a|} x.a for a in M.
-    Block key: weight(phi(x)) - weight(x), parity |x| + |phi(x)|.
+    The unknown u = (i, w), the coefficient of m_w in phi(x_i), has block
+    key (wt(m_w) - wt(x_i), |x_i| + |m_w| = p).  All unknowns of the
+    equation (x_i, x_j, m_r), or of the inner superderivation of m_a, share
+    one weight and parity, so one pass files every entry under its
+    unknown's block, with that block's p in the signs.
     """
     res = CohomologyResult(alg.name, 1, ROUTE_SUPERDER, module.name,
                            family=alg.family, params=alg.params)
-    # unknown (i, w): coefficient of m_w in phi(x_i)
-    unknowns: dict[BlockKey, list[tuple[int, int]]] = {}
-    uw: dict[BlockKey, Weight] = {}
+    dim_m = module.dim
+    keys = [  # keys[i * dim M + w]: the block of the unknown (i, w)
+        ((mw - aw).sort_key(), (pi + pw) % 2)
+        for aw, pi in zip(alg.weights, alg.parities)
+        for mw, pw in zip(module.weights, module.parities)
+    ]
+    width = Counter(keys)
+    eqs: dict[BlockKey, dict[tuple, linalg.SparseRow]] = {key: {} for key in width}
+    inner: dict[BlockKey, dict[int, linalg.SparseRow]] = {key: {} for key in width}
+
+    def put(rows, name, u, val):
+        if val:
+            linalg.add_to(rows[keys[u]].setdefault(name, {}), u, val)
+
     for i in range(alg.dim):
-        for w in range(module.dim):
-            wt = module.weights[w] - alg.weights[i]
-            key = (wt.sort_key(), (alg.parities[i] + module.parities[w]) % 2)
-            unknowns.setdefault(key, []).append((i, w))
-            uw.setdefault(key, wt)
-    for key in sorted(unknowns):
-        cols = unknowns[key]
-        cpos = {u: a for a, u in enumerate(cols)}
-        p = key[1]
-        eqs: list[linalg.SparseRow] = []
-        for i in range(alg.dim):
-            pi = alg.parities[i]
-            for j in range(i, alg.dim):
-                pj = alg.parities[j]
-                if i == j and pi == EVEN:
-                    continue
-                rows: dict[int, linalg.SparseRow] = {}
-
-                def put(r, u, val):
-                    if u in cpos and val:
-                        linalg.add_to(rows.setdefault(r, {}), cpos[u], val)
-
-                for t, c in alg.bracket(i, j).items():
-                    for w in range(module.dim):
-                        put(w, (t, w), c)
-                s1 = -1 if (pi * p) % 2 else 1
-                for (r, c), v in module.action[i].items():
-                    put(r, (j, c), -s1 * v)
-                s2 = -1 if (pj * (pi + p)) % 2 else 1
-                for (r, c), v in module.action[j].items():
-                    put(r, (i, c), s2 * v)
-                eqs.extend(rows.values())
-        sd = len(cols) - linalg.rank(eqs)
-        inner_rows: list[linalg.SparseRow] = []
-        for a in range(module.dim):
-            vec: linalg.SparseRow = {}
-            for i in range(alg.dim):
-                sgn = -1 if (alg.parities[i] * module.parities[a]) % 2 else 1
-                for (r, c), v in module.action[i].items():
-                    if c == a and (i, r) in cpos:
-                        linalg.add_to(vec, cpos[(i, r)], sgn * v)
-            inner_rows.append(vec)
-        inner = linalg.rank(inner_rows)
-        h = sd - inner
-        if h:
-            res.add(uw[key], p, h)
+        pi = alg.parities[i]
+        for (r, c), v in module.action[i].items():  # (-1)^{|x_i||m_c|} x_i.m_c
+            put(inner, c, i * dim_m + r, (-1) ** (pi * module.parities[c]) * v)
+        for j in range(i, alg.dim):
+            pj = alg.parities[j]
+            if i == j and pi == EVEN:
+                continue
+            for t, c in alg.bracket(i, j).items():
+                for w in range(dim_m):
+                    put(eqs, (i, j, w), t * dim_m + w, c)
+            for (r, c), v in module.action[i].items():  # -(-1)^{|x_i| p} x_i.phi(x_j)
+                u = j * dim_m + c
+                put(eqs, (i, j, r), u, -(-1) ** (pi * keys[u][1]) * v)
+            for (r, c), v in module.action[j].items():  # (-1)^{|x_j|(|x_i|+p)} x_j.phi(x_i)
+                u = i * dim_m + c
+                put(eqs, (i, j, r), u, (-1) ** (pj * (pi + keys[u][1])) * v)
+    for key in sorted(width):
+        sd = width[key] - linalg.rank(list(eqs[key].values()))
+        res.add(*key, sd - linalg.rank(list(inner[key].values())))
     return res
 
 

@@ -56,7 +56,7 @@ from .realize import (
     restrict_algebra,
     verify_ideal,
 )
-from .supercore import Weight, exact, parity_sum
+from .supercore import exact, parity_sum
 
 
 def ideal_subalgebra(parent: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
@@ -439,5 +439,5 @@ def h2_recursive(
     rest = h2_recursive(family, step, smaller)
     out.absorb(h0)
     out.absorb(h1)
-    out.absorb(rest, lambda key: Weight(alg.wtag, _embed_key(key, smaller.symbols, alg.symbols)))
+    out.absorb(rest, lambda key: _embed_key(key, smaller.symbols, alg.symbols))
     return out

@@ -56,6 +56,25 @@ def _coerce(c) -> Rational:
     raise TypeError(f"not an exact rational: {c!r}")
 
 
+def describe(coeffs: Iterable[Rational], symbols: Sequence[str]) -> str:
+    """Human-readable weight like "e2-e1" or "-2d1" from its coordinates."""
+    parts: list[str] = []
+    for c, s in zip(coeffs, symbols):
+        if c == 0:
+            continue
+        if c == 1:
+            term = s
+        elif c == -1:
+            term = f"-{s}"
+        else:
+            term = f"{c}{s}"
+        if parts and not term.startswith("-"):
+            parts.append(f"+{term}")
+        else:
+            parts.append(term)
+    return "".join(parts) if parts else "0"
+
+
 @dataclass(frozen=True, order=False)
 class Weight:
     """Exact weight vector over a named tuple of formal symbols.
@@ -102,22 +121,7 @@ class Weight:
         return tuple(self.coeffs)
 
     def describe(self, symbols: Sequence[str]) -> str:
-        """Human-readable form like "e2-e1" or "-2d1"."""
-        parts: list[str] = []
-        for c, s in zip(self.coeffs, symbols):
-            if c == 0:
-                continue
-            if c == 1:
-                term = s
-            elif c == -1:
-                term = f"-{s}"
-            else:
-                term = f"{c}{s}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+{term}")
-            else:
-                parts.append(term)
-        return "".join(parts) if parts else "0"
+        return describe(self.coeffs, symbols)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]

@@ -461,6 +461,26 @@ def test_cache_key_covers_source_digest(tmp_path, monkeypatch, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("coefficients, entries", [
+    ("trivial", 1), ("ideal-dual", 1), ("lambda-s-j", 2),
+])
+def test_cache_key_holds_j_only_when_it_matters(tmp_path, monkeypatch, capsys,
+                                                coefficients, entries):
+    argv = ["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "1",
+            "--coefficients", coefficients, "--format", "json", "--cache-dir", str(tmp_path)]
+    assert main(argv + ["--j", "2"]) == 0
+    first = capsys.readouterr().out
+    if entries == 1:
+        # a run that differs only in --j must read the entry, not recompute
+        def refuse(*args, **kwargs):
+            raise AssertionError("recomputed a cached result")
+
+        monkeypatch.setattr(cli, "cohomology", refuse)
+    assert main(argv + ["--j", "3"]) == 0
+    assert len(list(tmp_path.glob("*.json"))) == entries
+    assert (capsys.readouterr().out == first) == (entries == 1)
+
+
 def test_failed_cache_write_still_prints_result(tmp_path, monkeypatch, capsys):
     import errno
 

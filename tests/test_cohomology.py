@@ -76,6 +76,25 @@ def test_h0_fixed_points_equals_koszul(built, family, params):
         assert fixed.blocks == direct.blocks
 
 
+@pytest.mark.parametrize("family,params", [
+    ("gl", (3, 3)), ("q", (4,)), ("osp_odd", (2, 2)), ("osp_even", (3, 2)),
+])
+def test_module_routes_equal_koszul_per_block(built, family, params):
+    # H^1 by superderivations and H^0 by fixed points, block by block, on
+    # modules whose blocks mix many weights and both parities
+    alg, ideal = built(family, params)
+    quo = realize.quotient_algebra(alg, ideal)
+    dm = dual_module(alg, ideal, quo)
+    for j in (2, 3):
+        module = lambda_s_module(quo, dm, j)
+        cx = koszul.CochainComplex(quo, module)
+        h1 = cohomology(quo, module, 1, complex_cache=cx)
+        assert h1_via_superderivations(quo, module).blocks == h1.blocks, (module.name, 1)
+        h0 = cohomology(quo, module, 0, complex_cache=cx)
+        assert h0_fixed_points(quo, module).blocks == h0.blocks, (module.name, 0)
+        assert h1.total and h0.total, module.name
+
+
 def test_fixed_points_gl_proposition_dimension_8():
     # H^0(n/I, Lambda_s^2(I*)) has dimension 8 for all n (checked 3..5)
     for n in (3, 4, 5):

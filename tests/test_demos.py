@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# sha256 of each demo's stdout; the output is deterministic across hash seeds
+DEMO_STDOUT = {
+    "central_extensions.py": "9b1f574e68be32af22e7f862b6b6c32a6159a92459eaafa2e30119e1aad6b1bc",
+    "spectral_walkthrough.py": "46c8d3e95ee6b5418deecf7dbf113b9cd5f46aa7108ca783c554e329c586d661",
+    "weight_tables.py": "fa75e3ad2673858d4cbf49fe44baabb914ae646fa98baf1f92d5497d77db5ee3",
+}
 
 
 def test_there_are_demos():
@@ -21,3 +29,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT[demo.name]

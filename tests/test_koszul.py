@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from supernil import realize
-from supernil.cohomology import cohomology
+from supernil.cohomology import cohomology, h0_fixed_points, h1_via_superderivations
 from supernil.koszul import (
     CochainComplex,
     GModule,
@@ -517,11 +519,36 @@ def test_fractional_module_keeps_its_fractions_and_shifts_cohomology(built):
                 slot[0] += eo[flip]
                 slot[1] += eo[1 - flip]
         assert res.blocks == expected and res.total == 2 * cohomology(alg, None, k).total
-        coords = [c for w in res.weight_of.values() for c in w.coeffs]
+        coords = [c for key in res.blocks for c in key]
         coords += [c for key in cx.degree(k).blocks for c in key[0]]
         coords += [v for row in cx.differential(k).values() for v in row.values()]
         assert {type(c) for c in coords} == {int, Fraction}
         assert all(type(c) is int for c in coords if c.denominator == 1)
+
+
+def test_fractional_module_passes_the_module_routes(built):
+    alg, _ = built("osp_odd", (2, 1))
+    mod = _fractional_module(alg)
+    assert h1_via_superderivations(alg, mod).blocks == cohomology(alg, mod, 1).blocks
+    assert h0_fixed_points(alg, mod).blocks == cohomology(alg, mod, 0).blocks
+
+
+# sha256 of json.dumps([H^k(osp(5|2), C(1/2)+C(-1/3)).to_json(symbols) for
+# k = 0, 1, 2], sort_keys=True)
+FRACTIONAL_JSON = "6444e0351285f68b2d2ce77621c3d37fec7aae21ebfd58ac296ddde37bff75e6"
+
+
+def test_fractional_module_json_labels(built):
+    # labels carry 1/2 and 1/3 coefficients in the describe rule's form
+    alg, _ = built("osp_odd", (2, 1))
+    mod = _fractional_module(alg)
+    data = [cohomology(alg, mod, k).to_json(alg.symbols) for k in range(3)]
+    assert [b["label"] for b in data[0]["blocks"]] == ["-1/3e2", "1/2e1"]
+    assert [(b["weight"], b["label"]) for b in data[1]["blocks"]][:2] == [
+        (["-1", "2/3", "0"], "-e1+2/3e2"), (["-1/2", "1", "0"], "-1/2e1+e2"),
+    ]
+    blob = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FRACTIONAL_JSON
 
 
 def test_complex_rejects_module_weights_of_another_symbol_system(built):

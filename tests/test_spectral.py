@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from supernil import cli, linalg, realize, spectral
-from supernil.cohomology import cohomology
+from supernil.cohomology import cohomology, h0_fixed_points, h1_via_superderivations
 from supernil.koszul import CochainComplex, dual_module, lambda_s_module
 from supernil.spectral import collapse_check, e2_page, h2_recursive, hj_ideal_module
 
@@ -322,6 +322,19 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
         blob = repr((mod.parities,
                      [sorted((pos, Fraction(v)) for pos, v in a.items()) for a in mod.action]))
         assert hashlib.sha256(blob.encode()).hexdigest() == pinned
+
+
+def test_hj_ideal_modules_pass_the_module_routes(built):
+    # H^j(I, C) of the non-abelian osp(2|6) page: superderivations give the
+    # Koszul H^1 and fixed points the Koszul H^0, block by block
+    alg, ideal = built("osp_even", (1, 3))
+    assert not realize.ideal_is_abelian(alg, ideal)
+    ic = spectral.IdealComplex(alg, ideal)
+    quo = realize.quotient_algebra(alg, ideal)
+    for j in (1, 2):
+        mod = hj_ideal_module(ic, quo, j)
+        assert cohomology(quo, mod, 1).blocks == h1_via_superderivations(quo, mod).blocks, j
+        assert cohomology(quo, mod, 0).blocks == h0_fixed_points(quo, mod).blocks, j
 
 
 # h1s: degree-1 `cohomology` calls for K = 0, 1, 2: the page's (1, 0) and,

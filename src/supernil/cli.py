@@ -208,10 +208,12 @@ def cmd_compute(args) -> int:
         )
     key = None
     if cache_dir:
+        # the reading picks the ideal, so only the quotient routes depend on it
         key = _cache_key(
             cmd="compute", family=alg.family, params=list(alg.params),
             degree=args.degree, coefficients=module.name,  # C, I* or L^j(I*)
-            ideal_reading=args.ideal_reading, routes=args.routes,
+            ideal_reading=None if mod_name == "trivial" else args.ideal_reading,
+            routes=args.routes,
         )
     payload = _cache_lookup(cache_dir, key)
     if payload is None:

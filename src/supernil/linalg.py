@@ -8,8 +8,9 @@ indices).  `add_to` is the one place an entry is accumulated and pruned,
 and `sparse_matmul` the one `{(row, col)}` product.  Every routine here
 takes and returns sparse rows, never dense ones.
 
-One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace`,
-`row_space_basis`, `solve` and `solve_all`: integer elimination on the rows
+One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace` and
+`row_space_basis` (and `solve`/`solve_all`, which no module of the package
+calls any more): integer elimination on the rows
 once their denominators are cleared (a row with no `Fraction`, as every
 `block_rows` row of integral data, only loses its zeros), one pivot per
 leading (smallest) column.
@@ -169,6 +170,7 @@ def row_space_basis(rows: Sequence[SparseRow]) -> list[SparseRow]:
     return rref(rows)[0]
 
 
+# only tests call solve, and perfbench/tracer.py wraps it
 def solve(rows: Sequence[SparseRow], rhs: SparseRow) -> SparseRow | None:
     """One solution x of A x = b for the sparse right-hand side b
     {row: value}, the free unknowns left out (that is, 0), or None if the

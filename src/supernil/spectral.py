@@ -5,8 +5,11 @@ I is abelian (every default ideal with m >= n is), H^j(I, C) is just
 Lambda_s^j(I*) with the induced quotient action.  The d_n recursion ideals
 used for osp(2m|2n) with m < n contain the long root -2d_n and are not
 abelian; for those H^j(I, C) is computed honestly as a subquotient of the
-Koszul complex of I, with the quotient action transported to chosen
-representatives (the ideal itself acts trivially on cohomology, which the
+Koszul complex of I, block by block from one kernel echelon of d^j and one
+echelon of the image of d^{j-1} on the kernel's free coordinates.  The
+representatives are the kernel vectors whose free column leads no image
+row, and the quotient action on them is read off by reducing each image's
+free coordinates (the ideal itself acts trivially on cohomology, which the
 construction asserts).
 
 Collapse is verified, never assumed: both sides of
@@ -35,7 +38,6 @@ from .cohomology import (
 from .koszul import (
     BlockKey,
     CochainComplex,
-    DegreeData,
     GModule,
     Row,
     contragredient,
@@ -96,20 +98,20 @@ class IdealComplex:
         return self._actions[j]
 
 
-# per block of C^j(I): (position of each cochain in the block, index of the
-# block's first class, number of image basis vectors, the transposed system
-# whose columns are the image basis followed by the class representatives)
-_Block = tuple[dict[int, int], int, int, list[linalg.SparseRow]]
-
-
 def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GModule:
     """H^j(I, C) as a module over n/I, for a possibly non-abelian ideal I.
 
-    Representatives are chosen per (weight, parity) block of the Koszul
-    complex of I; the parent acts through the coadjoint derivation action,
-    which commutes with d_I, and the ideal must act trivially on the
-    subquotient (asserted) for the quotient action to be well defined.
-    j >= 1; H^0(I, C) is the trivial module.
+    Per (weight, parity) block of C^j(I), a cocycle is fixed by its
+    coordinates on the free columns of d^j's echelon form, and the kernel
+    vector of free column f is the one with 1 at f and 0 at every other
+    free column.  The image of d^{j-1} is echelonized on those free
+    coordinates, each row led by its last nonzero one; the classes are the
+    kernel vectors whose free column leads no image row.  The parent acts
+    through the coadjoint derivation action, which commutes with d_I: a
+    class image must be a cocycle of one block (asserted), and its class
+    coordinates are its free coordinates reduced by the image rows.  The
+    ideal must act trivially on the subquotient (asserted) for the quotient
+    action to be well defined.  j >= 1; H^0(I, C) is the trivial module.
     """
     cx = ic.cx
     deg = cx.degree(j)
@@ -118,54 +120,65 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     # d^j is kept from that check: cut it and d^{j-1}, assembling no block twice
     d_outs, d_ins = _cut_into_blocks(cx, j), _cut_into_blocks(cx, j - 1)
 
-    blocks: dict[BlockKey, _Block] = {}
     classes: Sparse = {}  # class representatives as columns over C^j(I)
+    class_of: dict[int, int] = {}  # free cochain of a class -> class index
+    lead: dict[int, linalg.SparseRow] = {}  # free cochain -> the image row it leads
     parities = []
     weights = []
     for key in sorted(deg.blocks):
         cols = deg.blocks[key]
         cpos = {c: i for i, c in enumerate(cols)}
         d_out = [{cpos[c]: x for c, x in row.items()} for row in d_outs.get(key, {}).values()]
-        kernel = linalg.nullspace(d_out, len(cols))
-        # the image of d^{j-1} is the row space of its block's transpose,
-        # each row put at its cochain's position in the block (trivial
-        # coefficients: a cochain's index is its word's)
-        d_in: dict[int, linalg.SparseRow] = {}
+        # keyed by free cochain: a kernel vector's other entries are at earlier pivots
+        kernel = {cols[max(vec)]: vec for vec in linalg.nullspace(d_out, len(cols))}
+        # the image of d^{j-1} is spanned by the columns of its block, each
+        # entry at its cochain (trivial coefficients: a cochain's index is its
+        # word's); free cochain c is labelled -c, so each row leads at its last
+        img: dict[int, linalg.SparseRow] = {}
         for (w, _), row in d_ins.get(key, {}).items():
-            r = cpos[deg.word_index[w]]
-            for c, x in row.items():
-                d_in.setdefault(c, {})[r] = x
-        img_basis = linalg.row_space_basis(list(d_in.values()))
-        # representatives: kernel vectors independent modulo the image
-        reps = []
-        stack = list(img_basis)
-        for vec in kernel:
-            test = stack + [vec]
-            if linalg.rank(test) > len(stack):
-                stack = test
-                reps.append(vec)
-        system: list[linalg.SparseRow] = [{} for _ in cols]
-        for b, vec in enumerate(stack):
-            for c, x in vec.items():
-                system[c][b] = x
-        blocks[key] = (cpos, len(parities), len(img_basis), system)
-        for vec in reps:
-            for c, x in vec.items():
-                classes[(cols[c], len(parities))] = x
-            parities.append(key[1])
-            weights.append(cx.weight(key))
+            r = deg.word_index[w]
+            if r in kernel:
+                for c, x in row.items():
+                    img.setdefault(c, {})[-r] = x
+        for row in linalg.row_space_basis(list(img.values())):
+            lead[-min(row)] = {-c: x for c, x in row.items()}
+        for c, vec in kernel.items():
+            if c not in lead:
+                class_of[c] = len(parities)
+                for p, x in vec.items():
+                    classes[(cols[p], len(parities))] = x
+                parities.append(key[1])
+                weights.append(cx.weight(key))
 
     members = ic.ideal.member_ids
-    keep = [b.id for b in ic.parent.basis if b.id not in members]
-    action: dict[int, Sparse] = {pid: {} for pid in keep}
-    for pid, col, first, coeffs in _act_on_classes(lam, classes, deg, blocks):
-        if pid in members:
-            # ideal members must act trivially on the subquotient
-            if coeffs:
-                raise AssertionError("ideal does not act trivially on H^j(I)")
-            continue
-        for b, cval in coeffs.items():
-            action[pid][(first + b, col)] = cval
+    action: dict[int, Sparse] = {b.id: {} for b in ic.parent.basis if b.id not in members}
+    for pid, act in enumerate(lam):
+        images: dict[int, linalg.SparseRow] = {}
+        for (r, col), v in sparse_matmul(act, classes).items():
+            images.setdefault(col, {})[r] = v
+        for col in sorted(images):
+            cells = images[col]
+            tkeys = {deg.keys[r] for r in cells}
+            if len(tkeys) > 1:
+                raise AssertionError("coadjoint action crosses blocks")
+            key = tkeys.pop()
+            if key not in deg.blocks:
+                raise AssertionError("action leaves computed blocks")
+            if any(sum(x * cells.get(c, 0) for c, x in row.items())
+                   for row in d_outs.get(key, {}).values()):
+                raise AssertionError("action leaves the cohomology subquotient")
+            coords = {c: v for c, v in cells.items() if c in class_of or c in lead}
+            for c in [c for c in coords if c in lead]:
+                x = coords[c]
+                for c2, y in lead[c].items():
+                    linalg.add_to(coords, c2, -x * y)
+            if pid in members:
+                # ideal members must act trivially on the subquotient
+                if coords:
+                    raise AssertionError("ideal does not act trivially on H^j(I)")
+                continue
+            for c in sorted(coords):
+                action[pid][(class_of[c], col)] = exact(coords[c])
 
     mod = GModule(
         quotient, f"H^{j}(I)", tuple(parities), tuple(weights), list(action.values())
@@ -181,45 +194,6 @@ def _cut_into_blocks(cx: CochainComplex, k: int) -> dict[BlockKey, dict[Row, lin
     for name, row in cx.differential(k).items():
         out.setdefault(keys[next(iter(row))], {})[name] = row
     return out
-
-
-def _act_on_classes(
-    lam: list[Sparse], classes: Sparse, deg: DegreeData, blocks: dict[BlockKey, _Block]
-) -> list[tuple[int, int, int, linalg.SparseRow]]:
-    """Apply every parent vector's action lam[pid] to every class and
-    express each nonzero image in the classes of its block, modulo the
-    image of d.  All images landing in one block are solved against one
-    elimination of its system.
-
-    Returns (parent id, class index, index of the target block's first
-    class, sparse coefficients on the target block's classes) per nonzero
-    image, ordered by parent id and class.
-    """
-    targets: dict[BlockKey, list[tuple[int, int, linalg.SparseRow]]] = {}
-    for pid, act in enumerate(lam):
-        images: dict[int, linalg.SparseRow] = {}
-        for (r, col), v in sparse_matmul(act, classes).items():
-            images.setdefault(col, {})[r] = v
-        for col, cells in images.items():
-            # the image must stay in one block
-            tkeys = {deg.keys[r] for r in cells}
-            if len(tkeys) > 1:
-                raise AssertionError("coadjoint action crosses blocks")
-            key = tkeys.pop()
-            if key not in blocks:
-                raise AssertionError("action leaves computed blocks")
-            cpos = blocks[key][0]
-            targets.setdefault(key, []).append((pid, col, {cpos[r]: v for r, v in cells.items()}))
-    out = []
-    for key, items in targets.items():
-        _, first, n_img, system = blocks[key]
-        sols = linalg.solve_all(system, [rhs for _, _, rhs in items])
-        for (pid, col, _), sol in zip(items, sols):
-            if sol is None:
-                raise AssertionError("action leaves the cohomology subquotient")
-            out.append((pid, col, first,
-                        {b - n_img: exact(v) for b, v in sol.items() if b >= n_img}))
-    return sorted(out, key=lambda t: t[:2])
 
 
 def _assert_commutes_with_d(

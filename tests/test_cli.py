@@ -481,6 +481,25 @@ def test_cache_key_holds_j_only_when_it_matters(tmp_path, monkeypatch, capsys,
     assert (capsys.readouterr().out == first) == (entries == 1)
 
 
+@pytest.mark.parametrize("coefficients, readings, entries", [
+    ("trivial", ("auto", "eps_only", "delta_only"), 1),
+    ("ideal-dual", ("eps_only", "delta_only"), 2),
+])
+def test_cache_key_holds_the_ideal_reading_only_when_it_matters(tmp_path, capsys, coefficients,
+                                                                readings, entries):
+    # the reading picks osp's ideal: trivial coefficients never see it, the
+    # quotient n/I and its module I* do
+    argv = ["compute", "--family", "osp_even", "--m", "2", "--n", "2", "--degree", "2",
+            "--coefficients", coefficients, "--format", "json", "--cache-dir", str(tmp_path)]
+    outs = []
+    for reading in readings:
+        assert main(argv + ["--ideal-reading", reading]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(list(tmp_path.glob("*.json"))) == entries
+    if entries == 1:
+        assert len(set(outs)) == 1
+
+
 def test_failed_cache_write_still_prints_result(tmp_path, monkeypatch, capsys):
     import errno
 
@@ -566,9 +585,17 @@ code = cli.main(["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree"
                  "--workers", "2"])
 # compute ranks d^k block by block; the cocycle scan needs all of d^2
 code = code or cli.main(["extension-check", "--family", "q", "--n", "3", "--samples", "1"])
+# osp(2|6)'s ideal is not abelian: its E_2 rows are H^j(I, C), from nullspace
+# and row_space_basis
+code = code or cli.main(["spectral", "--family", "osp_even", "--m", "1", "--n", "3",
+                         "--K", "2"])
 names = {span[1] for span in t.spans}
 missing = {"cli", "realize.build", "realize.verify", "koszul.degree", "koszul.differential",
-           "koszul.block_matrix", "linalg.rank", "linalg.elim", "cohomology"} - names
+           "koszul.block_matrix", "linalg.rank", "linalg.elim", "cohomology",
+           "spectral.hj_ideal_module"} - names
+hj = {i for i, span in enumerate(t.spans) if span[1] == "spectral.hj_ideal_module"}
+if not any(span[1] == "linalg.elim" and span[4] in hj for span in t.spans):
+    missing.add("linalg.elim in spectral.hj_ideal_module")
 if missing:
     sys.exit(f"untraced: {sorted(missing)}")
 sys.exit(code)

@@ -299,29 +299,82 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
     alg, ideal = built("osp_even", (1, 3))
     ic = spectral.IdealComplex(alg, ideal)
     quo = realize.quotient_algebra(alg, ideal)
-    rref, solve_all = linalg.rref, linalg.solve_all
     counts = {}
 
-    def counting(name, fn):
+    def counting(name):
+        fn = getattr(linalg, name)
+
         def wrapped(*args):
             counts[name] += 1
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(linalg, "rref", counting("rref", rref))
-    monkeypatch.setattr(linalg, "solve_all", counting("solve_all", solve_all))
+    names = ("rank", "solve_all", "nullspace", "row_space_basis")
+    for name in names:
+        monkeypatch.setattr(linalg, name, counting(name))
     for j, pinned in HJ_OSP_EVEN_1_3.items():
-        counts.update(rref=0, solve_all=0)
+        counts.update(dict.fromkeys(names, 0))
         mod = hj_ideal_module(ic, quo, j)
         blocks = len(ic.cx.degree(j).blocks)
-        # every class image is solved in one elimination of its target block
-        assert 0 < counts["solve_all"] <= blocks
-        # besides those, one kernel and one image basis per block
-        assert counts["rref"] == 2 * blocks + counts["solve_all"]
+        # one kernel of d^j and one echelon of the image of d^{j-1} per
+        # block; the class images are reduced by those, with no solve
+        assert counts == {"rank": 0, "solve_all": 0, "nullspace": blocks,
+                          "row_space_basis": blocks}
         # entries as Fractions, so the digest pins values, not int-or-Fraction
         blob = repr((mod.parities,
                      [sorted((pos, Fraction(v)) for pos, v in a.items()) for a in mod.action]))
         assert hashlib.sha256(blob.encode()).hexdigest() == pinned
+
+
+def _h1_ideal_classes(built, monkeypatch):
+    """osp(2|6)'s ideal complex with the commutation check switched off, so
+    a crafted action entry reaches hj_ideal_module's own checks, and the
+    cochains of C^1(I) that are cocycles.  d^0 is 0 and every block of
+    C^1(I) is one cochain, so each such cochain is a class representative,
+    the only one with a nonzero entry there."""
+    alg, ideal = built("osp_even", (1, 3))
+    ic = spectral.IdealComplex(alg, ideal)
+    monkeypatch.setattr(spectral, "_assert_commutes_with_d", lambda *args: None)
+    cx = ic.cx
+    assert not cx.differential(0)
+    assert all(len(cols) == 1 for cols in cx.degree(1).blocks.values())
+    hit = {c for row in cx.differential(1).values() for c in row}
+    reps = [c for c in range(cx.dim(1)) if c not in hit]
+    return ic, realize.quotient_algebra(alg, ideal), reps, sorted(hit)
+
+
+def test_hj_ideal_module_detects_a_class_image_crossing_blocks(built, monkeypatch):
+    ic, quo, reps, _ = _h1_ideal_classes(built, monkeypatch)
+    keys = ic.cx.degree(1).keys
+    lam = ic.action(1)
+    pid, (r, c) = next((pid, pos) for pid, act in enumerate(lam)
+                       for pos in sorted(act) if pos[1] in reps)
+    other = next(t for t in range(len(keys)) if keys[t] != keys[r])
+    lam[pid][(other, c)] = 1
+    with pytest.raises(AssertionError, match="crosses blocks"):
+        hj_ideal_module(ic, quo, 1)
+
+
+def test_hj_ideal_module_detects_a_class_image_that_is_no_cocycle(built, monkeypatch):
+    ic, quo, reps, non_cocycles = _h1_ideal_classes(built, monkeypatch)
+    lam = ic.action(1)
+    # a class the action kills, sent onto a cochain that d^1 does not kill
+    pid, c = next((pid, c) for pid, act in enumerate(lam) for c in reps
+                  if all(col != c for _, col in act))
+    lam[pid][(non_cocycles[0], c)] = 1
+    with pytest.raises(AssertionError, match="leaves the cohomology subquotient"):
+        hj_ideal_module(ic, quo, 1)
+
+
+def test_hj_ideal_module_detects_an_ideal_member_acting_on_a_class(built, monkeypatch):
+    ic, quo, reps, _ = _h1_ideal_classes(built, monkeypatch)
+    lam = ic.action(1)
+    members = ic.ideal.member_ids
+    pid, c = next((pid, c) for pid, act in enumerate(lam) if pid in members for c in reps
+                  if all(col != c for _, col in act))
+    lam[pid][(next(g for g in reps if g != c), c)] = 1
+    with pytest.raises(AssertionError, match="ideal does not act trivially"):
+        hj_ideal_module(ic, quo, 1)
 
 
 def test_hj_ideal_modules_pass_the_module_routes(built):

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
 (including a negative --degree, --K, --j, --samples or verify-tables range
 flag, a --workers below 1 and compute --routes off degree 1), 3 internal
 invariant violation (including an H^1 route that disagrees with the
-Koszul route on a block).  --workers is accepted and validated but
+Koszul route on a block, a collapse mismatch and a recursive H^2 that
+disagrees with the direct H^2).  --workers is accepted and validated but
 changes nothing: every rank is taken in this process, one weight block at
 a time.  Output is deterministic: repeated runs produce byte-identical
 bytes.  Cache entries are keyed by the arguments, the package version and
@@ -92,10 +93,23 @@ def _estimate_cochains(alg, k: int, mod_dim: int) -> int:
     d0 = len(alg.even_ids())
     d1 = len(alg.odd_ids())
     total = 0
-    for i in range(k + 1):
+    for i in range(min(k, d0) + 1):  # C(d0, i) = 0 beyond
         j = k - i
         total += math.comb(d0, i) * (math.comb(d1 + j - 1, j) if j else 1)
     return total * mod_dim
+
+
+def _guard(args, alg, k: int, mod_dim: int) -> None:
+    """Exit 2, unless --force, when C^k(alg, M) (M of dimension mod_dim) is
+    too large to enumerate: a degree-k word holds k letters, so a degree
+    above MONOMIAL_GUARD is refused, as is an estimated count above it."""
+    if args.force:
+        return
+    if k > MONOMIAL_GUARD:
+        _fail_input(f"degree {k} exceeds {MONOMIAL_GUARD}; pass --force")
+    est = _estimate_cochains(alg, k, mod_dim)
+    if est > MONOMIAL_GUARD:
+        _fail_input(f"estimated cochain count {est} exceeds {MONOMIAL_GUARD}; pass --force")
 
 
 def _cache_dir(args) -> str | None:
@@ -173,17 +187,13 @@ def _emit(args, payload: dict) -> None:
 
 
 def _render_text(payload: dict) -> None:
-    if "blocks" in payload:
-        print(f"{payload['algebra']}  degree {payload['degree']}  "
-              f"coefficients {payload['coefficients']}  route {payload['route']}")
-        print(f"total {payload['total']}")
-        if "routes" in payload:
-            print("routes", *(f"{name} {n}" for name, n in sorted(payload["routes"].items())))
-        for row in payload["blocks"]:
-            label = row.get("label", " ".join(row["weight"]))
-            print(f"  {label:<24} even {row['even']}  odd {row['odd']}")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    print(f"{payload['algebra']}  degree {payload['degree']}  "
+          f"coefficients {payload['coefficients']}  route {payload['route']}")
+    print(f"total {payload['total']}")
+    if "routes" in payload:
+        print("routes", *(f"{name} {n}" for name, n in sorted(payload["routes"].items())))
+    for row in payload["blocks"]:
+        print(f"  {row['label']:<24} even {row['even']}  odd {row['odd']}")
 
 
 def cmd_compute(args) -> int:
@@ -201,11 +211,7 @@ def cmd_compute(args) -> int:
         dm = dual_module(alg, ideal, target)
         module = dm if mod_name == "ideal-dual" else lambda_s_module(target, dm, args.j)
     # H^k enumerates C^{k-1} and C^k, and holds one block of d^k at a time
-    est = _estimate_cochains(target, args.degree, module.dim)
-    if est > MONOMIAL_GUARD and not args.force:
-        _fail_input(
-            f"estimated cochain count {est} exceeds {MONOMIAL_GUARD}; pass --force"
-        )
+    _guard(args, target, args.degree, module.dim)
     key = None
     if cache_dir:
         # the reading picks the ideal, so only the quotient routes depend on it
@@ -246,6 +252,8 @@ def cmd_spectral(args) -> int:
     alg, ideal = _build(args)
     if ideal is None:
         _fail_input("spectral needs a family with a distinguished ideal")
+    # the collapse rows take H^k(n, C) for k <= K, and --recursive H^2
+    _guard(args, alg, max(args.K, 2) if args.recursive else args.K, 1)
     rep = collapse_check(alg, ideal, args.K)
     if args.recursive:
         # direct H^2 is collapse row k = 2, or taken on the same complex
@@ -269,7 +277,7 @@ def cmd_spectral(args) -> int:
         if "h2_recursive" in rep:
             print(f"  recursive H^2 = {rep['h2_recursive']}  direct = "
                   f"{rep['h2_direct']}  match = {rep['h2_match']}")
-    return 0 if rep["all_match"] else 3
+    return 0 if rep["all_match"] and rep.get("h2_match", True) else 3
 
 
 def cmd_extension_check(args) -> int:
@@ -279,36 +287,25 @@ def cmd_extension_check(args) -> int:
     # one trivial-coefficient complex: d^2 is built once for every check
     cx = CochainComplex(alg, trivial_module(alg))
     cocycles, non_cocycles = cocycle_space(alg, cx)
+    # (kind, cochain, is it a cocycle): its extension must be Jacobi exactly then
+    cases = [("cocycles", h, True) for h in cocycles]
+    cases += [("non_cocycles", h, False) for h in non_cocycles]
+    even_words = [w for w in cx.degree(2).words
+                  if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == 0]
     rng = random.Random(args.seed)
-    failures = []
-    checked = {"cocycles": 0, "non_cocycles": 0, "random": 0}
-    for h in cocycles:
-        checked["cocycles"] += 1
-        if central_extension(alg, h).jacobi_failures():
-            failures.append(("cocycle gave non-Jacobi extension", h))
-    for h in non_cocycles:
-        checked["non_cocycles"] += 1
-        if not central_extension(alg, h).jacobi_failures():
-            failures.append(("non-cocycle gave Jacobi extension", h))
-    even_words = [
-        w
-        for w in cx.degree(2).words
-        if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == 0
-    ]
     for _ in range(args.samples):
-        checked["random"] += 1
-        h = {}
-        for w in even_words:
-            if rng.random() < 0.5:
-                h[w] = rng.randint(-3, 3)
-        ext_fails = bool(central_extension(alg, h).jacobi_failures())
-        if ext_fails == is_cocycle(alg, h, cx):
-            failures.append(("random cochain inconsistent", h))
+        h = {w: rng.randint(-3, 3) for w in even_words if rng.random() < 0.5}
+        cases.append(("random", h, is_cocycle(alg, h, cx)))
+    checked = dict.fromkeys(("cocycles", "non_cocycles", "random"), 0)
+    failures = 0
+    for kind, h, cocycle in cases:
+        checked[kind] += 1
+        failures += bool(central_extension(alg, h).jacobi_failures()) == cocycle
     payload = {
         "algebra": alg.name,
         "checked": checked,
         "consistent": not failures,
-        "failures": len(failures),
+        "failures": failures,
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))

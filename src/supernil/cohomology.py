@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .koszul import BlockKey, CochainComplex, GModule, Row, normalize_word, trivial_module
+from .koszul import BlockKey, CochainComplex, GModule, normalize_word, trivial_module
 from .realize import NilpotentAlgebra, derived_subalgebra, jacobi_failures
 from .supercore import EVEN, ODD, Rational, Weight, describe, exact
 
@@ -90,8 +90,9 @@ class CohomologyResult:
     def block_items(self) -> list[tuple[tuple, list[int]]]:
         return sorted(self.blocks.items())
 
-    def to_json(self, symbols=None) -> dict:
-        out = {
+    def to_json(self, symbols) -> dict:
+        """The result as JSON, each block labelled over the weight `symbols`."""
+        return {
             "algebra": self.algebra,
             "family": self.family,
             "params": list(self.params),
@@ -102,16 +103,13 @@ class CohomologyResult:
             "blocks": [
                 {
                     "weight": [str(c) for c in key],
+                    "label": describe(key, symbols),
                     "even": eo[0],
                     "odd": eo[1],
                 }
                 for key, eo in self.block_items()
             ],
         }
-        if symbols is not None:
-            for row, (key, _) in zip(out["blocks"], self.block_items()):
-                row["label"] = describe(key, symbols)
-        return out
 
 
 def cohomology(
@@ -262,31 +260,19 @@ def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational])
     return CentralExtension(alg, h)
 
 
-def cocycle_defect(
-    alg: NilpotentAlgebra,
-    h: dict[tuple[int, int], Rational],
-    complex_cache: CochainComplex | None = None,
-) -> dict:
-    """d^2 h as a sparse vector over the degree-3 cochains it reaches, each
-    named by its (word, module index) row of d^2; C^3 is not enumerated.
-    `complex_cache` is alg's trivial-coefficient complex, if already built."""
-    cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
-    idx2 = cx.degree(2).word_index
-    vec = {idx2[word]: exact(Fraction(val)) for word, val in h.items()}
-    out: dict[Row, Rational] = {}
-    for name, row in cx.differential(2).items():
-        val = sum(v * vec[c] for c, v in row.items() if c in vec)
-        if val:
-            out[name] = val
-    return out
-
-
 def is_cocycle(
     alg: NilpotentAlgebra,
     h: dict[tuple[int, int], Rational],
     complex_cache: CochainComplex | None = None,
 ) -> bool:
-    return not cocycle_defect(alg, h, complex_cache)
+    """Whether d^2 h = 0, read row by row off d^2 up to the first nonzero
+    value; C^3 is not enumerated.  `complex_cache` is alg's
+    trivial-coefficient complex, if already built."""
+    cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
+    idx2 = cx.degree(2).word_index
+    vec = {idx2[word]: exact(Fraction(val)) for word, val in h.items()}
+    return not any(sum(v * vec[c] for c, v in row.items() if c in vec)
+                   for row in cx.differential(2).values())
 
 
 def cocycle_space(alg: NilpotentAlgebra, complex_cache: CochainComplex | None = None):
@@ -301,17 +287,13 @@ def cocycle_space(alg: NilpotentAlgebra, complex_cache: CochainComplex | None = 
     ]
     # the rows of d^2 on the even columns; d^2 keeps parity, so a row's
     # columns are all even or all odd
-    cpos = {c: a for a, c in enumerate(even_cols)}
-    rows = [
-        {cpos[c]: v for c, v in row.items()}
-        for row in cx.differential(2).values()
-        if next(iter(row)) in cpos
-    ]
+    even_set = set(even_cols)
+    rows = [row for row in cx.differential(2).values() if next(iter(row)) in even_set]
     red, piv_cols = linalg.rref(rows)
-    kernel = linalg.kernel_of_rref(red, piv_cols, len(even_cols))
-    cocycles = [{words[even_cols[a]]: v for a, v in vec.items()} for vec in kernel]
+    kernel = linalg.kernel_of_rref(red, piv_cols, even_cols)
+    cocycles = [{words[c]: v for c, v in vec.items()} for vec in kernel]
     # pivot-column unit vectors span a complement of the kernel
-    non_cocycles = [{words[even_cols[c]]: Fraction(1)} for c in piv_cols]
+    non_cocycles = [{words[c]: Fraction(1)} for c in piv_cols]
     return cocycles, non_cocycles
 
 

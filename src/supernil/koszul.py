@@ -60,8 +60,8 @@ d^k at a time and H^k and H^{k+1} on one complex assemble d^k once
 between them.
 `differential(k)` is the union of `block_rows` over the blocks of C^k,
 built once and kept, the only store of rows, for the callers that need
-all of d^k: the d o d = 0 check, the cocycle scan, `export_triples` and
-the Hochschild-Serre coefficient modules (which cut it back into blocks).
+all of d^k: the d o d = 0 check, the cocycle scan and the
+Hochschild-Serre coefficient modules (which cut it back into blocks).
 All but the scan number its rows through `word_index` with
 `indexed_differential`, which enumerates C^{k+1}.
 
@@ -106,9 +106,10 @@ def monomial_words(parities: Sequence[Parity], k: int) -> list[Word]:
     even = [i for i, p in enumerate(parities) if p == EVEN]
     odd = [i for i, p in enumerate(parities) if p == ODD]
     out: list[Word] = []
-    for i in range(k, -1, -1):
+    # a word holds at most len(even) even letters
+    for i in range(min(k, len(even)), -1, -1):
         j = k - i
-        if i > len(even) or (j > 0 and not odd):
+        if j > 0 and not odd:
             continue
         for ev in itertools.combinations(even, i):
             for od in itertools.combinations_with_replacement(odd, j):
@@ -565,13 +566,3 @@ class CochainComplex:
         if found is None:
             found = self.ranks[job] = rank(self.block_matrix(k, key))
         return found
-
-    def export_triples(self, k: int) -> list[list]:
-        """Differential as sorted (block key, row, col, "p/q") triples."""
-        d = self.indexed_differential(k)
-        src = self.degree(k)
-        rows = []
-        for (r, c), v in sorted(d.items()):
-            key = src.keys[c]
-            rows.append([list(map(str, key[0])), key[1], r, c, str(v)])
-        return rows

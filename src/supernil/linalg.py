@@ -4,16 +4,17 @@ Sparse data stores no zeros: a matrix is a dict `{(row, col): value}` or a
 list of sparse rows `{col: value}`, each value an int or, where it has a
 true denominator, a Fraction (`supercore.Rational`); column labels may be any
 ints (a `CochainComplex.block_matrix` weight block keeps its C^k cochain
-indices).  `add_to` is the one place an entry is accumulated and pruned,
-and `sparse_matmul` the one `{(row, col)}` product.  Every routine here
-takes and returns sparse rows, never dense ones.
+indices, and `nullspace` takes those ids).  `add_to` is the one place an
+entry is accumulated and pruned, and `sparse_matmul` the one
+`{(row, col)}` product.  Every routine here takes and returns sparse rows,
+never dense ones.
 
 One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace` and
-`row_space_basis` (and `solve`/`solve_all`, which no module of the package
-calls any more): integer elimination on the rows
-once their denominators are cleared (a row with no `Fraction`, as every
-`block_rows` row of integral data, only loses its zeros), one pivot per
-leading (smallest) column.
+`row_space_basis` (and `solve`, one right-hand side b as column n of the
+matrix, which no module of the package calls any more): integer
+elimination on the rows once their denominators are cleared (a row with no
+`Fraction`, as every `block_rows` row of integral data, only loses its
+zeros), one pivot per leading (smallest) column.
 `Fraction`s appear again only in the reduced rows `rref` returns.  The RREF
 is unique, so kernels, row spaces and solutions do not depend on the order
 in which the kernel picks its pivots.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .supercore import Rational
 
@@ -146,12 +147,14 @@ def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     return out[::-1], cols
 
 
-def kernel_of_rref(red: Sequence[SparseRow], pivots: Sequence[int], ncols: int) -> list[SparseRow]:
-    """Basis of the right kernel of a matrix with ncols columns, read off
-    its `rref` (red, pivots): per free column j, the vector with 1 at j and
-    0 at every other free column."""
+def kernel_of_rref(
+    red: Sequence[SparseRow], pivots: Sequence[int], cols: Iterable[int]
+) -> list[SparseRow]:
+    """Basis of the right kernel of a matrix over the column ids `cols`,
+    read off its `rref` (red, pivots): per free column j, in the order of
+    `cols`, the vector with 1 at j and 0 at every other free column."""
     pivot_set = set(pivots)
-    basis = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivot_set}
+    basis = {j: {j: Fraction(1)} for j in cols if j not in pivot_set}
     for row, p in zip(red, pivots):
         for c, x in row.items():
             if c != p:
@@ -159,10 +162,10 @@ def kernel_of_rref(red: Sequence[SparseRow], pivots: Sequence[int], ncols: int) 
     return [dict(sorted(vec.items())) for vec in basis.values()]
 
 
-def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
-    """Basis of the right kernel of the matrix with ncols columns (see
-    `kernel_of_rref`)."""
-    return kernel_of_rref(*rref(rows), ncols)
+def nullspace(rows: Sequence[SparseRow], cols: Iterable[int]) -> list[SparseRow]:
+    """Basis of the right kernel of the matrix over the column ids `cols`
+    (see `kernel_of_rref`)."""
+    return kernel_of_rref(*rref(rows), cols)
 
 
 def row_space_basis(rows: Sequence[SparseRow]) -> list[SparseRow]:
@@ -174,27 +177,17 @@ def row_space_basis(rows: Sequence[SparseRow]) -> list[SparseRow]:
 def solve(rows: Sequence[SparseRow], rhs: SparseRow) -> SparseRow | None:
     """One solution x of A x = b for the sparse right-hand side b
     {row: value}, the free unknowns left out (that is, 0), or None if the
-    system is inconsistent."""
-    return solve_all(rows, [rhs])[0]
+    system is inconsistent.
 
-
-def solve_all(rows: Sequence[SparseRow], rhss: Sequence[SparseRow]) -> list[SparseRow | None]:
-    """`solve` for every right-hand side in rhss, from one elimination.
-
-    The right-hand sides become columns n, n + 1, .. of A.  Row reduction
-    keeps every linear relation among the columns, so b_i lies in the
-    column space of A exactly when its RREF column is zero on every row
-    whose pivot is not a column of A; its entries on the other rows are
-    then the pivot unknowns.
+    b becomes column n of A.  Row reduction keeps every linear relation
+    among the columns, so the system is inconsistent exactly when n is a
+    pivot; otherwise the RREF's column n holds the pivot unknowns.
     """
     n = 1 + max((c for row in rows for c in row), default=-1)
     aug = [dict(row) for row in rows]
-    for i, rhs in enumerate(rhss):
-        for r, b in rhs.items():
-            aug[r][n + i] = b
+    for r, b in rhs.items():
+        aug[r][n] = b
     red, pivots = rref(aug)
-    out: list[SparseRow | None] = []
-    for col in range(n, n + len(rhss)):
-        sol = {p: row[col] for row, p in zip(red, pivots) if col in row}
-        out.append(None if any(p >= n for p in sol) else sol)
-    return out
+    if n in pivots:
+        return None
+    return {p: row[n] for row, p in zip(red, pivots) if n in row}

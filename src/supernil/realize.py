@@ -66,10 +66,6 @@ class SuperMatrix:
                 if val != 0:
                     self.entries[pos] = val
 
-    @property
-    def dim(self) -> int:
-        return self.block_shape[0] + self.block_shape[1]
-
     def is_even_index(self, i: int) -> bool:
         return i < self.block_shape[0]
 
@@ -83,9 +79,6 @@ class SuperMatrix:
         if len(parities) > 1:
             raise ValueError("matrix is not parity homogeneous")
         return ODD if parities.pop() else EVEN
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
         if self.block_shape != other.block_shape:

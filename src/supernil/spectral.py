@@ -126,11 +126,9 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     parities = []
     weights = []
     for key in sorted(deg.blocks):
-        cols = deg.blocks[key]
-        cpos = {c: i for i, c in enumerate(cols)}
-        d_out = [{cpos[c]: x for c, x in row.items()} for row in d_outs.get(key, {}).values()]
+        d_out = list(d_outs.get(key, {}).values())
         # keyed by free cochain: a kernel vector's other entries are at earlier pivots
-        kernel = {cols[max(vec)]: vec for vec in linalg.nullspace(d_out, len(cols))}
+        kernel = {max(vec): vec for vec in linalg.nullspace(d_out, deg.blocks[key])}
         # the image of d^{j-1} is spanned by the columns of its block, each
         # entry at its cochain (trivial coefficients: a cochain's index is its
         # word's); free cochain c is labelled -c, so each row leads at its last
@@ -146,7 +144,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
             if c not in lead:
                 class_of[c] = len(parities)
                 for p, x in vec.items():
-                    classes[(cols[p], len(parities))] = x
+                    classes[(p, len(parities))] = x
                 parities.append(key[1])
                 weights.append(cx.weight(key))
 
@@ -212,7 +210,6 @@ def _assert_commutes_with_d(
 @dataclass
 class E2Page:
     algebra: str
-    K: int
     abelian_ideal: bool
     terms: dict[tuple[int, int], CohomologyResult] = field(default_factory=dict)
     # what the terms were computed from: the ideal, n/I and the coefficient
@@ -225,16 +222,6 @@ class E2Page:
         t = self.terms.get((i, j))
         return t.total if t else 0
 
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "K": self.K,
-            "abelian_ideal": self.abelian_ideal,
-            "terms": {
-                f"{i},{j}": res.to_json() for (i, j), res in sorted(self.terms.items())
-            },
-        }
-
 
 def e2_page(
     alg: NilpotentAlgebra,
@@ -246,7 +233,7 @@ def e2_page(
     quo = quotient_algebra(alg, ideal)
     abelian = ideal_is_abelian(alg, ideal)
     modules: dict[int, GModule] = {0: trivial_module(quo)}
-    page = E2Page(alg.name, K, abelian, ideal=ideal, quotient=quo, modules=modules)
+    page = E2Page(alg.name, abelian, ideal=ideal, quotient=quo, modules=modules)
     if K > 0 and abelian:
         dm = dual_module(alg, ideal, quo)
         for j in range(1, K + 1):
@@ -399,7 +386,7 @@ def h2_recursive(
         raise AssertionError(f"{alg.name}: recursion ideal is not abelian")
     if page is None or not (page.algebra == alg.name and page.ideal == ideal):
         # an empty page: every term below is computed here
-        page = E2Page(alg.name, 0, True, ideal=ideal, quotient=quotient_algebra(alg, ideal))
+        page = E2Page(alg.name, True, ideal=ideal, quotient=quotient_algebra(alg, ideal))
     modules, terms, quo = page.modules, page.terms, page.quotient
     smaller = build_family(family, step)[0]
     if sorted(quo.weight_multiset()) != _embedded_multiset(smaller, quo.symbols):

@@ -114,14 +114,8 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(self.basis_tag, tuple(-a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def sort_key(self) -> tuple:
         return tuple(self.coeffs)
-
-    def describe(self, symbols: Sequence[str]) -> str:
-        return describe(self.coeffs, symbols)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,21 @@ def test_spectral_recursive_flag():
     data = json.loads(proc.stdout)
     assert data["all_match"] and data["h2_match"]
     assert data["h2_recursive"] == data["h2_direct"] == 14
+
+
+def test_spectral_recursive_h2_mismatch_exits_3(monkeypatch, capsys):
+    recursive = cli.h2_recursive
+
+    def one_block_off(*args):
+        res = recursive(*args)
+        res.blocks[min(res.blocks)][0] += 1
+        return res
+
+    monkeypatch.setattr(cli, "h2_recursive", one_block_off)
+    code = main(["spectral", "--family", "gl", "--m", "3", "--n", "3", "--K", "2",
+                 "--recursive", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)  # the report is still printed
+    assert code == 3 and data["all_match"] and data["h2_match"] is False
 
 
 def test_spectral_recursion_keeps_the_default_ideal(capsys):
@@ -298,14 +314,45 @@ def test_guardrail_bounds_the_cochains_h_k_enumerates(monkeypatch, capsys):
     assert "force" in capsys.readouterr().err
 
 
+def test_guardrail_refuses_a_huge_degree_at_once(capsys):
+    # a degree-k word holds k letters, so the degree alone is refused
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--family", "gl", "--m", "2", "--n", "1", "--degree", "3000000000000"])
+    assert exc.value.code == 2 and time.monotonic() - start < 1
+    assert "degree 3000000000000 exceeds" in capsys.readouterr().err
+
+
+def test_spectral_guardrail_refuses_a_huge_collapse_check(capsys):
+    # the collapse rows take C^6 of osp(7|6), as compute --degree 6 would
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--family", "osp_odd", "--m", "3", "--n", "3", "--K", "6"])
+    assert exc.value.code == 2 and time.monotonic() - start < 1
+    assert "estimated cochain count 3116952 exceeds" in capsys.readouterr().err
+
+
+def test_spectral_guardrail_bounds_the_top_degree_and_yields_to_force(monkeypatch, capsys):
+    # gl(2|2) has dim C^1 = 4 and dim C^2 = 8; --recursive takes H^2 even at K = 1
+    monkeypatch.setattr(cli, "MONOMIAL_GUARD", 4)
+    argv = ["spectral", "--family", "gl", "--m", "2", "--n", "2", "--K", "1"]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--recursive"])
+    assert exc.value.code == 2 and "force" in capsys.readouterr().err
+    assert main(argv + ["--recursive", "--force"]) == 0
+
+
 @pytest.mark.parametrize("family", ["gl", "osp_odd", "osp_even", "q"])
 def test_cochain_estimate_matches_the_enumerator(family):
-    # the guardrail's closed form counts exactly the words it guards
+    # the guardrail's closed form counts exactly the words it guards, past
+    # the d0 even letters a word can hold too (on the smaller algebras)
     params = [(n,) for n in (2, 3)] if family == "q" else [
         (m, n) for m in (1, 2, 3) for n in (1, 2, 3) if family == "osp_even" or n <= m]
     for p in params:
         alg, _ = build_family(family, p)
-        for k in range(5):
+        d0 = len(alg.even_ids())
+        for k in sorted({*range(5), *(range(d0, d0 + 4) if alg.dim <= 12 else ())}):
             assert cli._estimate_cochains(alg, k, 1) == len(monomial_words(alg.parities, k)), (p, k)
 
 

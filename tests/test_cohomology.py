@@ -39,6 +39,13 @@ def test_h0_is_constants(built):
         assert all(c == 0 for c in key) and eo == [1, 0]
 
 
+def test_a_rank_above_the_block_width_is_refused(built, monkeypatch):
+    alg, _ = built("gl", (2, 2))
+    monkeypatch.setattr(koszul.CochainComplex, "block_rank", lambda self, k, key: 10 ** 6)
+    with pytest.raises(AssertionError, match="negative block dimension at"):
+        cohomology(alg, None, 1)
+
+
 def test_h0_zero_dimensional_algebra():
     alg, _ = realize.build_gl(1, 1)
     assert alg.dim == 0

@@ -214,6 +214,22 @@ def test_module_verify_checks_a_commuting_pair_that_acts(built):
         bad.verify()
 
 
+@pytest.mark.parametrize("parity, message", [(ODD, "breaks parity"), (EVEN, "breaks weights")])
+def test_module_verify_refuses_an_action_off_the_grading(built, parity, message):
+    # x_i sends m_0 to m_1, two even vectors: an odd x_i breaks parity; an
+    # even one, with m_1 at m_0's weight, breaks weights (gl(2|2) has no
+    # zero weight)
+    alg, _ = built("gl", (2, 2))
+    i = alg.parities.index(parity)
+    w0 = Weight.zero(alg.wtag, len(alg.symbols))
+    weights = (w0, w0 + alg.weights[i] if parity == ODD else w0)
+    action = [{} for _ in range(alg.dim)]
+    action[i][(1, 0)] = 1
+    bad = GModule(alg, "M", (EVEN, EVEN), weights, action)
+    with pytest.raises(AssertionError, match=rf"M: action of x_{i} {message}"):
+        bad.verify()
+
+
 def test_abelian_algebra_all_differentials_vanish():
     alg, _ = realize.build_gl(2, 2)
     cx = CochainComplex(alg, trivial_module(alg))
@@ -384,16 +400,6 @@ def test_cochain_dim_formula(built):
     d0, d1 = len(alg.even_ids()), len(alg.odd_ids())
     for k in range(5):
         assert cx.dim(k) == lambda_s_dim(d0, d1, k)
-
-
-def test_export_triples_deterministic(built):
-    alg, _ = built("q", (3,))
-    cx1 = CochainComplex(alg, trivial_module(alg))
-    cx2 = CochainComplex(alg, trivial_module(alg))
-    assert cx1.export_triples(1) == cx2.export_triples(1)
-    rows = cx1.export_triples(1)
-    assert all(len(r) == 5 for r in rows)
-    Fraction(rows[0][4])
 
 
 def _fractional_module(alg):

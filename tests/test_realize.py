@@ -21,7 +21,7 @@ from supernil.realize import (
     supercommutator,
     verify_ideal,
 )
-from supernil.supercore import EVEN, ODD
+from supernil.supercore import EVEN, ODD, Weight
 
 
 def embed_multiset(alg, dst_symbols):
@@ -50,7 +50,7 @@ def test_supercommutator_odd_odd():
 def test_supercommutator_even_square_vanishes():
     shape = (2, 2)
     x = elementary(shape, 0, 1)  # E(1bar,2bar), even
-    assert supercommutator(x, x).is_zero()
+    assert not supercommutator(x, x).entries
 
 
 def test_supercommutator_odd_anticommutator():
@@ -164,6 +164,34 @@ def test_assemble_refuses_a_product_off_its_owners_ratio():
 def test_assemble_refuses_basis_matrices_that_share_a_position():
     with pytest.raises(AssertionError, match=r"E\(1b,2b\) and E\(1b,2b\)' share position \(0, 1\)"):
         _assemble_gl31(GL31_ROOTS + [("E(1b,2b)'", 0, 1)])
+
+
+def test_extract_weight_refuses_a_sum_of_two_weights():
+    # E(1b,2b) + E(1b,3b) is even, but e1-e2 and e1-e3 are different weights
+    shape = (3, 1)
+    torus = [elementary(shape, t, t) for t in range(4)]
+    x = elementary(shape, 0, 1) + elementary(shape, 0, 2)
+    with pytest.raises(AssertionError, match="not a torus weight vector"):
+        realize._extract_weight("t", torus, x, EVEN)
+
+
+def _one_symbol_algebra(parities, weights, table):
+    """x0, x1, .. with the given parities, weights on the one symbol e1 and
+    bracket table, grading 1: not verified."""
+    basis = [realize.BasisVector(i, f"x{i}", p, Weight("e1", (w,)))
+             for i, (p, w) in enumerate(zip(parities, weights))]
+    return realize.NilpotentAlgebra("N", "test", (), ("e1",), basis, table, (1,))
+
+
+@pytest.mark.parametrize("parities, weights, table, message", [
+    ((EVEN,), (1,), {}, "basis weight x0 not graded negative"),
+    ((EVEN, ODD, EVEN), (-1, -1, -2), {(0, 1): {2: 1}}, r"bracket \(0,1\) breaks parity"),
+    ((EVEN, ODD, ODD), (-1, -1, -3), {(0, 1): {2: 1}}, r"bracket \(0,1\) breaks weights"),
+    ((EVEN, EVEN), (-1, -2), {(0, 0): {1: 1}}, r"even square \[x_0,x_0\] nonzero"),
+])
+def test_verify_refuses_each_broken_structure(parities, weights, table, message):
+    with pytest.raises(AssertionError, match=message):
+        _one_symbol_algebra(parities, weights, table).verify()
 
 
 # -- q(n) -----------------------------------------------------------------------

@@ -177,17 +177,6 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
         spectral._assert_commutes_with_d(cx, j, lam, lam_next)
 
 
-def test_e2_page_serialization(built):
-    alg, ideal = built("q", (3,))
-    page = e2_page(alg, ideal, 1)
-    data = page.to_json()
-    assert data["abelian_ideal"] is True
-    assert "0,0" in data["terms"]
-    import json
-
-    json.dumps(data)
-
-
 def test_abelian_e2_page_builds_the_dual_module_once(built, monkeypatch):
     alg, ideal = built("gl", (3, 2))
     calls = []
@@ -287,6 +276,21 @@ def test_h2_recursive_builds_each_algebra_once(built, monkeypatch, capsys, famil
     assert computed.count((alg.name, True, 2)) == 1
 
 
+def test_h2_recursive_refuses_a_non_abelian_recursion_ideal(built, monkeypatch):
+    alg, _ = built("gl", (3, 2))
+    monkeypatch.setattr(spectral, "ideal_is_abelian", lambda alg, ideal: False)
+    with pytest.raises(AssertionError, match="recursion ideal is not abelian"):
+        h2_recursive("gl", (3, 2), alg)
+
+
+def test_h2_recursive_refuses_a_quotient_unlike_the_rebuilt_algebra(built, monkeypatch):
+    # gl(3|2)/I is gl(2|2); a step that rebuilds gl(2|1) must not be absorbed
+    alg, _ = built("gl", (3, 2))
+    monkeypatch.setattr(spectral, "build_family", lambda family, params: built("gl", (2, 1)))
+    with pytest.raises(AssertionError, match=r"quotient does not match rebuilt gl\(2\|1\)"):
+        h2_recursive("gl", (3, 2), alg)
+
+
 # sha256 of (parities, sorted action entries) of H^j(I, C) for osp(2|6)
 HJ_OSP_EVEN_1_3 = {
     1: "27a1c5eae6531001759d31ee20a497705e136895235a455ffea76aa871d91c26",
@@ -309,7 +313,7 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
             return fn(*args)
         return wrapped
 
-    names = ("rank", "solve_all", "nullspace", "row_space_basis")
+    names = ("rank", "solve", "nullspace", "row_space_basis")
     for name in names:
         monkeypatch.setattr(linalg, name, counting(name))
     for j, pinned in HJ_OSP_EVEN_1_3.items():
@@ -318,7 +322,7 @@ def test_hj_ideal_module_solves_each_block_once(built, monkeypatch):
         blocks = len(ic.cx.degree(j).blocks)
         # one kernel of d^j and one echelon of the image of d^{j-1} per
         # block; the class images are reduced by those, with no solve
-        assert counts == {"rank": 0, "solve_all": 0, "nullspace": blocks,
+        assert counts == {"rank": 0, "solve": 0, "nullspace": blocks,
                           "row_space_basis": blocks}
         # entries as Fractions, so the digest pins values, not int-or-Fraction
         blob = repr((mod.parities,

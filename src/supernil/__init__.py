@@ -34,7 +34,6 @@ from .realize import (
     BasisVector,
     IdealDesignation,
     NilpotentAlgebra,
-    SuperMatrix,
     build_exceptional,
     build_family,
     build_gl,
@@ -61,7 +60,6 @@ __all__ = [
     "NilpotentAlgebra",
     "Parity",
     "Rational",
-    "SuperMatrix",
     "Weight",
     "build_exceptional",
     "build_family",

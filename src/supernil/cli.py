@@ -89,9 +89,11 @@ def _build(args):
         _fail_input(str(exc))
 
 
-def _estimate_cochains(alg, k: int, mod_dim: int) -> int:
-    d0 = len(alg.even_ids())
-    d1 = len(alg.odd_ids())
+def _estimate_cochains(parities, k: int, mod_dim: int) -> int:
+    """mod_dim times the number of degree-k words over basis vectors of the
+    given parities (see `koszul.monomial_words`)."""
+    d1 = sum(parities)
+    d0 = len(parities) - d1
     total = 0
     for i in range(min(k, d0) + 1):  # C(d0, i) = 0 beyond
         j = k - i
@@ -99,17 +101,19 @@ def _estimate_cochains(alg, k: int, mod_dim: int) -> int:
     return total * mod_dim
 
 
-def _guard(args, alg, k: int, mod_dim: int) -> None:
-    """Exit 2, unless --force, when C^k(alg, M) (M of dimension mod_dim) is
-    too large to enumerate: a degree-k word holds k letters, so a degree
-    above MONOMIAL_GUARD is refused, as is an estimated count above it."""
+def _guard(args, parities, k: int, mod_dim: int, what: str = "cochain count") -> None:
+    """Exit 2, unless --force, when the degree-k words over basis vectors of
+    the given parities, times mod_dim, are too many to enumerate: C^k(n, M)
+    for dim M = mod_dim, or Lambda_s^k(M) for mod_dim = 1.  A degree-k word
+    holds k letters, so a degree above MONOMIAL_GUARD is refused, as is an
+    estimated count above it."""
     if args.force:
         return
     if k > MONOMIAL_GUARD:
         _fail_input(f"degree {k} exceeds {MONOMIAL_GUARD}; pass --force")
-    est = _estimate_cochains(alg, k, mod_dim)
+    est = _estimate_cochains(parities, k, mod_dim)
     if est > MONOMIAL_GUARD:
-        _fail_input(f"estimated cochain count {est} exceeds {MONOMIAL_GUARD}; pass --force")
+        _fail_input(f"estimated {what} {est} exceeds {MONOMIAL_GUARD}; pass --force")
 
 
 def _cache_dir(args) -> str | None:
@@ -209,9 +213,14 @@ def cmd_compute(args) -> int:
             _fail_input("this family has no distinguished ideal")
         target = quotient_algebra(alg, ideal)
         dm = dual_module(alg, ideal, target)
-        module = dm if mod_name == "ideal-dual" else lambda_s_module(target, dm, args.j)
+        if mod_name == "ideal-dual":
+            module = dm
+        else:
+            # Lambda_s^j(I*) is built on its degree-j words over I*'s basis
+            _guard(args, dm.parities, args.j, 1, "dimension of L^j(I*)")
+            module = lambda_s_module(target, dm, args.j)
     # H^k enumerates C^{k-1} and C^k, and holds one block of d^k at a time
-    _guard(args, target, args.degree, module.dim)
+    _guard(args, target.parities, args.degree, module.dim)
     key = None
     if cache_dir:
         # the reading picks the ideal, so only the quotient routes depend on it
@@ -253,7 +262,7 @@ def cmd_spectral(args) -> int:
     if ideal is None:
         _fail_input("spectral needs a family with a distinguished ideal")
     # the collapse rows take H^k(n, C) for k <= K, and --recursive H^2
-    _guard(args, alg, max(args.K, 2) if args.recursive else args.K, 1)
+    _guard(args, alg.parities, max(args.K, 2) if args.recursive else args.K, 1)
     rep = collapse_check(alg, ideal, args.K)
     if args.recursive:
         # direct H^2 is collapse row k = 2, or taken on the same complex

@@ -249,6 +249,14 @@ def dual_module(
     return mod
 
 
+def _by_column(mat: Sparse) -> ByColumn:
+    """mat regrouped by column: c -> [(r, value)], in mat's order."""
+    cols: ByColumn = {}
+    for (r, c), v in mat.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
+
+
 def word_action(module: GModule, words: Sequence[Word]) -> Iterator[Sparse]:
     """Per algebra basis vector in turn, its unverified derivation action
     on the superexterior words `words` (all of one degree) over M's basis:
@@ -257,9 +265,7 @@ def word_action(module: GModule, words: Sequence[Word]) -> Iterator[Sparse]:
     index = {w: a for a, w in enumerate(words)}
     for i in range(alg.dim):
         px = alg.parities[i]
-        cols: dict[int, list[tuple[int, Rational]]] = {}
-        for (r, c), v in module.action[i].items():
-            cols.setdefault(c, []).append((r, v))
+        cols = _by_column(module.action[i])
         mat: Sparse = {}
         for widx, w in enumerate(words):
             pre = 0
@@ -422,13 +428,7 @@ class CochainComplex:
         # each letter's place in the canonical (parity, id) order
         place = {x: i for i, x in enumerate(sorted(range(alg.dim), key=lambda x: (par[x], x)))}
         inverse = alg.inverse_table
-        acting: list[tuple[int, ByColumn]] = []
-        for x in range(alg.dim):
-            if m.action[x]:
-                by_col: ByColumn = {}
-                for (r, c), v in m.action[x].items():
-                    by_col.setdefault(c, []).append((r, v))
-                acting.append((x, by_col))
+        acting = [(x, _by_column(m.action[x])) for x in range(alg.dim) if m.action[x]]
 
         def insert(word: Word, letters: Word) -> Word | None:
             """The canonical word of word + letters, None if an even letter repeats."""

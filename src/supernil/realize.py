@@ -1,13 +1,15 @@
 """Construction of the nilpotent subalgebras and their distinguished ideals.
 
 Each infinite family (gl, sl, osp, q) is realized by explicit sparse
-matrices inside an ambient gl(M|N); brackets are computed by the sparse
-supercommutator and read back in the chosen basis, so no structure
-constant is ever transcribed by hand.  No two basis matrices share a
-matrix position (every build asserts it), so each position of a product
-is read through the one basis matrix that owns it.  Weights are read off
-mechanically by bracketing with a fixed basis of the diagonal torus, which
-makes the realization, not any table, the authority on signs.
+matrices `{(row, col): value}` inside an ambient gl(M|N), rows and columns
+below M even; brackets are computed by the sparse supercommutator and read
+back in the chosen basis, so no structure constant is ever transcribed by
+hand.  No two basis matrices share a matrix position (every build asserts
+it), so each position of a product is read through the one basis matrix
+that owns it.  Weights are read off a fixed basis of the diagonal torus,
+each h a diagonal `{index: value}`: E_rc has weight h_r - h_c, and a basis
+matrix must have the same weight at every entry.  So the realization, not
+any table, is the authority on signs.
 
 Conventions that the code commits to (validated by the closure, Jacobi and
 ideal checks that run on every build):
@@ -49,73 +51,14 @@ from typing import Callable, Iterable, Sequence
 from . import linalg
 from .supercore import EVEN, ODD, Parity, Rational, Weight, exact
 
-Entry = tuple[int, int]
-
-
-class SuperMatrix:
-    """Sparse matrix in gl(M|N) with rows/cols 0..M+N-1 (first M even),
-    its entries exact (ints for every realization built here)."""
-
-    __slots__ = ("block_shape", "entries")
-
-    def __init__(self, block_shape: tuple[int, int], entries: dict[Entry, Rational] | None = None):
-        self.block_shape = block_shape
-        self.entries: dict[Entry, Rational] = {}
-        if entries:
-            for pos, val in entries.items():
-                if val != 0:
-                    self.entries[pos] = val
-
-    def is_even_index(self, i: int) -> bool:
-        return i < self.block_shape[0]
-
-    def parity(self) -> Parity:
-        """Parity of a parity-homogeneous matrix; raises if mixed."""
-        parities = {
-            (self.is_even_index(r) != self.is_even_index(c)) for (r, c) in self.entries
-        }
-        if not parities:
-            return EVEN
-        if len(parities) > 1:
-            raise ValueError("matrix is not parity homogeneous")
-        return ODD if parities.pop() else EVEN
-
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        if self.block_shape != other.block_shape:
-            raise ValueError("block shape mismatch")
-        out = dict(self.entries)
-        for pos, val in other.entries.items():
-            linalg.add_to(out, pos, val)
-        return SuperMatrix(self.block_shape, out)
-
-    def scale(self, c: Rational) -> "SuperMatrix":
-        if c == 0:
-            return SuperMatrix(self.block_shape)
-        return SuperMatrix(self.block_shape, {p: c * v for p, v in self.entries.items()})
-
-    def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + other.scale(-1)
-
-    def matmul(self, other: "SuperMatrix") -> "SuperMatrix":
-        if self.block_shape != other.block_shape:
-            raise ValueError("block shape mismatch")
-        return SuperMatrix(self.block_shape, linalg.sparse_matmul(self.entries, other.entries))
-
-
-def elementary(block_shape: tuple[int, int], r: int, c: int, val=1) -> SuperMatrix:
-    return SuperMatrix(block_shape, {(r, c): val})
-
-
-def _supercomm(x: SuperMatrix, px: Parity, y: SuperMatrix, py: Parity) -> SuperMatrix:
-    # [x, y] = xy - (-1)^{|x||y|} yx: odd/odd anticommutes, the rest commute.
-    if px and py:
-        return x.matmul(y) + y.matmul(x)
-    return x.matmul(y) - y.matmul(x)
-
-
-def supercommutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
-    """[x, y] = xy - (-1)^{|x||y|} yx for parity-homogeneous x, y."""
-    return _supercomm(x, x.parity(), y, y.parity())
+def supercommutator(x: linalg.Sparse, px: Parity, y: linalg.Sparse, py: Parity) -> linalg.Sparse:
+    """[x, y] = xy - (-1)^{|x||y|} yx for matrices x, y of parities px, py:
+    odd/odd anticommutes, the rest commute."""
+    out = linalg.sparse_matmul(x, y)
+    sign = 1 if px and py else -1
+    for pos, v in linalg.sparse_matmul(y, x).items():
+        linalg.add_to(out, pos, sign * v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +67,7 @@ class BasisVector:
     label: str
     parity: Parity
     weight: Weight
-    realization: SuperMatrix | None = field(default=None, compare=False, hash=False)
+    realization: linalg.Sparse | None = field(default=None, compare=False, hash=False)
 
 
 BracketTable = dict[tuple[int, int], dict[int, Rational]]
@@ -330,17 +273,23 @@ def ideal_is_abelian(alg: NilpotentAlgebra, ideal: IdealDesignation) -> bool:
 # -------------------------------------------------------------------------
 
 
-def _extract_weight(tag: str, torus: Sequence[SuperMatrix], x: SuperMatrix, px: Parity) -> Weight:
-    """Weight of x under the torus: [h_t, x] must equal c_t * x exactly."""
-    coeffs = []
-    for h in torus:
-        br = _supercomm(h, EVEN, x, px)
-        pos, val = next(iter(x.entries.items()))
-        c = exact(Fraction(br.entries.get(pos, 0), val))
-        if (br - x.scale(c)).entries:
-            raise AssertionError("matrix is not a torus weight vector")
-        coeffs.append(c)
-    return Weight(tag, tuple(coeffs))
+def _parity(mat: linalg.Sparse, M: int) -> Parity:
+    """Parity of a basis matrix of gl(M|N), whose rows and columns below M
+    are even, read from its positions; raises if they disagree."""
+    parities = {(r < M) != (c < M) for r, c in mat}
+    if len(parities) > 1:
+        raise ValueError("matrix is not parity homogeneous")
+    return ODD if True in parities else EVEN
+
+
+def _extract_weight(tag: str, torus: Sequence[dict[int, Rational]], x: linalg.Sparse) -> Weight:
+    """Weight of x under the diagonal torus, each h given as {index: value}:
+    [h, E_rc] = (h_r - h_c) E_rc, so x is a weight vector exactly when every
+    entry has the same vector of h_r - h_c."""
+    weights = {tuple(h.get(r, 0) - h.get(c, 0) for h in torus) for r, c in x}
+    if len(weights) != 1:
+        raise AssertionError("matrix is not a torus weight vector")
+    return Weight(tag, weights.pop())
 
 
 def _assemble(
@@ -348,11 +297,13 @@ def _assemble(
     family: str,
     params: tuple[int, ...],
     symbols: tuple[str, ...],
-    torus: list[SuperMatrix],
-    raw_basis: list[tuple[str, SuperMatrix]],
+    M: int,
+    torus: list[dict[int, Rational]],
+    raw_basis: list[tuple[str, linalg.Sparse]],
     grading: tuple[Rational, ...],
 ) -> NilpotentAlgebra:
-    """Build an algebra from labelled matrices: weights, then all brackets.
+    """Build an algebra from labelled matrices in gl(M|N): weights, then all
+    brackets.
 
     Each matrix position belongs to at most one basis matrix, its owner;
     two basis matrices that share a position raise AssertionError.  A
@@ -363,15 +314,14 @@ def _assemble(
     the basis and the build fails.
     """
     wtag = ",".join(symbols)
-    basis: list[BasisVector] = []
-    for idx, (label, mat) in enumerate(raw_basis):
-        p = mat.parity()
-        w = _extract_weight(wtag, torus, mat, p)
-        basis.append(BasisVector(idx, label, p, w, mat))
+    basis = [
+        BasisVector(idx, label, _parity(mat, M), _extract_weight(wtag, torus, mat), mat)
+        for idx, (label, mat) in enumerate(raw_basis)
+    ]
 
-    mats = [b.realization.entries for b in basis]
+    mats = [mat for _, mat in raw_basis]
     # matrix position -> the one basis matrix that has it
-    owner: dict[Entry, int] = {}
+    owner: dict[tuple[int, int], int] = {}
     for t, mat in enumerate(mats):
         for pos in mat:
             if owner.setdefault(pos, t) != t:
@@ -384,7 +334,7 @@ def _assemble(
         for xj in basis[i:]:
             if xi is xj and xi.parity == EVEN:
                 continue
-            br = _supercomm(xi.realization, xi.parity, xj.realization, xj.parity).entries
+            br = supercommutator(xi.realization, xi.parity, xj.realization, xj.parity)
             if not br:
                 continue
             # an unowned position is missing from the rebuild, so it fails there
@@ -437,26 +387,24 @@ def build_gl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
     """
     if not (m >= n >= 1):
         raise ValueError("gl(m|n) requires m >= n >= 1")
-    shape = (m, n)
     bar = lambda i: i - 1          # 1-based barred index -> row
     unb = lambda j: m + j - 1      # 1-based unbarred index -> row
-    torus = [elementary(shape, bar(t), bar(t)) for t in range(1, m + 1)]
-    torus += [elementary(shape, unb(t), unb(t)) for t in range(1, n + 1)]
-    raw: list[tuple[str, SuperMatrix]] = []
+    torus = [{t: 1} for t in range(m + n)]
+    raw: list[tuple[str, linalg.Sparse]] = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            raw.append((f"E({i}b,{j}b)", elementary(shape, bar(i), bar(j))))
+            raw.append((f"E({i}b,{j}b)", {(bar(i), bar(j)): 1}))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            raw.append((f"E({i},{j})", elementary(shape, unb(i), unb(j))))
+            raw.append((f"E({i},{j})", {(unb(i), unb(j)): 1}))
     for i in range(1, m + 1):
         for j in range(i + 1, n + 1):
-            raw.append((f"E({i}b,{j})", elementary(shape, bar(i), unb(j))))
+            raw.append((f"E({i}b,{j})", {(bar(i), unb(j)): 1}))
     for i in range(1, n + 1):
         for j in range(i + 1, m + 1):
-            raw.append((f"E({i},{j}b)", elementary(shape, unb(i), bar(j))))
+            raw.append((f"E({i},{j}b)", {(unb(i), bar(j)): 1}))
     alg = _assemble(
-        f"gl({m}|{n})", "gl", (m, n), _gl_symbols(m, n), torus, raw, _gl_grading(m, n)
+        f"gl({m}|{n})", "gl", (m, n), _gl_symbols(m, n), m, torus, raw, _gl_grading(m, n)
     )
     return alg, family_ideal(alg)
 
@@ -481,25 +429,17 @@ def build_q(n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
     """
     if n < 2:
         raise ValueError("q(n) requires n >= 2")
-    shape = (n, n)
     bar = lambda i: i - 1
     unb = lambda j: n + j - 1
-    torus = [
-        elementary(shape, bar(t), bar(t)) + elementary(shape, unb(t), unb(t))
-        for t in range(1, n + 1)
-    ]
-    raw: list[tuple[str, SuperMatrix]] = []
+    torus = [{bar(t): 1, unb(t): 1} for t in range(1, n + 1)]
+    raw: list[tuple[str, linalg.Sparse]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            raw.append(
-                (f"Et({i},{j})", elementary(shape, bar(i), bar(j)) + elementary(shape, unb(i), unb(j)))
-            )
-            raw.append(
-                (f"Eb({i},{j})", elementary(shape, unb(i), bar(j)) + elementary(shape, bar(i), unb(j)))
-            )
+            raw.append((f"Et({i},{j})", {(bar(i), bar(j)): 1, (unb(i), unb(j)): 1}))
+            raw.append((f"Eb({i},{j})", {(unb(i), bar(j)): 1, (bar(i), unb(j)): 1}))
     symbols = tuple(f"e{i}" for i in range(1, n + 1))
     grading = tuple(range(1, n + 1))
-    alg = _assemble(f"q({n})", "q", (n,), symbols, torus, raw, grading)
+    alg = _assemble(f"q({n})", "q", (n,), symbols, n, torus, raw, grading)
     return alg, family_ideal(alg)
 
 
@@ -511,52 +451,49 @@ def _build_osp(
 ) -> tuple[NilpotentAlgebra, IdealDesignation]:
     """osp(2m+1|2n) (odd_case) or osp(2m|2n) from one set of matrix data."""
     M = 2 * m + 1 if odd_case else 2 * m
-    shape = (M, 2 * n)
     so_p = lambda i: i - 1            # +i slot of the so block
     so_m = lambda i: m + i - 1        # -i slot
     corner = 2 * m                    # 0 slot, odd case only
     sp_p = lambda k: M + k - 1        # +k slot of the sp block
     sp_m = lambda k: M + n + k - 1    # -k slot
 
-    def E(r, c, v=1):
-        return elementary(shape, r, c, v)
-
     # torus: e_i dual to so_m(i)-so_p(i), d_k dual to sp_m(k)-sp_p(k)
-    torus = [E(so_m(i), so_m(i)) - E(so_p(i), so_p(i)) for i in range(1, m + 1)]
-    torus += [E(sp_m(k), sp_m(k)) - E(sp_p(k), sp_p(k)) for k in range(1, n + 1)]
+    torus = [{so_m(i): 1, so_p(i): -1} for i in range(1, m + 1)]
+    torus += [{sp_m(k): 1, sp_p(k): -1} for k in range(1, n + 1)]
 
-    raw: list[tuple[str, SuperMatrix]] = []
+    raw: list[tuple[str, linalg.Sparse]] = []
     # even so-part: e_i - e_j and -e_i - e_j for i < j, -e_i in the odd case
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            raw.append((f"S({i},{j})", E(so_p(j), so_p(i)) - E(so_m(i), so_m(j))))
-            raw.append((f"S(-{i},-{j})", E(so_p(i), so_m(j)) - E(so_p(j), so_m(i))))
+            raw.append((f"S({i},{j})", {(so_p(j), so_p(i)): 1, (so_m(i), so_m(j)): -1}))
+            raw.append((f"S(-{i},-{j})", {(so_p(i), so_m(j)): 1, (so_p(j), so_m(i)): -1}))
     if odd_case:
         for i in range(1, m + 1):
-            raw.append((f"S(-{i})", E(so_p(i), corner) - E(corner, so_m(i))))
+            raw.append((f"S(-{i})", {(so_p(i), corner): 1, (corner, so_m(i)): -1}))
     # even sp-part: d_k - d_l (k < l) and -d_k - d_l (k <= l)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            raw.append((f"P({k},{l})", E(sp_p(l), sp_p(k)) - E(sp_m(k), sp_m(l))))
-            raw.append((f"P(-{k},-{l})", E(sp_p(k), sp_m(l)) + E(sp_p(l), sp_m(k))))
+            raw.append((f"P({k},{l})", {(sp_p(l), sp_p(k)): 1, (sp_m(k), sp_m(l)): -1}))
+            raw.append((f"P(-{k},-{l})", {(sp_p(k), sp_m(l)): 1, (sp_p(l), sp_m(k)): 1}))
     for k in range(1, n + 1):
-        raw.append((f"P(-{k},-{k})", E(sp_p(k), sp_m(k))))
+        raw.append((f"P(-{k},-{k})", {(sp_p(k), sp_m(k)): 1}))
     # odd part
     for i in range(1, min(m, n - 1) + 1):
         for k in range(i + 1, n + 1):
-            raw.append((f"A({i},{k})", E(sp_p(k), so_p(i)) - E(so_m(i), sp_m(k))))
+            raw.append((f"A({i},{k})", {(sp_p(k), so_p(i)): 1, (so_m(i), sp_m(k)): -1}))
     for i in range(1, n + 1):
         for j in range(i + 1, m + 1):
-            raw.append((f"B({i},{j})", E(sp_m(i), so_m(j)) + E(so_p(j), sp_p(i))))
+            raw.append((f"B({i},{j})", {(sp_m(i), so_m(j)): 1, (so_p(j), sp_p(i)): 1}))
     for l in range(1, m + 1):
         for k in range(1, n + 1):
-            raw.append((f"C({l},{k})", E(so_p(l), sp_m(k)) - E(sp_p(k), so_m(l))))
+            raw.append((f"C({l},{k})", {(so_p(l), sp_m(k)): 1, (sp_p(k), so_m(l)): -1}))
     if odd_case:
         for t in range(1, n + 1):
-            raw.append((f"D({t})", E(corner, sp_m(t)) - E(sp_p(t), corner)))
+            raw.append((f"D({t})", {(corner, sp_m(t)): 1, (sp_p(t), corner): -1}))
     family = "osp_odd" if odd_case else "osp_even"
     alg = _assemble(
-        f"osp({M}|{2 * n})", family, (m, n), _gl_symbols(m, n), torus, raw, _gl_grading(m, n)
+        f"osp({M}|{2 * n})", family, (m, n), _gl_symbols(m, n), M, torus, raw,
+        _gl_grading(m, n),
     )
     return alg, family_ideal(alg, ideal_reading)
 

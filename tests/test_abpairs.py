@@ -77,3 +77,13 @@ def test_run_side_reads_the_last_stdout_line(tmp_path, monkeypatch):
     assert abpairs.run_side(tmp_path.name, "w", 1.0) == json.loads(line)
     (bench / "run.py").write_text("print('no result')\n")
     assert abpairs.run_side(str(tmp_path), "w", None) is None
+
+
+
+@pytest.mark.parametrize("change, warned", [(ROOT.parent / ("x" * len(ROOT.name)), False),
+                                            (ROOT.parent / (ROOT.name + "x"), True)])
+def test_main_warns_when_the_checkout_paths_differ_in_length(monkeypatch, capsys, change,
+                                                             warned):
+    monkeypatch.setattr(abpairs, "run_side", lambda root, workload, seconds: _result(True, 0.3))
+    assert abpairs.main([str(ROOT), str(change), "--workload", "w", "--pairs", "2"]) == 0
+    assert ("differ in length" in capsys.readouterr().err) == warned

@@ -343,6 +343,35 @@ def test_spectral_guardrail_bounds_the_top_degree_and_yields_to_force(monkeypatc
     assert main(argv + ["--recursive", "--force"]) == 0
 
 
+def test_lambda_s_j_guardrail_refuses_a_huge_power_before_building_it(capsys):
+    # Lambda_s^400(I*) over osp(7|6)/I would take minutes and gigabytes to build
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--family", "osp_odd", "--m", "3", "--n", "3", "--degree", "0",
+              "--coefficients", "lambda-s-j", "--j", "400"])
+    assert exc.value.code == 2 and time.monotonic() - start < 1
+    assert "estimated dimension of L^j(I*) 34134400002 exceeds" in capsys.readouterr().err
+
+
+def test_lambda_s_j_guardrail_bounds_the_power_and_yields_to_force(monkeypatch, capsys):
+    # Lambda_s^3(I*) over osp(6|4)/I has dimension 88, and C^0 with it 88 cochains
+    argv = ["compute", "--family", "osp_even", "--m", "3", "--n", "2", "--degree", "0",
+            "--coefficients", "lambda-s-j", "--j", "3"]
+    monkeypatch.setattr(cli, "MONOMIAL_GUARD", 88)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MONOMIAL_GUARD", 87)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "estimated dimension of L^j(I*) 88 exceeds 87" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MONOMIAL_GUARD", 2)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "degree 3 exceeds 2" in capsys.readouterr().err
+    assert main(argv + ["--force"]) == 0
+
+
 @pytest.mark.parametrize("family", ["gl", "osp_odd", "osp_even", "q"])
 def test_cochain_estimate_matches_the_enumerator(family):
     # the guardrail's closed form counts exactly the words it guards, past
@@ -353,7 +382,7 @@ def test_cochain_estimate_matches_the_enumerator(family):
         alg, _ = build_family(family, p)
         d0 = len(alg.even_ids())
         for k in sorted({*range(5), *(range(d0, d0 + 4) if alg.dim <= 12 else ())}):
-            assert cli._estimate_cochains(alg, k, 1) == len(monomial_words(alg.parities, k)), (p, k)
+            assert cli._estimate_cochains(alg.parities, k, 1) == len(monomial_words(alg.parities, k)), (p, k)
 
 
 def test_degenerate_algebra():

@@ -7,7 +7,6 @@ import pytest
 
 from supernil import realize
 from supernil.realize import (
-    SuperMatrix,
     build_exceptional,
     build_gl,
     build_osp_even,
@@ -15,7 +14,6 @@ from supernil.realize import (
     build_q,
     build_sl,
     derived_subalgebra,
-    elementary,
     ideal_is_abelian,
     quotient_algebra,
     supercommutator,
@@ -40,37 +38,27 @@ def embed_multiset(alg, dst_symbols):
 
 def test_supercommutator_odd_odd():
     # in gl(2|2): [E(1bar,1), E(1,2bar)] = E(1bar,2bar), both odd
-    shape = (2, 2)
-    x = elementary(shape, 0, 2)  # row 1bar, col 1
-    y = elementary(shape, 2, 1)  # row 1, col 2bar
-    br = supercommutator(x, y)
-    assert br.entries == {(0, 1): Fraction(1)}
+    x = {(0, 2): 1}  # row 1bar, col 1
+    y = {(2, 1): 1}  # row 1, col 2bar
+    assert supercommutator(x, ODD, y, ODD) == {(0, 1): 1}
 
 
 def test_supercommutator_even_square_vanishes():
-    shape = (2, 2)
-    x = elementary(shape, 0, 1)  # E(1bar,2bar), even
-    assert not supercommutator(x, x).entries
+    x = {(0, 1): 1}  # E(1bar,2bar), even
+    assert not supercommutator(x, EVEN, x, EVEN)
 
 
 def test_supercommutator_odd_anticommutator():
     # [E(1bar,1), E(1,1bar)] = E(1bar,1bar) + E(1,1)
-    shape = (2, 2)
-    x = elementary(shape, 0, 2)
-    y = elementary(shape, 2, 0)
-    br = supercommutator(x, y)
-    assert br.entries == {(0, 0): Fraction(1), (2, 2): Fraction(1)}
-
-
-def test_supercommutator_shape_mismatch():
-    with pytest.raises(ValueError):
-        elementary((2, 2), 0, 1).matmul(elementary((2, 1), 0, 1))
+    assert supercommutator({(0, 2): 1}, ODD, {(2, 0): 1}, ODD) == {(0, 0): 1, (2, 2): 1}
 
 
 def test_parity_homogeneity_enforced():
-    m = SuperMatrix((2, 2), {(0, 1): Fraction(1), (0, 2): Fraction(1)})
-    with pytest.raises(ValueError):
-        m.parity()
+    # in gl(2|2), E(1bar,2bar) is even and E(1bar,1) odd
+    with pytest.raises(ValueError, match="not parity homogeneous"):
+        realize._parity({(0, 1): 1, (0, 2): 1}, 2)
+    assert realize._parity({(0, 2): 1, (3, 1): -1}, 2) == ODD
+    assert realize._parity({(0, 1): 1, (2, 3): 1}, 2) == EVEN
 
 
 # -- gl(m|n) -------------------------------------------------------------------
@@ -119,20 +107,17 @@ def test_sl_alias_matches_gl():
 def test_gl_torus_weights_from_realization():
     # weight of E(ibar,j) must match bracketing with diagonal torus matrices
     alg, _ = build_gl(3, 2)
-    shape = (3, 2)
     for b in alg.basis:
         for t in range(5):
-            h = elementary(shape, t, t)
-            br = supercommutator(h, b.realization)
-            expect = b.realization.scale(b.weight.coeffs[t])
-            assert br.entries == expect.entries
+            br = supercommutator({(t, t): 1}, EVEN, b.realization, b.parity)
+            c = b.weight.coeffs[t]
+            assert br == {pos: c * v for pos, v in b.realization.items() if c}
 
 
 def _assemble_gl31(raw):
-    shape = (3, 1)
-    torus = [elementary(shape, t, t) for t in range(4)]
-    return realize._assemble("gl(3|1)", "gl", (3, 1), realize._gl_symbols(3, 1), torus,
-                             [(label, elementary(shape, r, c)) for label, r, c in raw],
+    torus = [{t: 1} for t in range(4)]
+    return realize._assemble("gl(3|1)", "gl", (3, 1), realize._gl_symbols(3, 1), 3, torus,
+                             [(label, {(r, c): 1}) for label, r, c in raw],
                              realize._gl_grading(3, 1))
 
 
@@ -152,13 +137,11 @@ def test_assemble_refuses_a_product_off_its_owners_ratio():
     # q(3) with Et(1,3) = E(1b,3b) + E(1,3) replaced by E(1b,3b) - E(1,3):
     # [Et(1,2), Et(2,3)] = E(1b,3b) + E(1,3) has owners for every position,
     # but no multiple of the new matrix
-    shape = (3, 3)
-    torus = [elementary(shape, t, t) + elementary(shape, t + 3, t + 3) for t in range(3)]
-    raw = [(f"Et({i + 1},{j + 1})", elementary(shape, i, j) + elementary(shape, i + 3, j + 3))
-           for i, j in ((0, 1), (1, 2))]
-    raw.append(("Et'(1,3)", elementary(shape, 0, 2) - elementary(shape, 3, 5)))
+    torus = [{t: 1, t + 3: 1} for t in range(3)]
+    raw = [(f"Et({i + 1},{j + 1})", {(i, j): 1, (i + 3, j + 3): 1}) for i, j in ((0, 1), (1, 2))]
+    raw.append(("Et'(1,3)", {(0, 2): 1, (3, 5): -1}))
     with pytest.raises(AssertionError, match=r"\[Et\(1,2\), Et\(2,3\)\] leaves the span"):
-        realize._assemble("q(3)", "q", (3,), ("e1", "e2", "e3"), torus, raw, (1, 2, 3))
+        realize._assemble("q(3)", "q", (3,), ("e1", "e2", "e3"), 3, torus, raw, (1, 2, 3))
 
 
 def test_assemble_refuses_basis_matrices_that_share_a_position():
@@ -166,13 +149,22 @@ def test_assemble_refuses_basis_matrices_that_share_a_position():
         _assemble_gl31(GL31_ROOTS + [("E(1b,2b)'", 0, 1)])
 
 
+def test_assemble_refuses_a_mixed_parity_basis_matrix():
+    # E(1b,2b) + E(1b,1) has an even and an odd position of gl(3|1)
+    with pytest.raises(ValueError, match="not parity homogeneous"):
+        realize._assemble("gl(3|1)", "gl", (3, 1), realize._gl_symbols(3, 1), 3,
+                          [{t: 1} for t in range(4)], [("x", {(0, 1): 1, (0, 3): 1})],
+                          realize._gl_grading(3, 1))
+
+
 def test_extract_weight_refuses_a_sum_of_two_weights():
     # E(1b,2b) + E(1b,3b) is even, but e1-e2 and e1-e3 are different weights
-    shape = (3, 1)
-    torus = [elementary(shape, t, t) for t in range(4)]
-    x = elementary(shape, 0, 1) + elementary(shape, 0, 2)
+    torus = [{t: 1} for t in range(4)]
     with pytest.raises(AssertionError, match="not a torus weight vector"):
-        realize._extract_weight("t", torus, x, EVEN)
+        realize._extract_weight("t", torus, {(0, 1): 1, (0, 2): 1})
+    # in q(2), Et(1,2) = E(1b,2b) + E(1,2) has e1-e2 at both positions
+    q2_torus = [{0: 1, 2: 1}, {1: 1, 3: 1}]
+    assert realize._extract_weight("t", q2_torus, {(0, 1): 1, (2, 3): 1}) == Weight("t", (1, -1))
 
 
 def _one_symbol_algebra(parities, weights, table):

@@ -13,6 +13,11 @@ beats the parent's by more than the parent's interquartile range.
 
 It only reads the benchmark's output.  The exit code is 1 if any run
 reports `correct: false` or gives no result line, else 0.
+
+The benchmark's `peak_rss_mb` moves by about 0.1 MB with the length of
+the checkout path alone, so it warns on stderr when the absolute paths of
+PARENT and CHANGE differ in length; name the checkouts alike (say
+`a/repo` and `b/repo`) to compare memory.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ def main(argv=None) -> int:
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
+    lengths = {side: len(os.path.abspath(root)) for side, root in sides.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(f"warning: the checkout paths differ in length ({lengths['parent']} and "
+              f"{lengths['change']} characters), which moves peak_rss_mb by itself",
+              file=sys.stderr)
     values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
     correct = True
     for i in range(args.pairs):

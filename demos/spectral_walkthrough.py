@@ -23,7 +23,7 @@ from supernil.supercore import describe
 alg, ideal = build_gl(3, 3)
 print(f"n in {alg.name}: dim {alg.dim} "
       f"({len(alg.even_ids())} even, {len(alg.odd_ids())} odd)")
-print(f"ideal: {sorted(alg.basis[i].label for i in ideal.sorted_ids())}")
+print(f"ideal: {sorted(alg.basis[i].label for i in sorted(ideal))}")
 
 quo = quotient_algebra(alg, ideal)
 print(f"n/I: dim {quo.dim} (the n of gl(2|2), relabelled)")

@@ -32,7 +32,7 @@ from .koszul import (
 )
 from .realize import (
     BasisVector,
-    IdealDesignation,
+    Ideal,
     NilpotentAlgebra,
     build_exceptional,
     build_family,
@@ -56,7 +56,7 @@ __all__ = [
     "CohomologyResult",
     "E2Page",
     "GModule",
-    "IdealDesignation",
+    "Ideal",
     "NilpotentAlgebra",
     "Parity",
     "Rational",

@@ -13,20 +13,23 @@ Subcommands:
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
 (including a negative --degree, --K, --j, --samples or verify-tables range
 flag, a --workers below 1 and compute --routes off degree 1), 3 internal
-invariant violation (including an H^1 route that disagrees with the
-Koszul route on a block, a collapse mismatch and a recursive H^2 that
-disagrees with the direct H^2).  --workers is accepted and validated but
-changes nothing: every rank is taken in this process, one weight block at
-a time.  Output is deterministic: repeated runs produce byte-identical
-bytes.  Cache entries are keyed by the arguments, the package version and
-a digest of the package source, and store the sha256 of their payload.  A
-cache directory that cannot be created is bad input.  A cache entry that
-cannot be read or parsed, or whose digest is missing or wrong, is
-reported on stderr and recomputed; entries are written to a temporary
-file and renamed into place.  An entry that cannot be written (a full
-disk, a read-only directory) is reported on stderr, its temporary file is
-removed and the result is still printed.  A closed stdout ends the run
-quietly with exit 0.
+invariant violation (including an H^1 route that disagrees with the Koszul
+route on a block, a collapse mismatch and a recursive H^2 that disagrees
+with the direct H^2).  An --ideal-reading whose ideal is not closed is bad
+input; an "auto" ideal that is not closed is a violation.  Each subcommand
+takes only the flags it reads: --cache-dir is compute's, and --force
+belongs to compute, spectral and extension-check.  --workers is accepted
+and validated but changes nothing: every rank is taken in this process,
+one weight block at a time.  Output is deterministic: repeated runs
+produce byte-identical bytes.  Cache entries are keyed by the arguments,
+the package version and a digest of the package source, and store the
+sha256 of their payload.  A cache directory that cannot be created is bad
+input.  A cache entry that cannot be read or parsed, or whose digest is
+missing or wrong, is reported on stderr and recomputed; entries are
+written to a temporary file and renamed into place.  An entry that cannot
+be written (a full disk, a read-only directory) is reported on stderr, its
+temporary file is removed and the result is still printed.  A closed
+stdout ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .cohomology import (
     is_cocycle,
 )
 from .koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
-from .realize import build_family, quotient_algebra
+from .realize import IdealNotClosed, build_family, quotient_algebra
 from .spectral import collapse_check, h2_recursive
 
 CACHE_ENV = "SUPERNIL_CACHE_DIR"
@@ -83,10 +86,15 @@ def _fail_input(msg: str):
 
 def _build(args):
     fam, params = _family_params(args)
+    reading = args.ideal_reading
     try:
-        return build_family(fam, params, ideal_reading=getattr(args, "ideal_reading", "auto"))
+        return build_family(fam, params, ideal_reading=reading)
     except ValueError as exc:
         _fail_input(str(exc))
+    except IdealNotClosed as exc:
+        if reading == "auto":  # the default ideal must be one
+            raise
+        _fail_input(f"--ideal-reading {reading} gives no ideal: {exc}")
 
 
 def _estimate_cochains(parities, k: int, mod_dim: int) -> int:
@@ -118,7 +126,7 @@ def _guard(args, parities, k: int, mod_dim: int, what: str = "cochain count") ->
 
 def _cache_dir(args) -> str | None:
     """The cache directory in use, created if missing; exit 2 if it cannot be."""
-    path = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+    path = args.cache_dir or os.environ.get(CACHE_ENV)
     if path:
         try:
             os.makedirs(path, exist_ok=True)
@@ -331,7 +339,7 @@ def cmd_dump_algebra(args) -> int:
     alg, ideal = _build(args)
     payload = alg.to_json()
     if ideal is not None:
-        payload["ideal"] = ideal.sorted_ids()
+        payload["ideal"] = sorted(ideal)
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
@@ -361,12 +369,12 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                    help="reading of the garbled osp ideal description")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, force: bool = True) -> None:
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--workers", type=positive_int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--force", action="store_true")
+    if force:
+        p.add_argument("--force", action="store_true")
 
 
 @functools.cache
@@ -381,6 +389,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute H^k(n, M)")
     _add_family_flags(p)
     _add_common_flags(p)
+    p.add_argument("--cache-dir", default=None)
     p.add_argument("--degree", type=nonnegative_int, required=True)
     p.add_argument("--coefficients", default="trivial",
                    choices=["trivial", "ideal-dual", "lambda-s-j"])
@@ -390,7 +399,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify-tables", help="check published dimension tables")
-    _add_common_flags(p)
+    _add_common_flags(p, force=False)
     for name, param in TABLE_RANGES.items():
         p.add_argument("--" + name.replace("_", "-"), type=nonnegative_int,
                        default=param.default)
@@ -413,7 +422,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-algebra", help="serialize basis and brackets")
     _add_family_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, force=False)
     p.set_defaults(func=cmd_dump_algebra)
     return parser
 

@@ -21,9 +21,9 @@ Weight convention for reported classes: a cochain on the monomial xi with
 values in the module vector w sits in the block wt(w) - wt(xi), so with
 trivial coefficients H^k classes carry the *negatives* of the monomial
 weights, matching the appendix tables which list e.g. e_{i+1} - e_i.  Every
-route names a block of its result by its weight key alone, the tuple of
-the block's weight coordinates (`Weight.sort_key`), from the complex's
-block keys to the JSON labels; no `Weight` is kept beside it.
+route names a block of its result by its weight alone, the plain tuple of
+its exact coordinates, the same tuple from the complex's block keys to
+the JSON labels.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 from . import linalg
 from .koszul import BlockKey, CochainComplex, GModule, normalize_word, trivial_module
@@ -142,7 +143,7 @@ def h0_fixed_points(alg: NilpotentAlgebra, module: GModule) -> CohomologyResult:
     one pass files each action entry under the block of its column."""
     res = CohomologyResult(alg.name, 0, ROUTE_FIXED, module.name,
                            family=alg.family, params=alg.params)
-    keys = [(w.sort_key(), p) for w, p in zip(module.weights, module.parities)]
+    keys = list(zip(module.weights, module.parities))
     width = Counter(keys)
     rows: dict[BlockKey, dict[tuple[int, int], linalg.SparseRow]] = {key: {} for key in width}
     for i in range(alg.dim):
@@ -158,7 +159,7 @@ def h1_via_quotient(alg: NilpotentAlgebra) -> CohomologyResult:
     derived = derived_subalgebra(alg)
     res = CohomologyResult(alg.name, 1, ROUTE_QUOTIENT, "C",
                            family=alg.family, params=alg.params)
-    width = Counter((b.weight.sort_key(), b.parity) for b in alg.basis)
+    width = Counter(zip(alg.weights, alg.parities))
     for (wt, p), n in sorted(width.items()):
         res.add(tuple(-c for c in wt), p, n - derived["blocks"].get((wt, p), 0))
     return res
@@ -180,7 +181,7 @@ def h1_via_superderivations(alg: NilpotentAlgebra, module: GModule) -> Cohomolog
                            family=alg.family, params=alg.params)
     dim_m = module.dim
     keys = [  # keys[i * dim M + w]: the block of the unknown (i, w)
-        ((mw - aw).sort_key(), (pi + pw) % 2)
+        (tuple(map(sub, mw, aw)), (pi + pw) % 2)
         for aw, pi in zip(alg.weights, alg.parities)
         for mw, pw in zip(module.weights, module.parities)
     ]
@@ -311,21 +312,20 @@ def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
     cx = CochainComplex(alg, trivial_module(alg))
     vals = [alg.grading_value(b.weight) for b in alg.basis]
     if not vals:
-        return {"weight": weight.to_json(), "lhs": 1, "rhs": 1, "equal": True}
+        return {"weight": [str(c) for c in weight], "lhs": 1, "rhs": 1, "equal": True}
     vmax = max(vals)  # closest to zero, still negative
     target = alg.grading_value(weight)
     kmax = -target // vmax  # each letter adds at least -vmax > 0
-    key_par = weight.sort_key()
     lhs = 0
     rhs = 0
     for k in range(0, kmax + 1):
         src = cx.degree(k)
-        ck = sum(len(src.blocks.get((key_par, p), ())) for p in (EVEN, ODD))
+        ck = sum(len(src.blocks.get((weight, p), ())) for p in (EVEN, ODD))
         hk = 0
         if ck or k == 0:
             res = cohomology(alg, None, k, complex_cache=cx)
-            hk = sum(res.blocks.get(key_par, ()))
+            hk = sum(res.blocks.get(weight, ()))
         sign = -1 if k % 2 else 1
         lhs += sign * ck
         rhs += sign * hk
-    return {"weight": weight.to_json(), "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+    return {"weight": [str(c) for c in weight], "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

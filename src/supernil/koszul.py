@@ -32,11 +32,11 @@ word's letters packed as (parity, weight) into ints, sum_i v_i * 2**(64 i)
 `degree` and `block_rows` check for their sums), and makes tuples only
 for a new (weight, parity).  A block's key is the (int tuple, parity)
 itself when the scale is 1, and otherwise the tuple divided back by the
-scale, so it always equals (Weight.sort_key(), parity), and blocks are
-found by that value: `degree` files cochains, and `block_rows` finds a
-block, under any key equal to it.  Equal keys are interned to one object
-per complex, which saves memory; a block's `Weight` is made only when
-asked for (`CochainComplex.weight`).  A block lists its cochain indices in
+scale, so it always equals (weight, parity), the weight the exact tuple
+of its coordinates; `key[0]` is the block's weight.  Blocks are found by
+that value: `degree` files cochains, and `block_rows` finds a block,
+under any key equal to it.  Equal keys are interned to one object per
+complex, which saves memory.  A block lists its cochain indices in
 ascending order.
 
 d^k is assembled from the source side and never enumerates C^{k+1}.  For
@@ -80,10 +80,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import Sparse, SparseRow, add_to, rank, sparse_matmul
-from .realize import IdealDesignation, NilpotentAlgebra, verify_ideal
+from .realize import Ideal, NilpotentAlgebra, supercommutator, verify_ideal
 from .supercore import EVEN, ODD, Parity, Rational, Weight, exact, parity_sum, swap_sign
 
 Word = tuple[int, ...]
@@ -148,7 +149,8 @@ class GModule:
     """Finite-dimensional module over a NilpotentAlgebra, exact action.
 
     `action[i]` is the sparse matrix of the i-th algebra basis vector:
-    x_i . m_c = sum_r action[i][(r, c)] m_r.
+    x_i . m_c = sum_r action[i][(r, c)] m_r.  Each weight must have one
+    coordinate per symbol of the algebra; ValueError otherwise.
     """
 
     def __init__(
@@ -159,6 +161,10 @@ class GModule:
         weights: tuple[Weight, ...],
         action: list[Sparse],
     ):
+        for w in weights:
+            if len(w) != len(algebra.symbols):
+                raise ValueError(f"{name}: weight {w} is not over the symbol system "
+                                 f"{algebra.symbols} of {algebra.name}")
         self.algebra = algebra
         self.name = name
         self.parities = parities
@@ -180,7 +186,7 @@ class GModule:
                 assert val != 0
                 if self.parities[r] != (self.parities[c] + alg.parities[i]) % 2:
                     raise AssertionError(f"{self.name}: action of x_{i} breaks parity")
-                if self.weights[r] != self.weights[c] + alg.weights[i]:
+                if self.weights[r] != tuple(map(add, self.weights[c], alg.weights[i])):
                     raise AssertionError(f"{self.name}: action of x_{i} breaks weights")
         for i in range(alg.dim):
             for j in range(i, alg.dim):
@@ -191,10 +197,8 @@ class GModule:
                 for t, c in bij.items():
                     for pos, val in self.action[t].items():
                         add_to(lhs, pos, c * val)
-                rhs = sparse_matmul(self.action[i], self.action[j])
-                sign = 1 if (alg.parities[i] and alg.parities[j]) else -1
-                for pos, val in sparse_matmul(self.action[j], self.action[i]).items():
-                    add_to(rhs, pos, sign * val)
+                rhs = supercommutator(self.action[i], alg.parities[i],
+                                      self.action[j], alg.parities[j])
                 if lhs != rhs:
                     raise AssertionError(
                         f"{self.name}: representation identity fails on ({i},{j})"
@@ -202,15 +206,15 @@ class GModule:
 
 
 def trivial_module(alg: NilpotentAlgebra) -> GModule:
-    w0 = Weight.zero(alg.wtag, len(alg.symbols))
+    w0 = (0,) * len(alg.symbols)
     return GModule(alg, "C", (EVEN,), (w0,), [dict() for _ in range(alg.dim)])
 
 
-def ideal_module(parent: NilpotentAlgebra, ideal: IdealDesignation) -> GModule:
+def ideal_module(parent: NilpotentAlgebra, ideal: Ideal) -> GModule:
     """The ideal I as a module over all of n by the bracket, x.m = [x, m],
     on the members in ascending id order."""
     verify_ideal(parent, ideal)
-    members = ideal.sorted_ids()
+    members = sorted(ideal)
     pos_of = {mid: a for a, mid in enumerate(members)}
     action: list[Sparse] = []
     for pid in range(parent.dim):
@@ -234,17 +238,18 @@ def contragredient(mat: Sparse, px: Parity, parities: Sequence[Parity]) -> Spars
 
 def dual_module(
     parent: NilpotentAlgebra,
-    ideal: IdealDesignation,
+    ideal: Ideal,
     quotient: NilpotentAlgebra,
 ) -> GModule:
     """I* as a module over n/I: the contragredient of `ideal_module` on
     the ids outside I.  Weights are negated; parities kept."""
     im = ideal_module(parent, ideal)
-    keep = [b.id for b in parent.basis if b.id not in ideal.member_ids]
+    keep = [b.id for b in parent.basis if b.id not in ideal]
     if len(keep) != quotient.dim:
         raise ValueError("quotient does not match the ideal complement")
     action = [contragredient(im.action[pid], parent.parities[pid], im.parities) for pid in keep]
-    mod = GModule(quotient, "I*", im.parities, tuple(-w for w in im.weights), action)
+    weights = tuple(tuple(-c for c in w) for w in im.weights)
+    mod = GModule(quotient, "I*", im.parities, weights, action)
     mod.verify()
     return mod
 
@@ -287,10 +292,7 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
     words = monomial_words(module.parities, j)
     parities = tuple(parity_sum(module.parities[x] for x in w) for w in words)
     zero = (0,) * len(alg.symbols)
-    coeffs = [wt.coeffs for wt in module.weights]
-    weights = tuple(
-        Weight(alg.wtag, tuple(map(sum, zip(zero, *[coeffs[x] for x in w])))) for w in words
-    )
+    weights = tuple(tuple(map(sum, zip(zero, *[module.weights[x] for x in w]))) for w in words)
     action = list(word_action(module, words))
     mod = GModule(alg, f"L^{j}({module.name})", parities, weights, action)
     mod.verify()
@@ -300,7 +302,7 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
 # -- the cochain complex ---------------------------------------------------------
 
 
-BlockKey = tuple[tuple, Parity]  # (weight sort key, parity)
+BlockKey = tuple[Weight, Parity]
 
 
 @dataclass
@@ -313,7 +315,7 @@ class DegreeData:
 
 def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
     """The integer vector scale * w (scale a multiple of every denominator)."""
-    return tuple(c.numerator * (scale // c.denominator) for c in w.coeffs)
+    return tuple(c.numerator * (scale // c.denominator) for c in w)
 
 
 def _packed(v: Sequence[int]) -> int:
@@ -329,17 +331,11 @@ class CochainComplex:
     """C^*(n, M) with lazily built bases and differentials."""
 
     def __init__(self, alg: NilpotentAlgebra, module: GModule):
-        if module.algebra is not alg and module.algebra.wtag != alg.wtag:
+        if module.algebra.symbols != alg.symbols:
             raise ValueError("module is not over this algebra's symbol system")
         self.alg = alg
         self.module = module
-        weights = alg.weights + module.weights
-        for w in weights:
-            if w.basis_tag != alg.wtag:
-                raise ValueError(
-                    f"weight symbol systems differ: {w.basis_tag!r} vs {alg.wtag!r}"
-                )
-        self._scale = lcm(*(c.denominator for w in weights for c in w.coeffs))
+        self._scale = lcm(*(c.denominator for w in alg.weights + module.weights for c in w))
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
         self._alg_pw = [_packed((p,) + iw) for p, iw in zip(alg.parities, self._alg_iw)]
@@ -356,10 +352,6 @@ class CochainComplex:
         self._terms: Callable[[Word], WordTerms] | None = None
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
-
-    def weight(self, key: BlockKey) -> Weight:
-        """The Weight of the block `key`."""
-        return Weight(self.alg.wtag, key[0])
 
     def _fits(self, letters: int) -> None:  # every sum of that many letters packs injectively
         if letters * self._max_coord >> 63:

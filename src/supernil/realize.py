@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -96,9 +97,6 @@ class NilpotentAlgebra:
         self.family = family
         self.params = params
         self.symbols = symbols
-        # weight basis tag: symbol-determined so that quotients, the sl
-        # alias and rebuilt smaller algebras stay weight-comparable
-        self.wtag = ",".join(symbols)
         self.basis = basis
         self.table = {k: dict(v) for k, v in bracket_table.items() if v}
         self.grading = grading
@@ -142,10 +140,10 @@ class NilpotentAlgebra:
         return [b.id for b in self.basis if b.parity == ODD]
 
     def weight_multiset(self) -> list[tuple[tuple, Parity]]:
-        return sorted((b.weight.sort_key(), b.parity) for b in self.basis)
+        return sorted((b.weight, b.parity) for b in self.basis)
 
     def grading_value(self, w: Weight) -> Rational:
-        return sum(a * b for a, b in zip(self.grading, w.coeffs))
+        return sum(a * b for a, b in zip(self.grading, w))
 
     # -- structural checks ---------------------------------------------------
 
@@ -161,7 +159,7 @@ class NilpotentAlgebra:
                 raise AssertionError(f"{self.name}: basis weight {b.label} not graded negative")
         for (i, j), terms in self.table.items():
             p = (self.parities[i] + self.parities[j]) % 2
-            w = self.weights[i] + self.weights[j]
+            w = tuple(map(add, self.weights[i], self.weights[j]))
             for t, c in terms.items():
                 assert c != 0
                 if self.parities[t] != p:
@@ -189,7 +187,7 @@ class NilpotentAlgebra:
                     "id": b.id,
                     "label": b.label,
                     "parity": b.parity,
-                    "weight": b.weight.to_json(),
+                    "weight": [str(c) for c in b.weight],
                 }
                 for b in self.basis
             ],
@@ -239,28 +237,27 @@ def jacobi_failures(
     return bad
 
 
-@dataclass(frozen=True)
-class IdealDesignation:
-    member_ids: frozenset[int]
-
-    def sorted_ids(self) -> list[int]:
-        return sorted(self.member_ids)
+#: An ideal (or a candidate for one): the ids of the basis vectors it spans.
+Ideal = frozenset[int]
 
 
-def verify_ideal(alg: NilpotentAlgebra, ideal: IdealDesignation) -> None:
-    """Check [n, I] <= I exhaustively; raises AssertionError otherwise."""
-    members = ideal.member_ids
+class IdealNotClosed(AssertionError):
+    """[n, I] has a component outside the candidate ideal I."""
+
+
+def verify_ideal(alg: NilpotentAlgebra, ideal: Ideal) -> None:
+    """Check [n, I] <= I exhaustively; raises IdealNotClosed otherwise."""
     for i in range(alg.dim):
-        for j in members:
+        for j in ideal:
             for t in alg.bracket(i, j):
-                if t not in members:
-                    raise AssertionError(
+                if t not in ideal:
+                    raise IdealNotClosed(
                         f"{alg.name}: ideal not closed, [x_{i}, x_{j}] has component x_{t}"
                     )
 
 
-def ideal_is_abelian(alg: NilpotentAlgebra, ideal: IdealDesignation) -> bool:
-    members = sorted(ideal.member_ids)
+def ideal_is_abelian(alg: NilpotentAlgebra, ideal: Ideal) -> bool:
+    members = sorted(ideal)
     for a, i in enumerate(members):
         for j in members[a:]:
             if alg.bracket(i, j):
@@ -282,14 +279,14 @@ def _parity(mat: linalg.Sparse, M: int) -> Parity:
     return ODD if True in parities else EVEN
 
 
-def _extract_weight(tag: str, torus: Sequence[dict[int, Rational]], x: linalg.Sparse) -> Weight:
+def _extract_weight(torus: Sequence[dict[int, Rational]], x: linalg.Sparse) -> Weight:
     """Weight of x under the diagonal torus, each h given as {index: value}:
     [h, E_rc] = (h_r - h_c) E_rc, so x is a weight vector exactly when every
     entry has the same vector of h_r - h_c."""
     weights = {tuple(h.get(r, 0) - h.get(c, 0) for h in torus) for r, c in x}
     if len(weights) != 1:
         raise AssertionError("matrix is not a torus weight vector")
-    return Weight(tag, weights.pop())
+    return weights.pop()
 
 
 def _assemble(
@@ -313,9 +310,8 @@ def _assemble(
     does not, or a position has no owner, the bracket leaves the span of
     the basis and the build fails.
     """
-    wtag = ",".join(symbols)
     basis = [
-        BasisVector(idx, label, _parity(mat, M), _extract_weight(wtag, torus, mat), mat)
+        BasisVector(idx, label, _parity(mat, M), _extract_weight(torus, mat), mat)
         for idx, (label, mat) in enumerate(raw_basis)
     ]
 
@@ -354,13 +350,10 @@ def _assemble(
     return alg
 
 
-def _weight_ideal(alg: NilpotentAlgebra, symbol_indices: Iterable[int]) -> IdealDesignation:
+def _weight_ideal(alg: NilpotentAlgebra, symbol_indices: Iterable[int]) -> Ideal:
     """All basis vectors whose weight is nonzero on any of the given symbols."""
     idx = tuple(symbol_indices)
-    members = frozenset(
-        b.id for b in alg.basis if any(b.weight.coeffs[t] != 0 for t in idx)
-    )
-    ideal = IdealDesignation(members)
+    ideal = frozenset(b.id for b in alg.basis if any(b.weight[t] != 0 for t in idx))
     verify_ideal(alg, ideal)
     return ideal
 
@@ -378,7 +371,7 @@ def _gl_grading(m: int, n: int) -> tuple[Rational, ...]:
     )
 
 
-def build_gl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
+def build_gl(m: int, n: int) -> tuple[NilpotentAlgebra, Ideal]:
     """Nilpotent subalgebra of gl(m|n), m >= n >= 1, and its ideal.
 
     The ideal is the span of the last-column root vectors: weights with a
@@ -409,7 +402,7 @@ def build_gl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
     return alg, family_ideal(alg)
 
 
-def build_sl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
+def build_sl(m: int, n: int) -> tuple[NilpotentAlgebra, Ideal]:
     """sl(m|n) shares its nilpotent part with gl(m|n); alias for tables."""
     alg, ideal = build_gl(m, n)
     alg2 = NilpotentAlgebra(
@@ -421,7 +414,7 @@ def build_sl(m: int, n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
 # -- q(n) --------------------------------------------------------------------
 
 
-def build_q(n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
+def build_q(n: int) -> tuple[NilpotentAlgebra, Ideal]:
     """Nilpotent subalgebra of q(n) inside gl(n|n), n >= 2.
 
     Even Et(i,j) and odd Eb(i,j) share the weight e_i - e_j (i < j); the
@@ -448,7 +441,7 @@ def build_q(n: int) -> tuple[NilpotentAlgebra, IdealDesignation]:
 
 def _build_osp(
     m: int, n: int, odd_case: bool, ideal_reading: str
-) -> tuple[NilpotentAlgebra, IdealDesignation]:
+) -> tuple[NilpotentAlgebra, Ideal]:
     """osp(2m+1|2n) (odd_case) or osp(2m|2n) from one set of matrix data."""
     M = 2 * m + 1 if odd_case else 2 * m
     so_p = lambda i: i - 1            # +i slot of the so block
@@ -500,7 +493,7 @@ def _build_osp(
 
 def build_osp_odd(
     m: int, n: int, ideal_reading: str = "auto"
-) -> tuple[NilpotentAlgebra, IdealDesignation]:
+) -> tuple[NilpotentAlgebra, Ideal]:
     """Nilpotent subalgebra of osp(2m+1|2n), m >= n >= 1.
 
     `ideal_reading` selects the garbled last-index predicate: "eps_only"
@@ -518,7 +511,7 @@ def build_osp_odd(
 
 def build_osp_even(
     m: int, n: int, ideal_reading: str = "auto"
-) -> tuple[NilpotentAlgebra, IdealDesignation]:
+) -> tuple[NilpotentAlgebra, Ideal]:
     """Nilpotent subalgebra of osp(2m|2n), m, n >= 1.
 
     The ideal is the e_m weight predicate when m >= n; for m < n that set is
@@ -592,12 +585,11 @@ def build_exceptional(name: str) -> NilpotentAlgebra:
     if name not in _EXCEPTIONAL:
         raise ValueError(f"unknown exceptional family {name!r}; expected D21a, G3 or F4")
     data = _EXCEPTIONAL[name]
-    wtag = ",".join(data["symbols"])
     basis: list[BasisVector] = []
     for label, coeffs in data["even"]:
-        basis.append(BasisVector(len(basis), label, EVEN, Weight.make(wtag, coeffs)))
+        basis.append(BasisVector(len(basis), label, EVEN, coeffs))
     for label, coeffs in data["odd"]:
-        basis.append(BasisVector(len(basis), label, ODD, Weight.make(wtag, coeffs)))
+        basis.append(BasisVector(len(basis), label, ODD, coeffs))
     alg = NilpotentAlgebra(
         data["name"], "exc", (name,), data["symbols"], basis, {},
         data["grading"],
@@ -617,7 +609,7 @@ def derived_subalgebra(alg: NilpotentAlgebra) -> dict:
     """
     by_block: dict[tuple[tuple, Parity], list[linalg.SparseRow]] = {}
     for (i, j), terms in alg.table.items():
-        w = (alg.weights[i] + alg.weights[j]).sort_key()
+        w = tuple(map(add, alg.weights[i], alg.weights[j]))
         p = (alg.parities[i] + alg.parities[j]) % 2
         by_block.setdefault((w, p), []).append(terms)
     blocks: dict[tuple[tuple, Parity], int] = {}
@@ -654,21 +646,21 @@ def restrict_algebra(
     return out
 
 
-def quotient_algebra(alg: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
+def quotient_algebra(alg: NilpotentAlgebra, ideal: Ideal) -> NilpotentAlgebra:
     """Quotient n/I on the complementary basis vectors.
 
     Brackets are the parent brackets with ideal components projected away;
     the result is re-verified (Jacobi holds because I is an ideal).
     """
     verify_ideal(alg, ideal)
-    keep = [b.id for b in alg.basis if b.id not in ideal.member_ids]
+    keep = [b.id for b in alg.basis if b.id not in ideal]
     return restrict_algebra(alg, keep, f"{alg.name}/I", alg.family + "_quotient")
 
 
 # -- family registry -----------------------------------------------------------
 
 
-def family_ideal(alg: NilpotentAlgebra, ideal_reading: str = "auto") -> IdealDesignation | None:
+def family_ideal(alg: NilpotentAlgebra, ideal_reading: str = "auto") -> Ideal | None:
     """The distinguished ideal of a family algebra, by the one rule every
     builder (and so `build_family`) uses; verified, and None for the
     exceptional algebras.  `ideal_reading` matters for osp only."""

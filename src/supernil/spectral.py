@@ -49,7 +49,7 @@ from .koszul import (
 )
 from .linalg import Sparse, sparse_matmul
 from .realize import (
-    IdealDesignation,
+    Ideal,
     NilpotentAlgebra,
     build_family,
     family_ideal,
@@ -61,12 +61,10 @@ from .realize import (
 from .supercore import exact, parity_sum
 
 
-def ideal_subalgebra(parent: NilpotentAlgebra, ideal: IdealDesignation) -> NilpotentAlgebra:
+def ideal_subalgebra(parent: NilpotentAlgebra, ideal: Ideal) -> NilpotentAlgebra:
     """The ideal as an algebra in its own right (brackets restricted)."""
     verify_ideal(parent, ideal)
-    return restrict_algebra(
-        parent, ideal.sorted_ids(), f"{parent.name}|I", parent.family + "_ideal"
-    )
+    return restrict_algebra(parent, sorted(ideal), f"{parent.name}|I", parent.family + "_ideal")
 
 
 class IdealComplex:
@@ -78,7 +76,7 @@ class IdealComplex:
     Hochschild-Serre coefficient modules well defined.  Each is built once
     and shared by the H^j(I, C) of every j."""
 
-    def __init__(self, parent: NilpotentAlgebra, ideal: IdealDesignation):
+    def __init__(self, parent: NilpotentAlgebra, ideal: Ideal):
         self.parent = parent
         self.ideal = ideal
         self.sub = ideal_subalgebra(parent, ideal)
@@ -146,9 +144,9 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
                 for p, x in vec.items():
                     classes[(p, len(parities))] = x
                 parities.append(key[1])
-                weights.append(cx.weight(key))
+                weights.append(key[0])
 
-    members = ic.ideal.member_ids
+    members = ic.ideal
     action: dict[int, Sparse] = {b.id: {} for b in ic.parent.basis if b.id not in members}
     for pid, act in enumerate(lam):
         images: dict[int, linalg.SparseRow] = {}
@@ -214,7 +212,7 @@ class E2Page:
     terms: dict[tuple[int, int], CohomologyResult] = field(default_factory=dict)
     # what the terms were computed from: the ideal, n/I and the coefficient
     # module of each row j (Lambda_s^j(I*) when I is abelian)
-    ideal: IdealDesignation | None = None
+    ideal: Ideal | None = None
     quotient: NilpotentAlgebra | None = None
     modules: dict[int, GModule] = field(default_factory=dict)
 
@@ -225,7 +223,7 @@ class E2Page:
 
 def e2_page(
     alg: NilpotentAlgebra,
-    ideal: IdealDesignation,
+    ideal: Ideal,
     K: int,
 ) -> E2Page:
     """All E_2^{i,j} with i + j <= K for the Hochschild-Serre sequence."""
@@ -267,7 +265,7 @@ class CollapseReport(dict):
 
 def collapse_check(
     alg: NilpotentAlgebra,
-    ideal: IdealDesignation,
+    ideal: Ideal,
     K: int,
 ) -> CollapseReport:
     """Compare dim H^k(n, C) with sum_{i+j=k} dim E_2^{i,j}, k <= K."""
@@ -321,7 +319,7 @@ def _embed_key(key: tuple, src_symbols, dst_symbols) -> tuple:
 
 def _embedded_multiset(alg: NilpotentAlgebra, symbols) -> list:
     return sorted(
-        (_embed_key(b.weight.sort_key(), alg.symbols, symbols), b.parity)
+        (_embed_key(b.weight, alg.symbols, symbols), b.parity)
         for b in alg.basis
     )
 

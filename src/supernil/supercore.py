@@ -5,7 +5,11 @@ of a fixed diagonal torus.  Both gradings are kept exact -- parities are the
 ints 0 (even) and 1 (odd), and a weight coordinate, like every other exact
 value of the package, is an `int` when it is integral and a
 `fractions.Fraction` only when it has a true denominator (`exact`).  No
-floating point enters any computation.
+floating point enters any computation.  A weight is a plain tuple of
+such coordinates (`Weight`), one per symbol of its algebra; the symbols
+are stored once, on the algebra, and a module's weights are checked
+against them where the module meets it (`koszul.GModule`,
+`koszul.CochainComplex`).
 
 The one genuinely super ingredient here is `swap_sign`: in the
 superexterior algebra, transposing adjacent homogeneous factors x, y
@@ -16,7 +20,6 @@ a word into canonical order one adjacent transposition at a time with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,6 +31,9 @@ Parity = int  # element of Z_2, canonically 0 or 1
 #: Exact scalar of the computational core: an int where the value is
 #: integral, a Fraction only where a true denominator exists.
 Rational = int | Fraction
+
+#: A weight: its exact coordinates over `NilpotentAlgebra.symbols`.
+Weight = tuple[Rational, ...]
 
 
 def parity_sum(parities: Iterable[Parity]) -> Parity:
@@ -50,12 +56,6 @@ def exact(q: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
-def _coerce(c) -> Rational:
-    if isinstance(c, (int, Fraction, str)):
-        return exact(Fraction(c))
-    raise TypeError(f"not an exact rational: {c!r}")
-
-
 def describe(coeffs: Iterable[Rational], symbols: Sequence[str]) -> str:
     """Human-readable weight like "e2-e1" or "-2d1" from its coordinates."""
     parts: list[str] = []
@@ -73,49 +73,3 @@ def describe(coeffs: Iterable[Rational], symbols: Sequence[str]) -> str:
         else:
             parts.append(term)
     return "".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True, order=False)
-class Weight:
-    """Exact weight vector over a named tuple of formal symbols.
-
-    `basis_tag` pins the symbol system (e.g. "gl(3|2)" with symbols
-    e1,e2,e3,d1,d2) so that weights from different algebras never compare
-    equal by accident.  Coefficients are exact rationals.  Every algebra
-    the builders make, the exceptional F(4), G(3) and D(2,1;a) included,
-    has integer weights; a module may still carry fractional ones.
-    """
-
-    basis_tag: str
-    coeffs: tuple[Rational, ...]
-
-    @staticmethod
-    def make(basis_tag: str, coeffs: Iterable) -> "Weight":
-        return Weight(basis_tag, tuple(_coerce(c) for c in coeffs))
-
-    @staticmethod
-    def zero(basis_tag: str, rank: int) -> "Weight":
-        return Weight(basis_tag, (0,) * rank)
-
-    def _check(self, other: "Weight") -> None:
-        if self.basis_tag != other.basis_tag:
-            raise ValueError(
-                f"weight symbol systems differ: {self.basis_tag!r} vs {other.basis_tag!r}"
-            )
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(self.basis_tag, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(self.basis_tag, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(self.basis_tag, tuple(-a for a in self.coeffs))
-
-    def sort_key(self) -> tuple:
-        return tuple(self.coeffs)
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]

@@ -266,9 +266,9 @@ def test_criterion_8_structural_property_suite():
         assert alg.dim <= 8
         # cochain weights: the negated weights of words of one and two letters
         weights = sorted(
-            {-b.weight for b in alg.basis}
-            | {-(b.weight + c.weight) for b in alg.basis for c in alg.basis},
-            key=lambda w: w.sort_key(),
+            {tuple(-x for x in b.weight) for b in alg.basis}
+            | {tuple(-x - y for x, y in zip(b.weight, c.weight))
+               for b in alg.basis for c in alg.basis}
         )
         lhs = []
         for w in weights[:8]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supernil import cli
+from supernil import cli, realize
 from supernil.cli import main
 from supernil.koszul import monomial_words
 from supernil.realize import build_family
@@ -398,10 +398,53 @@ def test_ideal_reading_flag():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["abelian_ideal"] is False  # the or-reading is never abelian
-    # closure fails for m >= n+2: internal invariant violation
+    # closure fails for m >= n+2: the chosen reading is bad input
     proc = run_cli("spectral", "--family", "osp_odd", "--m", "3", "--n", "1",
                    "--K", "1", "--ideal-reading", "eps_or_delta")
-    assert proc.returncode == 3
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("compute", "--family", "osp_even", "--m", "1", "--n", "2", "--degree", "1",
+     "--ideal-reading", "eps_only"),
+    ("spectral", "--family", "osp_even", "--m", "1", "--n", "2", "--ideal-reading", "eps_only"),
+    ("dump-algebra", "--family", "osp_odd", "--m", "3", "--n", "1",
+     "--ideal-reading", "eps_or_delta"),
+], ids=["compute", "spectral", "dump-algebra"])
+def test_a_chosen_ideal_reading_that_is_not_closed_exits_2(args):
+    # the user's flag is at fault, even where trivial coefficients never use the ideal
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: --ideal-reading {args[-1]} ")
+    assert "ideal not closed" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_an_auto_ideal_that_is_not_closed_exits_3(monkeypatch, capsys):
+    # read every ideal off e1 alone: for osp(2|4) that set is not closed,
+    # and a default ideal that is not one is a violation, not bad input
+    weight_ideal = realize._weight_ideal
+    monkeypatch.setattr(realize, "_weight_ideal", lambda alg, idx: weight_ideal(alg, [0]))
+    assert main(["compute", "--family", "osp_even", "--m", "1", "--n", "2", "--degree", "1"]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("spectral", "--family", "gl", "--m", "2", "--n", "2", "--cache-dir"),
+    ("extension-check", "--family", "gl", "--m", "2", "--n", "2", "--cache-dir"),
+    ("verify-tables", "--cache-dir"),
+    ("dump-algebra", "--family", "q", "--n", "3", "--cache-dir"),
+    ("verify-tables", "--force"),
+    ("dump-algebra", "--family", "q", "--n", "3", "--force"),
+], ids=["spectral-cache-dir", "extension-check-cache-dir", "verify-tables-cache-dir",
+        "dump-algebra-cache-dir", "verify-tables-force", "dump-algebra-force"])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, args):
+    argv = list(args) + ([str(tmp_path / "cache")] if args[-1] == "--cache-dir" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {args[-1]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -656,7 +699,7 @@ import sys
 sys.path.insert(0, "perfbench")
 import tracer
 t = tracer.install()
-from supernil import cli
+from supernil import cli, realize
 code = cli.main(["compute", "--family", "gl", "--m", "3", "--n", "2", "--degree", "1",
                  "--workers", "2"])
 # compute ranks d^k block by block; the cocycle scan needs all of d^2

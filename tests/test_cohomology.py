@@ -175,7 +175,7 @@ def test_h2_weights_are_negated_pair_sums():
     alg = realize.build_exceptional("D21a")
     res = cohomology(alg, None, 2)
     pair_sums = {
-        (-(a.weight + b.weight)).sort_key()
+        tuple(-x - y for x, y in zip(a.weight, b.weight))
         for a in alg.basis
         for b in alg.basis
     }
@@ -346,11 +346,11 @@ def test_euler_characteristic_blocks():
         # cochain weights: the negated weights of words of one and two letters
         seen = set()
         for b in alg.basis:
-            seen.add(-b.weight)
+            seen.add(tuple(-x for x in b.weight))
             for b2 in alg.basis:
-                seen.add(-(b.weight + b2.weight))
+                seen.add(tuple(-x - y for x, y in zip(b.weight, b2.weight)))
         lhs = []
-        for w in sorted(seen, key=lambda x: x.sort_key())[:10]:
+        for w in sorted(seen)[:10]:
             rep = euler_characteristic_check(alg, w)
             assert rep["equal"], rep
             lhs.append(rep["lhs"])

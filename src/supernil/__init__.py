@@ -10,7 +10,7 @@ the central-extension correspondence for H^2.
 
 __version__ = "0.1.0"
 
-from . import cohomology, koszul, linalg, realize, spectral, supercore, tables
+from . import cohomology, koszul, linalg, realize, spectral, supercore
 from .cohomology import (
     CohomologyResult,
     central_extension,

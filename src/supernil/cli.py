@@ -8,7 +8,7 @@ Subcommands:
                       also recursive vs direct H^2, on the one algebra and
                       the one direct H^2 the collapse rows use
 * extension-check  -- central-extension Jacobi <=> cocycle scan
-* dump-algebra     -- serialized basis/bracket data
+* dump-algebra     -- serialized basis/bracket data, always JSON
 
 Exit codes: 0 success, 1 unexplained table mismatch, 2 bad input
 (including a negative --degree, --K, --j, --samples or verify-tables range
@@ -17,10 +17,11 @@ invariant violation (including an H^1 route that disagrees with the Koszul
 route on a block, a collapse mismatch and a recursive H^2 that disagrees
 with the direct H^2).  An --ideal-reading whose ideal is not closed is bad
 input; an "auto" ideal that is not closed is a violation.  Each subcommand
-takes only the flags it reads: --cache-dir is compute's, and --force
-belongs to compute, spectral and extension-check.  --workers is accepted
-and validated but changes nothing: every rank is taken in this process,
-one weight block at a time.  Output is deterministic: repeated runs
+takes only the flags it reads: --cache-dir is compute's, --force belongs
+to compute, spectral and extension-check, and --format to every
+subcommand but dump-algebra.  --workers is accepted and validated but
+changes nothing: every rank is taken in this process, one weight block at
+a time.  Output is deterministic: repeated runs
 produce byte-identical bytes.  Cache entries are keyed by the arguments,
 the package version and a digest of the package source, and store the
 sha256 of their payload.  A cache directory that cannot be created is bad
@@ -30,21 +31,22 @@ written to a temporary file and renamed into place.  An entry that cannot
 be written (a full disk, a read-only directory) is reported on stderr, its
 temporary file is removed and the result is still printed.  A closed
 stdout ends the run quietly with exit 0.
+
+Importing this module loads the layers that compute and spectral run and
+nothing else: `tables` is imported by verify-tables, `random` by
+extension-check and `hashlib` by the cache, each only when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import inspect
 import json
 import math
 import os
-import random
 import sys
 
-from . import __version__, tables
+from . import __version__
 from .cohomology import (
     central_extension,
     cocycle_space,
@@ -55,13 +57,24 @@ from .cohomology import (
 )
 from .koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
 from .realize import IdealNotClosed, build_family, quotient_algebra
+# spectral stays a top-level import: perfbench/tracer.py wraps the layers
+# it finds loaded once this module is imported
 from .spectral import collapse_check, h2_recursive
 
 CACHE_ENV = "SUPERNIL_CACHE_DIR"
 MONOMIAL_GUARD = 10 ** 6
-# the verify-tables range flags: one per default_expectations keyword,
-# with its default
-TABLE_RANGES = inspect.signature(tables.default_expectations).parameters
+# the verify-tables range flags, one per tables.default_expectations
+# keyword, with their defaults
+TABLE_RANGES = {
+    "gl_h1_max": 6,
+    "q_h1_max": 6,
+    "osp_max": 4,
+    "gl_h2_max": 5,
+    "glmn_h2_max": 4,
+    "q_h2_max": 4,
+    "osp_h2_max": 4,
+    "osp_base_h2_max": 4,
+}
 
 
 def _family_params(args) -> tuple[str, tuple]:
@@ -136,6 +149,8 @@ def _cache_dir(args) -> str | None:
 
 
 def _json_digest(obj) -> str:
+    import hashlib
+
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
@@ -177,6 +192,8 @@ def _cache_store(cache_dir, key, payload) -> None:
 
 def _source_digest() -> str:
     """sha256 of the package's own .py files, so a code change is a cache miss."""
+    import hashlib
+
     digest = hashlib.sha256()
     here = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(here)):
@@ -256,6 +273,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    from . import tables
+
     rows = tables.default_expectations(**{name: getattr(args, name) for name in TABLE_RANGES})
     report, code = tables.run_expectations(rows)
     if args.format == "json":
@@ -298,6 +317,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_extension_check(args) -> int:
+    import random
+
     alg, _ = _build(args)
     if alg.dim > 8 and not args.force:
         _fail_input("extension scan is exponential; pass --force beyond dim 8")
@@ -369,8 +390,9 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                    help="reading of the garbled osp ideal description")
 
 
-def _add_common_flags(p: argparse.ArgumentParser, force: bool = True) -> None:
-    p.add_argument("--format", default="text", choices=["text", "json"])
+def _add_common_flags(p: argparse.ArgumentParser, force: bool = True, fmt: bool = True) -> None:
+    if fmt:
+        p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--workers", type=positive_int, default=1,
                    help="accepted for compatibility; has no effect")
     if force:
@@ -400,9 +422,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", help="check published dimension tables")
     _add_common_flags(p, force=False)
-    for name, param in TABLE_RANGES.items():
-        p.add_argument("--" + name.replace("_", "-"), type=nonnegative_int,
-                       default=param.default)
+    for name, default in TABLE_RANGES.items():
+        p.add_argument("--" + name.replace("_", "-"), type=nonnegative_int, default=default)
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("spectral", help="Hochschild-Serre collapse report")
@@ -420,9 +441,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_extension_check)
 
-    p = sub.add_parser("dump-algebra", help="serialize basis and brackets")
+    p = sub.add_parser("dump-algebra", help="serialize basis and brackets as JSON")
     _add_family_flags(p)
-    _add_common_flags(p, force=False)
+    _add_common_flags(p, force=False, fmt=False)
     p.set_defaults(func=cmd_dump_algebra)
     return parser
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
 
@@ -50,19 +49,21 @@ ROUTE_FIXED = "fixed_points"
 ROUTE_SPECTRAL = "spectral_sum"
 
 
-@dataclass
 class CohomologyResult:
     """H^k block by block.  `blocks` maps each block's weight key, the tuple
     of its weight coordinates, to [even dim, odd dim]; the key is the
     block's only name."""
 
-    algebra: str
-    degree: int
-    route: str
-    coefficients: str
-    blocks: dict[tuple, list[int]] = field(default_factory=dict)
-    family: str = ""
-    params: tuple = ()
+    def __init__(self, algebra: str, degree: int, route: str, coefficients: str,
+                 blocks: dict[tuple, list[int]] | None = None, family: str = "",
+                 params: tuple = ()):
+        self.algebra = algebra
+        self.degree = degree
+        self.route = route
+        self.coefficients = coefficients
+        self.blocks = {} if blocks is None else blocks
+        self.family = family
+        self.params = params
 
     def add(self, key: tuple, parity: int, dim: int) -> None:
         if dim:

@@ -77,11 +77,10 @@ and q(4)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import Sparse, SparseRow, add_to, rank, sparse_matmul
 from .realize import Ideal, NilpotentAlgebra, supercommutator, verify_ideal
@@ -305,8 +304,7 @@ def lambda_s_module(alg: NilpotentAlgebra, module: GModule, j: int) -> GModule:
 BlockKey = tuple[Weight, Parity]
 
 
-@dataclass
-class DegreeData:
+class DegreeData(NamedTuple):
     words: list[Word]
     word_index: dict[Word, int]
     keys: list[BlockKey]           # per cochain index

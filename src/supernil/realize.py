@@ -43,11 +43,10 @@ degrees in which a fixed weight can appear in the superexterior algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .supercore import EVEN, ODD, Parity, Rational, Weight, exact
@@ -62,13 +61,12 @@ def supercommutator(x: linalg.Sparse, px: Parity, y: linalg.Sparse, py: Parity) 
     return out
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     id: int
     label: str
     parity: Parity
     weight: Weight
-    realization: linalg.Sparse | None = field(default=None, compare=False, hash=False)
+    realization: linalg.Sparse | None = None
 
 
 BracketTable = dict[tuple[int, int], dict[int, Rational]]

@@ -27,7 +27,6 @@ Lambda_s^2(I*) and, when K >= 2, H^1(n/I, I*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from . import linalg
 from .cohomology import (
     ROUTE_SPECTRAL,
@@ -205,16 +204,19 @@ def _assert_commutes_with_d(
             )
 
 
-@dataclass
 class E2Page:
-    algebra: str
-    abelian_ideal: bool
-    terms: dict[tuple[int, int], CohomologyResult] = field(default_factory=dict)
-    # what the terms were computed from: the ideal, n/I and the coefficient
-    # module of each row j (Lambda_s^j(I*) when I is abelian)
-    ideal: Ideal | None = None
-    quotient: NilpotentAlgebra | None = None
-    modules: dict[int, GModule] = field(default_factory=dict)
+    def __init__(self, algebra: str, abelian_ideal: bool,
+                 terms: dict[tuple[int, int], CohomologyResult] | None = None,
+                 ideal: Ideal | None = None, quotient: NilpotentAlgebra | None = None,
+                 modules: dict[int, GModule] | None = None):
+        self.algebra = algebra
+        self.abelian_ideal = abelian_ideal
+        self.terms = {} if terms is None else terms
+        # what the terms were computed from: the ideal, n/I and the
+        # coefficient module of each row j (Lambda_s^j(I*) when I is abelian)
+        self.ideal = ideal
+        self.quotient = quotient
+        self.modules = {} if modules is None else modules
 
     def term_total(self, i: int, j: int) -> int:
         t = self.terms.get((i, j))

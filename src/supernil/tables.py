@@ -34,7 +34,7 @@ default ranges:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import realize
 from .cohomology import CohomologyResult, cohomology
@@ -47,8 +47,7 @@ STATUS_MISMATCH = "mismatch"
 STATUS_CONFLICT = "paper-internal-conflict"
 
 
-@dataclass
-class TableExpectation:
+class TableExpectation(NamedTuple):
     row_id: str
     family: str
     params: tuple
@@ -56,8 +55,9 @@ class TableExpectation:
     kind: str
     expected: dict[str, int]
     note: str = ""
-    split: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # split: source -> (even total, odd total), asserted only on assert rows
+    # split: source -> (even total, odd total), asserted only on assert rows;
+    # only read, so the rows may share the empty default
+    split: dict[str, tuple[int, int]] = {}
 
 
 def _table_h2_mn(m: int, n: int) -> int:
@@ -77,15 +77,18 @@ def _text_h2_gl_mn(m: int, n: int) -> int:
 
 
 def default_expectations(
-    gl_h1_max: int = 6,
-    q_h1_max: int = 6,
-    osp_max: int = 4,
-    gl_h2_max: int = 5,
-    glmn_h2_max: int = 4,
-    q_h2_max: int = 4,
-    osp_h2_max: int = 4,
-    osp_base_h2_max: int = 4,
+    *,
+    gl_h1_max: int,
+    q_h1_max: int,
+    osp_max: int,
+    gl_h2_max: int,
+    glmn_h2_max: int,
+    q_h2_max: int,
+    osp_h2_max: int,
+    osp_base_h2_max: int,
 ) -> list[TableExpectation]:
+    """The expectation rows over the given parameter ranges (the defaults
+    are `cli.TABLE_RANGES`)."""
     rows: list[TableExpectation] = []
     # ---- H^1, internally consistent rows
     for n in range(2, gl_h1_max + 1):

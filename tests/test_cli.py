@@ -436,8 +436,10 @@ def test_an_auto_ideal_that_is_not_closed_exits_3(monkeypatch, capsys):
     ("dump-algebra", "--family", "q", "--n", "3", "--cache-dir"),
     ("verify-tables", "--force"),
     ("dump-algebra", "--family", "q", "--n", "3", "--force"),
+    ("dump-algebra", "--family", "q", "--n", "3", "--format"),
 ], ids=["spectral-cache-dir", "extension-check-cache-dir", "verify-tables-cache-dir",
-        "dump-algebra-cache-dir", "verify-tables-force", "dump-algebra-force"])
+        "dump-algebra-cache-dir", "verify-tables-force", "dump-algebra-force",
+        "dump-algebra-format"])
 def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, args):
     argv = list(args) + ([str(tmp_path / "cache")] if args[-1] == "--cache-dir" else [])
     with pytest.raises(SystemExit) as exc:
@@ -663,9 +665,18 @@ def test_workers_start_no_process(monkeypatch, capsys):
     assert outs[0] == outs[1] and json.loads(outs[0])["total"] > 0
 
 
-def test_import_does_not_load_multiprocessing():
-    code = "import sys, supernil.cli; sys.exit('multiprocessing' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_import_loads_only_what_compute_and_spectral_run():
+    code = ("import json, sys; before = set(sys.modules); import supernil.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    # what only verify-tables, extension-check or the cache uses is imported
+    # when it runs, and dataclasses, inspect and multiprocessing not at all
+    assert not loaded & {"dataclasses", "inspect", "hashlib", "_hashlib", "random",
+                         "multiprocessing", "supernil.tables"}
+    # perfbench/tracer.py wraps only the layers that importing the cli loads
+    assert "supernil.spectral" in loaded
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -708,6 +719,12 @@ code = code or cli.main(["extension-check", "--family", "q", "--n", "3", "--samp
 # and row_space_basis
 code = code or cli.main(["spectral", "--family", "osp_even", "--m", "1", "--n", "3",
                          "--K", "2"])
+# tables is imported by verify-tables itself, after the tracer wrapped
+# cohomology; its rows must still be computed by the wrapped function
+assert "supernil.tables" not in sys.modules
+first = len(t.spans)
+ranges = [arg for flag in cli.TABLE_RANGES for arg in ("--" + flag.replace("_", "-"), "2")]
+code = code or cli.main(["verify-tables", *ranges])
 names = {span[1] for span in t.spans}
 missing = {"cli", "realize.build", "realize.verify", "koszul.degree", "koszul.differential",
            "koszul.block_matrix", "linalg.rank", "linalg.elim", "cohomology",
@@ -715,6 +732,8 @@ missing = {"cli", "realize.build", "realize.verify", "koszul.degree", "koszul.di
 hj = {i for i, span in enumerate(t.spans) if span[1] == "spectral.hj_ideal_module"}
 if not any(span[1] == "linalg.elim" and span[4] in hj for span in t.spans):
     missing.add("linalg.elim in spectral.hj_ideal_module")
+if not any(span[1] == "cohomology" for span in t.spans[first:]):
+    missing.add("cohomology in verify-tables")
 if missing:
     sys.exit(f"untraced: {sorted(missing)}")
 sys.exit(code)

@@ -8,6 +8,7 @@ import pytest
 
 from supernil import koszul, linalg, realize
 from supernil.cohomology import (
+    CohomologyResult,
     central_extension,
     cocycle_space,
     cohomology,
@@ -367,3 +368,12 @@ def test_result_serialization(built):
     import json
 
     json.dumps(data)
+
+
+def test_results_built_without_blocks_do_not_share_them():
+    a = CohomologyResult("n", 1, "koszul", "C")
+    b = CohomologyResult("n", 1, "koszul", "C")
+    a.add((1,), 0, 2)
+    assert a.blocks == {(1,): [2, 0]} and b.blocks == {} and b.total == 0
+    given = {(0,): [1, 0]}
+    assert CohomologyResult("n", 0, "koszul", "C", given).blocks is given

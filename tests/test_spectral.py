@@ -8,7 +8,7 @@ import pytest
 from supernil import cli, linalg, realize, spectral
 from supernil.cohomology import cohomology, h0_fixed_points, h1_via_superderivations
 from supernil.koszul import CochainComplex, dual_module, lambda_s_module
-from supernil.spectral import collapse_check, e2_page, h2_recursive, hj_ideal_module
+from supernil.spectral import E2Page, collapse_check, e2_page, h2_recursive, hj_ideal_module
 
 
 def test_e2_gl33_splits(built):
@@ -188,6 +188,13 @@ def test_abelian_e2_page_builds_the_dual_module_once(built, monkeypatch):
     page = e2_page(alg, ideal, 3)
     assert page.abelian_ideal and len(calls) == 1
     assert len(e2_page(alg, ideal, 0).terms) == 1 and len(calls) == 1
+
+
+def test_pages_built_without_terms_or_modules_do_not_share_them():
+    a, b = E2Page("n", True), E2Page("n", True)
+    a.terms[(0, 0)] = None
+    a.modules[0] = None
+    assert b.terms == {} and b.modules == {}
 
 
 def test_nonabelian_e2_page_builds_the_ideal_complex_once(built, monkeypatch):

@@ -5,7 +5,7 @@ The Koszul route is authoritative: per (weight, parity) block of C^k,
     dim H^k = dim C^k - rank d^k - rank d^{k-1}
 
 with every rank computed exactly by `linalg.rank` on the block's nonzero
-sparse rows: integer elimination after each row's denominators are
+sparse columns: integer elimination after each column's denominators are
 cleared, with no dense matrix built.  The blocks stream: each block of
 d^k and d^{k-1} is assembled alone, ranked and dropped before the next
 (`CochainComplex.block_rank`), so d^k is never held whole, and the complex

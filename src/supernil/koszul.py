@@ -29,38 +29,42 @@ every algebra and module built from the families), so a cochain's block
 comes from a sum of int tuples; `_block_keys` finds it by one sum of the
 word's letters packed as (parity, weight) into ints, sum_i v_i * 2**(64 i)
 (`_packed`: linear, and injective while every |v_i| < 2**63, which
-`degree` and `block_rows` check for their sums), and makes tuples only
+`degree` and `block_columns` check for their sums), and makes tuples only
 for a new (weight, parity).  A block's key is the (int tuple, parity)
 itself when the scale is 1, and otherwise the tuple divided back by the
 scale, so it always equals (weight, parity), the weight the exact tuple
 of its coordinates; `key[0]` is the block's weight.  Blocks are found by
-that value: `degree` files cochains, and `block_rows` finds a block,
+that value: `degree` files cochains, and `block_columns` finds a block,
 under any key equal to it.  Equal keys are interned to one object per
 complex, which saves memory.  A block lists its cochain indices in
 ascending order.
 
-d^k is assembled from the source side and never enumerates C^{k+1}.  For
-each degree-k word u, each letter t of u and each pair (a, b) whose
+d^k is assembled from the source side, by columns, and never enumerates
+C^{k+1}.  The terms of a degree-k word u (`_word_terms`) are the column
+of each cochain (u, c): for each letter t of u and each pair (a, b) whose
 bracket has an x_t component (`NilpotentAlgebra.inverse_table`), the
 bracket sum puts an entry in the row of the word (a, b) + (u less one t);
-each nonzero module action x puts one in the row of x + u.  Rows are
-sparse {C^k cochain index: value}, each named by its (canonical word,
-module index) rather than by an index into C^{k+1}; only rows with a
-nonzero entry exist, and the rank of a block needs no others.
+each nonzero module action x puts one in the row of x + u.  A row is
+named by its (canonical word, module index) rather than by an index into
+C^{k+1}; only rows with a nonzero entry exist, and the rank of a block
+needs no others.
 
-The weight block is the unit of assembly, and `block_rows(k, key)` is
+The weight block is the unit of assembly, and `block_columns(k, key)` is
 the one routine that makes a d^k entry.  A column (u, c) feeds only rows
-of its own block, so `block_rows` builds a block's rows from that
-block's own C^k cochains alone, asserting that every row's own key (from
-its word's packed letters) is the block's; no zero entry is ever made.  A
-word's terms are made once per complex and shared by the blocks its
-cochains fall in (many, when dim M > 1).  `block_rank` ranks a block in
-the calling process and keeps only the rank, so H^k holds one block of
-d^k at a time and H^k and H^{k+1} on one complex assemble d^k once
-between them.
-`differential(k)` is the union of `block_rows` over the blocks of C^k,
-built once and kept, the only store of rows, for the callers that need
-all of d^k: the d o d = 0 check, the cocycle scan and the
+of its own block, so `block_columns` builds a block's columns from that
+block's own C^k cochains alone, straight from their terms: one sparse
+column {row id: value} per cochain with a nonzero column, the row
+cochains numbered once per block, and asserting once per distinct row
+word that its rows' own key (from its word's packed letters) is the
+block's; no zero entry is kept.  A word's terms are made once per complex
+and shared by the blocks its cochains fall in (many, when dim M > 1).
+`block_rank` ranks a block's columns (`block_matrix`) in the calling
+process and keeps only the rank, so H^k holds one block of d^k at a time
+and H^k and H^{k+1} on one complex assemble d^k once between them.
+`differential(k)` turns the columns of every block of C^k into rows
+{C^k cochain index: value}, named by their cochains, built once and kept,
+the only store of rows, for the callers that need all of d^k: the
+d o d = 0 check, the commutation check, the cocycle scan and the
 Hochschild-Serre coefficient modules (which cut it back into blocks).
 All but the scan number its rows through `word_index` with
 `indexed_differential`, which enumerates C^{k+1}.
@@ -77,6 +81,7 @@ and q(4)).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -467,13 +472,15 @@ class CochainComplex:
         self._terms = terms
         return terms
 
-    def block_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
-        """The nonzero rows of the d^k block `key`, by the degree-(k+1)
-        cochain (word, module index) each stands for, over the degree-k
-        cochain indices in `key`.  Every d^k entry is made here, from the
-        block's own cochains, and the rows are not kept; an unknown key
-        gives {}.  Any key equal to a block's key finds that block.  Each
-        row's own key (`_block_keys` of its word) must be `key`."""
+    def block_columns(self, k: int, key: BlockKey) -> tuple[list[Row], dict[int, SparseRow]]:
+        """The d^k block `key` by columns: (names, columns), columns
+        {C^k cochain index: {row id: value}} for each cochain in `key` whose
+        column is nonzero, in ascending order, and names[row id] the
+        degree-(k+1) cochain (word, module index) that row stands for.
+        Every d^k entry is made here, from the block's own cochains, and
+        nothing is kept; an unknown key gives ([], {}).  Any key equal to
+        a block's key finds that block.  Each row's own key (`_block_keys`
+        of its word) must be `key`."""
         terms = self._word_terms()
         self._fits(k + 2)  # the row words
         data = self.degree(k)
@@ -481,51 +488,70 @@ class CochainComplex:
         # with dim M > 1 a word's cochains spread over many blocks; its
         # terms are then made once and shared by those blocks
         shared = self._shared_terms.setdefault(k, {}) if nm > 1 else None
-        # the block's cochains (u, c) by word: u's index, then the c's
-        by_word: dict[int, list[int]] = {}
+        names: list[Row] = []
+        # module index -> row word -> row id
+        ids: defaultdict[int, dict[Word, int]] = defaultdict(dict)
+        columns: dict[int, SparseRow] = {}
+        last = -1
         for idx in data.blocks.get(key, ()):
-            by_word.setdefault(idx // nm, []).append(idx % nm)
-        d: dict[Row, SparseRow] = {}
-        for ui, mcs in by_word.items():
-            col = ui * nm
-            if shared is None:
-                brackets, actions = terms(data.words[ui])
-            else:
-                found = shared.get(ui)
-                if found is None:
-                    found = shared[ui] = terms(data.words[ui])
-                brackets, actions = found
-            for w, val in brackets:
-                for c in mcs:
-                    add_to(d.setdefault((w, c), {}), col + c, val)
-            for w, by_col, totals in actions:
-                for c in mcs:
-                    total = totals[mpar[c]]
-                    for r, v in by_col.get(c, ()):
-                        add_to(d.setdefault((w, r), {}), col + c, v * total)
-        for name in [name for name, row in d.items() if not row]:
-            del d[name]  # its entries cancelled
+            ui, c = divmod(idx, nm)
+            if ui != last:
+                last = ui
+                if shared is None:
+                    brackets, actions = terms(data.words[ui])
+                else:
+                    found = shared.get(ui)
+                    if found is None:
+                        found = shared[ui] = terms(data.words[ui])
+                    brackets, actions = found
+            col: SparseRow = {}
+            wids = ids[c]
+            for w, val in brackets:  # rows (w, c)
+                rid = wids.get(w)
+                if rid is None:
+                    rid = wids[w] = len(names)
+                    names.append((w, c))
+                col[rid] = col.get(rid, 0) + val
+            for w, by_col, totals in actions:  # rows (w, r)
+                total = totals[mpar[c]]
+                for r, v in by_col.get(c, ()):
+                    rids = ids[r]
+                    rid = rids.get(w)
+                    if rid is None:
+                        rid = rids[w] = len(names)
+                        names.append((w, r))
+                    col[rid] = col.get(rid, 0) + v * total
+            if not all(col.values()):
+                col = {rid: v for rid, v in col.items() if v}  # entries cancelled
+            if col:
+                columns[idx] = col
         # d keeps (weight, parity) blocks; a row word's keys are shared like its terms
         word_keys = self._row_keys if shared is not None else {}
-        for w, r in d:
+        for w, r in names:
             wkeys = word_keys.get(w)
             if wkeys is None:
                 wkeys = word_keys[w] = self._block_keys(w)
             if wkeys[r] != key:
                 raise AssertionError("differential entry crosses weight blocks")
-        return d
+        return names, columns
 
     def differential(self, k: int) -> dict[Row, SparseRow]:
         """d^k: C^k -> C^{k+1} as sparse rows {C^k cochain index: value}:
-        the union of `block_rows` over the blocks of C^k, kept once built.
+        the columns of `block_columns` over the blocks of C^k, turned into
+        rows, kept once built.
 
         A row is named by the degree-(k+1) cochain (canonical word, module
         index) and exists only when it has a nonzero entry; C^{k+1} is not
         enumerated (see `indexed_differential`).
         """
         if k not in self._diffs:
-            self._diffs[k] = {name: row for key in self.degree(k).blocks
-                              for name, row in self.block_rows(k, key).items()}
+            d: dict[Row, SparseRow] = {}
+            for key in self.degree(k).blocks:
+                names, columns = self.block_columns(k, key)
+                for idx, col in columns.items():
+                    for rid, v in col.items():
+                        d.setdefault(names[rid], {})[idx] = v
+            self._diffs[k] = d
         return self._diffs[k]
 
     def indexed_differential(self, k: int) -> Sparse:
@@ -545,12 +571,12 @@ class CochainComplex:
         return not sparse_matmul(self.indexed_differential(k + 1), self.indexed_differential(k))
 
     def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
-        """The nonzero rows of the d^k block `key` (see `block_rows`)."""
-        return list(self.block_rows(k, key).values())
+        """The nonzero columns of the d^k block `key` (see `block_columns`)."""
+        return list(self.block_columns(k, key)[1].values())
 
     def block_rank(self, k: int, key: BlockKey) -> int:
         """The rank of the d^k block `key`, computed once per complex and
-        kept in `ranks` as an int; the block's rows are not kept."""
+        kept in `ranks` as an int; the block's columns are not kept."""
         job = (k, key)
         found = self.ranks.get(job)
         if found is None:

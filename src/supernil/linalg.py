@@ -1,27 +1,34 @@
 """Exact linear algebra over the rationals.
 
 Sparse data stores no zeros: a matrix is a dict `{(row, col): value}` or a
-list of sparse rows `{col: value}`, each value an int or, where it has a
-true denominator, a Fraction (`supercore.Rational`); column labels may be any
-ints (a `CochainComplex.block_matrix` weight block keeps its C^k cochain
-indices, and `nullspace` takes those ids).  `add_to` is the one place an
-entry is accumulated and pruned, and `sparse_matmul` the one
-`{(row, col)}` product.  Every routine here takes and returns sparse rows,
-never dense ones.
+list of sparse vectors `{coordinate: value}`, its rows or, for `rank`,
+its rows or its columns, each value an int or, where it has a true
+denominator, a Fraction (`supercore.Rational`); coordinate labels may be
+any ints (a `CochainComplex.block_matrix` weight block gives its columns
+over the row ids of its block, and `nullspace` takes C^k cochain ids).
+`add_to` is the one place an entry is accumulated and pruned, and
+`sparse_matmul` the one `{(row, col)}` product.  Every routine here takes
+and returns sparse vectors, never dense ones.
 
 One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace` and
 `row_space_basis` (and `solve`, one right-hand side b as column n of the
 matrix, which no module of the package calls any more): integer
-elimination on the rows once their denominators are cleared (a row with no
-`Fraction`, as every `block_rows` row of integral data, only loses its
-zeros), one pivot per leading (smallest) column.
-`Fraction`s appear again only in the reduced rows `rref` returns.  The RREF
-is unique, so kernels, row spaces and solutions do not depend on the order
-in which the kernel picks its pivots.
+elimination on the vectors once their denominators are cleared, one pivot
+per leading (smallest) coordinate.  A vector of nonzero plain ints, as
+every `block_matrix` column of integral data, is used as it is, not
+copied.  `rank` ranks whichever side of the matrix has fewer vectors and
+numbers the coordinates rarest first, so that a vector leads at its
+rarest coordinate, which limits fill-in (Markowitz, 1957); `rref` and
+`nullspace` keep the caller's labels.  `Fraction`s appear again only in
+the reduced rows `rref` returns.  The RREF is unique, so kernels, row
+spaces and solutions do not depend on the order in which the kernel picks
+its pivots.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -63,14 +70,18 @@ def _primitive(vec: IntRow) -> IntRow:
     return vec if g == 1 else {c: x // g for c, x in vec.items()}
 
 
-def _integer_rows(rows: Sequence[SparseRow]) -> list[IntRow]:
-    """The nonzero rows, each with its denominators cleared by their lcm."""
+def _integer_vectors(vecs: Sequence[SparseRow]) -> list[IntRow]:
+    """The nonzero vectors, each with its denominators cleared by their lcm
+    and its stored zeros dropped.  A vector of nonzero plain ints is
+    taken as it is, not copied."""
     out = []
-    for row in rows:
-        if Fraction in set(map(type, row.values())):
-            denom = lcm(*(x.denominator for x in row.values()))
-            row = {c: x.numerator * (denom // x.denominator) for c, x in row.items()}
-        vec = {c: x for c, x in row.items() if x}
+    for vec in vecs:
+        vals = vec.values()
+        if Fraction in set(map(type, vals)):
+            denom = lcm(*(x.denominator for x in vals))
+            vec = {c: x.numerator * (denom // x.denominator) for c, x in vec.items() if x}
+        elif not all(vals):
+            vec = {c: x for c, x in vec.items() if x}
         if vec:
             out.append(vec)
     return out
@@ -112,20 +123,32 @@ def _echelon(vecs: list[IntRow]) -> dict[int, IntRow]:
     return pivots
 
 
-def rank(rows: Sequence[SparseRow]) -> int:
-    """Exact rank of the matrix with the given sparse rows.
+def rank(vecs: Sequence[SparseRow]) -> int:
+    """Exact rank of the matrix whose rows, or whose columns, are the
+    given sparse vectors: rank(A) = rank(A^T).
 
-    Since rank(A) = rank(A^T), the elimination runs over the rows or over
-    the columns, whichever are fewer; the rank is the number of pivots.
-    Stored zeros are ignored and the input is not modified.
+    The elimination runs over the given vectors, or over the other side
+    when that has fewer; the rank is the number of pivots.  The
+    coordinates are numbered rarest first, so that the leading (smallest)
+    coordinate of a vector is its rarest one, which limits fill-in
+    (Markowitz, 1957): on the other side as it is built, and on the given
+    vectors by a renumbered copy when there are more than 8 of them (on
+    fewer the copy costs more than it saves).  Vectors of nonzero plain
+    ints are otherwise used as they are, not copied.  Stored zeros are
+    ignored and the input is not modified.
     """
-    vecs = _integer_rows(rows)
-    if len({c for vec in vecs for c in vec}) < len(vecs):
-        cols: dict[int, IntRow] = {}
-        for r, vec in enumerate(vecs):
+    vecs = _integer_vectors(vecs)
+    counts = Counter(itertools.chain.from_iterable(vecs))
+    if len(counts) < len(vecs):
+        # the other side; its coordinates, the given vectors, numbered sparsest first
+        other: dict[int, IntRow] = {}
+        for r, vec in enumerate(sorted(vecs, key=len)):
             for c, x in vec.items():
-                cols.setdefault(c, {})[r] = x
-        vecs = list(cols.values())
+                other.setdefault(c, {})[r] = x
+        vecs = list(other.values())
+    elif len(vecs) > 8:
+        label = {c: i for i, c in enumerate(sorted(counts, key=counts.__getitem__))}
+        vecs = [{label[c]: x for c, x in vec.items()} for vec in vecs]
     return len(_echelon(vecs))
 
 
@@ -134,7 +157,7 @@ def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     the pivot columns.  Each echelon vector is cleared, in integers, at
     every later pivot column by that column's reduced vector, and only then
     divided by its leading entry."""
-    pivots = _echelon(_integer_rows(rows))
+    pivots = _echelon(_integer_vectors(rows))
     cols = sorted(pivots)
     reduced: dict[int, IntRow] = {}
     out: list[SparseRow] = []

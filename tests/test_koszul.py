@@ -10,7 +10,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, strategies as st
 
-from supernil import realize
+from supernil import linalg, realize
 from supernil.cohomology import cohomology, h0_fixed_points, h1_via_superderivations
 from supernil.koszul import (
     CochainComplex,
@@ -285,21 +285,24 @@ def test_dual_module_is_the_contragredient_entry_for_entry(built, family, params
     assert odd_acts  # an odd x acts, so the sign is tested
 
 
-def test_block_rows_detects_an_entry_crossing_weight_blocks(built):
-    # the assertion in block_rows is the one check that d^k keeps (weight,
-    # parity) blocks: once degree(k) is built, a letter whose scaled weight
-    # is off, in both its int forms (tuple and packed with its parity),
-    # files the rows of words holding it under another block
+def test_block_columns_detects_an_entry_crossing_weight_blocks(built):
+    # the assertion in block_columns is the one check that d^k keeps
+    # (weight, parity) blocks: once degree(k) is built, a letter whose scaled
+    # weight is off, in both its int forms (tuple and packed with its parity),
+    # files the rows of words holding it under another block; both the
+    # ranks and the whole differential reach it
     alg, _ = built("gl", (3, 2))
     k = 1
     letter = next(iter(CochainComplex(alg, trivial_module(alg)).differential(k)))[0][0]
-    cx = CochainComplex(alg, trivial_module(alg))
-    blocks = cx.degree(k).blocks
-    cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
-    cx._alg_pw[letter] = _packed((alg.parities[letter],) + cx._alg_iw[letter])
-    with pytest.raises(AssertionError, match="crosses weight blocks"):
-        for key in blocks:
-            cx.block_rows(k, key)
+    routes = [lambda cx: [cx.block_rank(k, key) for key in cx.degree(k).blocks],
+              lambda cx: cx.differential(k)]
+    for route in routes:
+        cx = CochainComplex(alg, trivial_module(alg))
+        cx.degree(k)
+        cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
+        cx._alg_pw[letter] = _packed((alg.parities[letter],) + cx._alg_iw[letter])
+        with pytest.raises(AssertionError, match="crosses weight blocks"):
+            route(cx)
 
 
 def vector_pairs(coords):
@@ -334,14 +337,14 @@ def test_packed_refuses_coordinates_from_2_63():
 @pytest.mark.parametrize("big", [2**62, -(2**62)])
 def test_block_keys_refuse_sums_past_the_packed_range(built, big):
     # a letter at 2**62 packs, but two of them sum to a coordinate that
-    # carries into the next one: degree(k) sums k+1 letters, and block_rows(k)
-    # the k+2 of a row word
+    # carries into the next one: degree(k) sums k+1 letters, and
+    # block_columns(k) the k+2 of a row word
     alg, _ = built("gl", (3, 2))
     alg = copy.copy(alg)
     alg.weights = ((big,) + alg.weights[0][1:],) + alg.weights[1:]
     cx = CochainComplex(alg, trivial_module(alg))
     key = cx.degree(0).keys[0]
-    for call in [lambda: cx.block_rows(1, key), lambda: cx.block_rows(0, key),
+    for call in [lambda: cx.block_columns(1, key), lambda: cx.block_columns(0, key),
                  lambda: cx.degree(1)]:
         with pytest.raises(ValueError, match="packed range"):
             call()
@@ -430,8 +433,10 @@ def _bookkeeping_cases(built):
 
 
 def test_block_matrix_matches_sparse_cut_of_differential(built):
-    # block_matrix holds exactly the nonzero rows of the block's cut of d^k:
-    # each once, under the cochain it stands for, and no other row
+    # block_columns holds exactly the nonzero columns of the block's cut of
+    # d^k, each under its cochain and with each entry in the row of the
+    # cochain it stands for: the transpose of the block's rows of d^k; and
+    # block_matrix lists those columns
     for alg, module in _bookkeeping_cases(built):
         cx = CochainComplex(alg, module)
         for k in range(3):
@@ -440,19 +445,21 @@ def test_block_matrix_matches_sparse_cut_of_differential(built):
             for key in set(src.blocks) | set(dst.blocks):
                 cols = src.blocks.get(key, [])
                 rows = dst.blocks.get(key, [])
-                cut = [{c: d[(r, c)] for c in cols if (r, c) in d} for r in rows]
-                nonzero = {r: row for r, row in zip(rows, cut) if row}
-                named = cx.block_rows(k, key)
-                assert {dst.word_index[w] * module.dim + m: row
-                        for (w, m), row in named.items()} == nonzero, (module.name, k, key)
+                cut = {c: {r: d[(r, c)] for r in rows if (r, c) in d} for c in cols}
+                nonzero = {c: col for c, col in cut.items() if col}
+                names, columns = cx.block_columns(k, key)
+                assert len(set(names)) == len(names), (module.name, k, key)
+                assert {c: {dst.word_index[names[rid][0]] * module.dim + names[rid][1]: v
+                            for rid, v in col.items()}
+                        for c, col in columns.items()} == nonzero, (module.name, k, key)
                 listed = cx.block_matrix(k, key)
-                assert listed == list(named.values()), (module.name, k, key)
+                assert listed == list(columns.values()), (module.name, k, key)
                 assert len(listed) == len(nonzero), (module.name, k, key)
-        # blocks are found by key value: an equal copy finds the same rows
+        # blocks are found by key value: an equal copy finds the same columns
         key = next(iter(cx.degree(1).blocks))
         copy = (tuple(list(key[0])), key[1])
         assert copy == key and copy is not key
-        assert cx.block_rows(1, copy) == cx.block_rows(1, key)
+        assert cx.block_columns(1, copy) == cx.block_columns(1, key)
         assert cx.block_matrix(1, copy) == cx.block_matrix(1, key)
 
 
@@ -682,6 +689,17 @@ def test_oracle_matrix_reaches_every_closed_form_case(built):
     assert any(case[:2] == ("act", ODD) and case[2] >= 2 for case in cases)
 
 
+def _named_rows(cx, k, key):
+    """The rows of the d^k block `key`, named as in `differential`, turned
+    from its `block_columns`."""
+    names, columns = cx.block_columns(k, key)
+    rows = {}
+    for c, col in columns.items():
+        for rid, v in col.items():
+            rows.setdefault(names[rid], {})[c] = v
+    return rows
+
+
 @pytest.mark.parametrize("family,params", ORACLE_MATRIX)
 def test_blocks_assembled_alone_are_the_cuts_of_the_differential(built, monkeypatch, family,
                                                                  params):
@@ -696,11 +714,11 @@ def test_blocks_assembled_alone_are_the_cuts_of_the_differential(built, monkeypa
             keys = fresh.degree(k).keys
             with monkeypatch.context() as patch:
                 patch.setattr(CochainComplex, "differential", _refuse)
-                blocks = {key: fresh.block_rows(k, key) for key in fresh.degree(k).blocks}
+                blocks = {key: _named_rows(fresh, k, key) for key in fresh.degree(k).blocks}
             union = {}
             for key, rows in blocks.items():
                 cut = {name: row for name, row in d.items() if keys[next(iter(row))] == key}
-                assert rows == cut == whole.block_rows(k, key), (module.name, k, key)
+                assert rows == cut == _named_rows(whole, k, key), (module.name, k, key)
                 union.update(rows)
             assert union == d and sum(map(len, blocks.values())) == len(d), (module.name, k)
 
@@ -728,6 +746,69 @@ def test_cohomology_never_builds_a_whole_differential(built, monkeypatch, family
         assert [cohomology(a, module, k).blocks for k in range(4)] == want
 
 
+# every family at params <= 3, as the collapse sweep (acceptance criterion 5) takes them
+SMALL_FAMILIES = (
+    [(fam, (m, n)) for m in range(1, 4) for n in range(1, m + 1)
+     for fam in ("gl", "sl", "osp_odd")]
+    + [("osp_even", (m, n)) for m in range(1, 4) for n in range(1, 4)]
+    + [("q", (n,)) for n in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("family,params", SMALL_FAMILIES)
+def test_block_ranks_match_ranks_of_the_target_side_rows(built, family, params):
+    # an independent rank oracle: each block's rank, taken from its columns
+    # as the assembly makes them, equals the rank of that block's rows of
+    # the brute-force target-side d^k, with trivial and I* coefficients
+    alg, ideal = built(family, params)
+    cases = [(alg, trivial_module(alg))]
+    if realize.ideal_is_abelian(alg, ideal):
+        quo = realize.quotient_algebra(alg, ideal)
+        cases.append((quo, dual_module(alg, ideal, quo)))
+    for a, module in cases:
+        cx = CochainComplex(a, module)
+        for k in range(4):
+            keys = cx.degree(k).keys
+            rows = {}
+            for row in _target_side_differential(cx, k).values():
+                rows.setdefault(keys[next(iter(row))], []).append(row)
+            for key in cx.degree(k).blocks:
+                assert cx.block_rank(k, key) == linalg.rank(rows.get(key, [])), \
+                    (module.name, k, key)
+
+
+def test_rarest_first_order_eliminates_less_than_assembly_order(built, monkeypatch):
+    # counted, not timed, so it is deterministic: on the benchmark's
+    # module-wide complex, osp_even(3|2)/I with Lambda_s^3(I*), the blocks
+    # H^2 ranks take fewer eliminations than the echelon forms of the same
+    # vectors (the columns, or the rows where they are fewer) with their
+    # coordinates in assembly order, at equal ranks
+    alg, ideal = built("osp_even", (3, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    cx = CochainComplex(quo, lambda_s_module(quo, dual_module(alg, ideal, quo), 3))
+    calls = Counter()
+    eliminate = linalg._eliminate
+
+    def counting(*args):
+        calls["now"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert sum(map(sum, cohomology(quo, cx.module, 2, complex_cache=cx).blocks.values())) == 22
+    ranked = calls.pop("now")
+    assert len(cx.ranks) > 100
+    for (k, key), r in cx.ranks.items():
+        cols = cx.block_matrix(k, key)
+        rows = {}
+        for c, col in enumerate(cols):
+            for rid, v in col.items():
+                rows.setdefault(rid, {})[c] = v
+        vecs = list(rows.values()) if len(rows) < len(cols) else cols
+        assert len(linalg._echelon(vecs)) == r
+    assembly_order = calls.pop("now")
+    assert ranked < assembly_order
+
+
 def test_a_row_whose_entries_cancel_is_dropped():
     # x0 acts on the abelian ideal <x1, x2> by a square-zero matrix with a
     # nonzero diagonal, so every weight is zero (the built families have
@@ -739,7 +820,7 @@ def test_a_row_whose_entries_cancel_is_dropped():
     cx = CochainComplex(alg, trivial_module(alg))
     assert cx.differential(1) == _target_side_differential(cx, 1) != {}
     assert cx.differential(2) == _target_side_differential(cx, 2) == {}
-    assert all(cx.block_rows(2, key) == {} for key in cx.degree(2).blocks)
+    assert all(cx.block_matrix(2, key) == [] for key in cx.degree(2).blocks)
     assert cx.check_d_squared(1)
 
 

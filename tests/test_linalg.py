@@ -249,8 +249,8 @@ def test_sparse_matmul_matches_dense_product():
 
 
 def test_int_fraction_and_mixed_rows_agree():
-    # block_rows gives rank rows of plain ints; those skip clearing
-    # denominators, so the same integer matrix must give the same rank,
+    # block_matrix gives rank columns of plain ints, which are ranked as
+    # they are, so the same integer matrix must give the same rank,
     # RREF and solutions as ints, as Fractions and mixed within a row,
     # whatever zeros (0 or Fraction(0)) are stored
     rng = random.Random(43)
@@ -281,3 +281,33 @@ def test_int_fraction_and_mixed_rows_agree():
         assert sol is not None
         assert all(sum(v * sol.get(j, 0) for j, v in enumerate(row)) == b[i]
                    for i, row in enumerate(a))
+
+
+def test_rank_of_plain_int_rows_and_columns():
+    # rank takes the rows or the columns of a matrix, ranks the fewer side,
+    # and above 8 vectors renumbers the coordinates rarest first: tall,
+    # wide and square int matrices with more than 8 vectors on each side,
+    # scattered coordinate labels, stored zeros, duplicate vectors and
+    # all-zero columns; the input is left as it was
+    rng = random.Random(71)
+    for m, n in [(30, 12), (12, 30), (16, 16)] * 12:
+        density = rng.choice([0.1, 0.3, 0.6])
+        a = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)]
+        for j in rng.sample(range(n), 2):
+            for row in a:
+                row[j] = 0
+        a[rng.randrange(m)] = list(a[rng.randrange(m)])
+        j, dup = rng.sample(range(n), 2)
+        for row in a:
+            row[dup] = row[j]
+        want = naive_rank([[Fraction(v) for v in row] for row in a])
+        # labels that do not start at 0 nor run in order
+        rows = [{1000 - 7 * j: v for j, v in enumerate(row) if v or rng.random() < 0.2}
+                for row in a]
+        cols = [{3 * i + 5: a[i][j] for i in range(m) if a[i][j] or rng.random() < 0.2}
+                for j in range(n)]
+        assert all(type(v) is int for vec in rows + cols for v in vec.values())
+        copies = [dict(vec) for vec in rows + cols]
+        assert linalg.rank(rows) == linalg.rank(cols) == want, (m, n)
+        assert rows + cols == copies

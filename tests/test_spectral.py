@@ -228,14 +228,14 @@ def test_collapse_assembles_each_block_once(built, monkeypatch, family, params):
     # H^k and H^{k+1} on one complex both rank d^k: the rank of each block
     # is kept, so no (complex, k, block) is assembled twice
     alg, ideal = built(family, params)
-    assemble = CochainComplex.block_rows
+    assemble = CochainComplex.block_columns
     calls = []
 
     def counting(cx, k, key):
         calls.append((cx, k, key))  # holds cx, so no complex id is reused
         return assemble(cx, k, key)
 
-    monkeypatch.setattr(CochainComplex, "block_rows", counting)
+    monkeypatch.setattr(CochainComplex, "block_columns", counting)
     rep = collapse_check(alg, ideal, 3)
     assert rep["all_match"] and calls
     named = [(id(cx), k, key) for cx, k, key in calls]

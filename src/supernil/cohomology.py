@@ -9,8 +9,9 @@ sparse columns: integer elimination after each column's denominators are
 cleared, with no dense matrix built.  The blocks stream: each block of
 d^k and d^{k-1} is assembled alone, ranked and dropped before the next
 (`CochainComplex.block_rank`), so d^k is never held whole, and the complex
-keeps each rank for the next degree.  Every rank is taken in the calling
-process, one block at a time.  Only C^{k-1} and C^k are enumerated; d^k is
+keeps each rank for the next degree; d^{k-1} is ranked only on blocks
+C^{k-1} has.  Every rank is taken in the calling process, one block at a
+time.  Only C^{k-1} (when C^k has a block) and C^k are enumerated; d^k is
 assembled from its source side, so H^k never builds the basis of C^{k+1}.
 Two independent degree-specific routes (dual of the abelianization for H^1
 with trivial coefficients, and the superderivation quotient for H^1 with
@@ -127,11 +128,13 @@ def cohomology(
     src = cx.degree(k)
     res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
                            family=alg.family, params=alg.params)
+    # rank d^{k-1} = 0 on a block C^{k-1} lacks
+    before = cx.degree(k - 1).blocks if k > 0 and src.blocks else {}
     # blocks in the order `degree` met them: every consumer of the result
     # is order-free
     for key, cols in src.blocks.items():
         h = len(cols) - cx.block_rank(k, key)
-        if k > 0:
+        if key in before:
             h -= cx.block_rank(k - 1, key)
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")

@@ -25,39 +25,33 @@ checked as an exact sparse product wherever a test asks for it.
 
 Block bookkeeping is done in integers too.  Each complex scales the
 algebra and module weights once by the lcm of their denominators (1 for
-every algebra and module built from the families), so a cochain's block
-comes from a sum of int tuples; `_block_keys` finds it by one sum of the
-word's letters packed as (parity, weight) into ints, sum_i v_i * 2**(64 i)
+every family) and packs each into one int, sum_i v_i * 2**(64 i)
 (`_packed`: linear, and injective while every |v_i| < 2**63, which
-`degree` and `block_columns` check for their sums), and makes tuples only
-for a new (weight, parity).  A block's key is the (int tuple, parity)
-itself when the scale is 1, and otherwise the tuple divided back by the
-scale, so it always equals (weight, parity), the weight the exact tuple
-of its coordinates; `key[0]` is the block's weight.  Blocks are found by
-that value: `degree` files cochains, and `block_columns` finds a block,
-under any key equal to it.  Equal keys are interned to one object per
-complex, which saves memory.  A block lists its cochain indices in
-ascending order.
+`_fits` checks); a letter packs as (parity,) + weight.  A cochain's block
+has the packed key int 2 * (packed weight) + parity (`_key_int`), from one
+sum of its word's packed letters, and blocks are interned by that int, one
+key object per block.  A key equals (weight, parity), the weight the exact
+tuple of its coordinates (`key[0]`); `degree` files cochains, and
+`block_columns` finds a block, under any key equal to it.  A block lists
+its cochain indices in ascending order.
 
 d^k is assembled from the source side, by columns, and never enumerates
 C^{k+1}.  The terms of a degree-k word u (`_word_terms`) are the column
 of each cochain (u, c): for each letter t of u and each pair (a, b) whose
-bracket has an x_t component (`NilpotentAlgebra.inverse_table`), the
-bracket sum puts an entry in the row of the word (a, b) + (u less one t);
-each nonzero module action x puts one in the row of x + u.  A row is
-named by its (canonical word, module index) rather than by an index into
-C^{k+1}; only rows with a nonzero entry exist, and the rank of a block
-needs no others.
+bracket has an x_t component (`NilpotentAlgebra.inverse_table`, split
+into three sign cases), the bracket sum puts an entry in the row of the
+word (a, b) + (u less one t); each nonzero module action x puts one in
+the row of x + u.  A row is named by its (canonical word, module index)
+rather than by an index into C^{k+1}; only rows with a nonzero entry
+exist, and the rank of a block needs no others.
 
 The weight block is the unit of assembly, and `block_columns(k, key)` is
 the one routine that makes a d^k entry.  A column (u, c) feeds only rows
 of its own block, so `block_columns` builds a block's columns from that
-block's own C^k cochains alone, straight from their terms: one sparse
-column {row id: value} per cochain with a nonzero column, the row
-cochains numbered once per block, and asserting once per distinct row
-word that its rows' own key (from its word's packed letters) is the
-block's; no zero entry is kept.  A word's terms are made once per complex
-and shared by the blocks its cochains fall in (many, when dim M > 1).
+block's own C^k cochains alone, straight from their terms, and asserts
+that every row's packed key int, from its own word's letters, is the
+block's.  A word's terms are made once per complex and shared by the
+blocks its cochains fall in (many, when dim M > 1).
 `block_rank` ranks a block's columns (`block_matrix`) in the calling
 process and keeps only the rank, so H^k holds one block of d^k at a time
 and H^k and H^{k+1} on one complex assemble d^k once between them.
@@ -330,6 +324,12 @@ def _packed(v: Sequence[int]) -> int:
     return sum(c << 64 * i for i, c in enumerate(v))
 
 
+def _key_int(mw: int, mp: Parity, s: int) -> int:
+    """2 * packed weight + parity of the block of (word, c), from m_c's packed
+    weight mw and parity mp and the sum s of the word's packed letters."""
+    return (mw - (s >> 64)) * 2 + (mp ^ (s & 1))
+
+
 class CochainComplex:
     """C^*(n, M) with lazily built bases and differentials."""
 
@@ -342,44 +342,39 @@ class CochainComplex:
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
         self._alg_pw = [_packed((p,) + iw) for p, iw in zip(alg.parities, self._alg_iw)]
+        self._mod_pw = [_packed(iw) for iw in self._mod_iw]
         self._max_coord = max((abs(c) for iw in self._alg_iw for c in iw), default=0)
-        self._keys: dict[BlockKey, BlockKey] = {}  # interns equal keys
-        self._mono_keys: dict[int, list[BlockKey]] = {}  # by 2 * packed weight + parity
+        self._max_mod = max((abs(c) for iw in self._mod_iw for c in iw), default=0)
+        self._keys: dict[int, BlockKey] = {}  # by packed key int (`_key_int`)
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
         # with dim M > 1, per degree: word index -> that word's terms in d;
-        # and row word -> the BlockKey of each of its rows
+        # and row word -> the sum of its packed letters
         self._shared_terms: dict[int, dict[int, WordTerms]] = {}
-        self._row_keys: dict[Word, list[BlockKey]] = {}
+        self._row_sums: dict[Word, int] = {}
         self._terms: Callable[[Word], WordTerms] | None = None
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
 
-    def _fits(self, letters: int) -> None:  # every sum of that many letters packs injectively
-        if letters * self._max_coord >> 63:
+    def _fits(self, letters: int) -> None:  # keys of words of that many letters pack injectively
+        if (letters * self._max_coord + self._max_mod) >> 63:
             raise ValueError(f"weights of {letters} letters leave the packed range")
 
-    def _block_keys(self, word: Word) -> list[BlockKey]:
-        """The BlockKey of each cochain (word, c), c over the module basis,
-        found by one sum s of the word's packed letters (built on a miss):
-        s >> 64 is its packed weight and s & 1 its parity."""
-        s = sum(map(self._alg_pw.__getitem__, word))
-        mono = (s >> 64) * 2 + (s & 1)  # not s: that splits the keys by odd count
-        found = self._mono_keys.get(mono)
-        if found is None:
-            found = self._mono_keys[mono] = []
-            iw = tuple(map(sum, zip(self._zero, *[self._alg_iw[x] for x in word])))
-            for miw, p in zip(self._mod_iw, self.module.parities):
-                wt = tuple(a - b for a, b in zip(miw, iw))
-                if self._scale != 1:
-                    wt = tuple(exact(Fraction(v, self._scale)) for v in wt)
-                key = (wt, (s & 1) ^ p)
-                found.append(self._keys.setdefault(key, key))
-        return found
+    def _new_key(self, ki: int, word: Word, c: int) -> BlockKey:
+        """The BlockKey (weight, parity) of the cochain (word, c), interned
+        under its packed key int ki (`_key_int`), which no key has yet."""
+        iw = map(sum, zip(self._zero, *[self._alg_iw[x] for x in word]))
+        wt = tuple(a - b for a, b in zip(self._mod_iw[c], iw))
+        if self._scale != 1:
+            wt = tuple(exact(Fraction(v, self._scale)) for v in wt)
+        key = self._keys[ki] = (wt, ki & 1)
+        return key
 
     # cochain index = word_index * dim(M) + module_index
     def degree(self, k: int) -> DegreeData:
+        """C^k: its words and each cochain's block, found by its packed key
+        int from one sum of the word's packed letters."""
         if k in self._degrees:
             return self._degrees[k]
         self._fits(k + 1)
@@ -387,8 +382,14 @@ class CochainComplex:
         word_index = {w: i for i, w in enumerate(words)}
         keys: list[BlockKey] = []
         blocks: dict[BlockKey, list[int]] = {}
+        pw, interned = self._alg_pw, self._keys
+        mods = list(enumerate(zip(self._mod_pw, self.module.parities)))
         for w in words:
-            for key in self._block_keys(w):
+            s = sum(map(pw.__getitem__, w))
+            ws, p = s >> 64, s & 1
+            for c, (mw, mp) in mods:
+                ki = (mw - ws) * 2 + (mp ^ p)  # `_key_int`
+                key = interned.get(ki) or self._new_key(ki, w, c)
                 blocks.setdefault(key, []).append(len(keys))
                 keys.append(key)
         data = DegreeData(words, word_index, keys, blocks)
@@ -414,57 +415,62 @@ class CochainComplex:
         (-1)^(i_a+i_b) for a, b even, c_b (-1)^(i_a+we) for a even and b odd,
         -c_a c_b for a != b odd and -c_a(c_a-1)/2 for a = b odd; the action
         total is (-1)^(i_x) for x even and c_x (-1)^(we+|f|) for x odd.  No
-        total is 0.  The setup shared by every word is made once per complex.
+        total is 0.  Made once per complex: each letter's inverse_table
+        entries split into the three bracket cases, and the sort key of row
+        words, none where canonical order is id order (all families but q).
         """
         if self._terms is not None:
             return self._terms
         alg, m = self.alg, self.module
         par = alg.parities
-        # each letter's place in the canonical (parity, id) order
-        place = {x: i for i, x in enumerate(sorted(range(alg.dim), key=lambda x: (par[x], x)))}
-        inverse = alg.inverse_table
+        order = sorted(range(alg.dim), key=lambda x: (par[x], x))
+        place = None
+        if order != list(range(alg.dim)):
+            place = {x: i for i, x in enumerate(order)}.__getitem__
+        cases: dict[int, tuple[list, list, list]] = {}
+        for t, entries in alg.inverse_table.items():
+            ee, eo, oo = cases[t] = ([], [], [])
+            for a, b, c in entries:
+                (oo if par[a] else eo if par[b] else ee).append((a, b, c))
         acting = [(x, _by_column(m.action[x])) for x in range(alg.dim) if m.action[x]]
-
-        def insert(word: Word, letters: Word) -> Word | None:
-            """The canonical word of word + letters, None if an even letter repeats."""
-            for x in letters:
-                if par[x] == EVEN and x in word:
-                    return None
-            return tuple(sorted(word + letters, key=place.__getitem__))
 
         def terms(u: Word) -> WordTerms:
             brackets: list[tuple[Word, Rational]] = []
             evens = sum(1 for x in u if par[x] == EVEN)
             for cut, t in enumerate(u):
-                if (cut and u[cut - 1] == t) or t not in inverse:
+                if (cut and u[cut - 1] == t) or t not in cases:
                     continue
                 rest = u[:cut] + u[cut + 1:]
                 # the sign of sorting (t,) + rest into u: t passes the cut
                 # letters before it, which change the sign unless both odd
                 s = -1 if (evens if par[t] else cut) % 2 else 1
-                for a, b, cval in inverse[t]:
-                    w = insert(rest, (a, b))
-                    if w is None:
-                        continue
-                    if par[b] == EVEN:
-                        total = -1 if (w.index(a) + w.index(b)) % 2 else 1
-                    elif par[a] == EVEN:  # w has evens - |t| + 1 = evens + |t| even letters
-                        total = -w.count(b) if (w.index(a) + evens + par[t]) % 2 else w.count(b)
-                    elif a != b:
-                        total = -w.count(a) * w.count(b)
-                    else:
-                        total = -w.count(a) * (w.count(a) - 1) // 2
-                    brackets.append((w, cval * total * s))
+                ee, eo, oo = cases[t]
+                for a, b, cval in ee:  # no even letter may repeat
+                    if a not in rest and b not in rest:
+                        w = tuple(sorted(rest + (a, b), key=place))
+                        brackets.append((w, -cval * s if (w.index(a) + w.index(b)) % 2
+                                         else cval * s))
+                we = evens + par[t]  # the even letters of w: evens - |t| + 1
+                for a, b, cval in eo:
+                    if a not in rest:
+                        w = tuple(sorted(rest + (a, b), key=place))
+                        total = -w.count(b) if (w.index(a) + we) % 2 else w.count(b)
+                        brackets.append((w, cval * total * s))
+                for a, b, cval in oo:
+                    w = tuple(sorted(rest + (a, b), key=place))
+                    ca = w.count(a)
+                    total = ca * (ca - 1) // 2 if a == b else ca * w.count(b)
+                    brackets.append((w, -cval * total * s))
             actions: list[tuple[Word, ByColumn, list[int]]] = []
             upar = (len(u) - evens) % 2
             for x, by_col in acting:
-                w = insert(u, (x,))
-                if w is None:
-                    continue
                 if par[x] == EVEN:
-                    total = -1 if w.index(x) % 2 else 1
-                    actions.append((w, by_col, [total, total]))
+                    if x not in u:
+                        w = tuple(sorted(u + (x,), key=place))
+                        total = -1 if w.index(x) % 2 else 1
+                        actions.append((w, by_col, [total, total]))
                 else:
+                    w = tuple(sorted(u + (x,), key=place))
                     total = -w.count(x) if (evens + upar) % 2 else w.count(x)
                     actions.append((w, by_col, [total, -total]))
             return brackets, actions
@@ -479,8 +485,8 @@ class CochainComplex:
         degree-(k+1) cochain (word, module index) that row stands for.
         Every d^k entry is made here, from the block's own cochains, and
         nothing is kept; an unknown key gives ([], {}).  Any key equal to
-        a block's key finds that block.  Each row's own key (`_block_keys`
-        of its word) must be `key`."""
+        a block's key finds that block.  Each row's `_key_int`, from its
+        word's letters, must be that of the block's first cochain."""
         terms = self._word_terms()
         self._fits(k + 2)  # the row words
         data = self.degree(k)
@@ -493,7 +499,8 @@ class CochainComplex:
         ids: defaultdict[int, dict[Word, int]] = defaultdict(dict)
         columns: dict[int, SparseRow] = {}
         last = -1
-        for idx in data.blocks.get(key, ()):
+        cochains = data.blocks.get(key, ())
+        for idx in cochains:
             ui, c = divmod(idx, nm)
             if ui != last:
                 last = ui
@@ -525,14 +532,18 @@ class CochainComplex:
                 col = {rid: v for rid, v in col.items() if v}  # entries cancelled
             if col:
                 columns[idx] = col
-        # d keeps (weight, parity) blocks; a row word's keys are shared like its terms
-        word_keys = self._row_keys if shared is not None else {}
-        for w, r in names:
-            wkeys = word_keys.get(w)
-            if wkeys is None:
-                wkeys = word_keys[w] = self._block_keys(w)
-            if wkeys[r] != key:
-                raise AssertionError("differential entry crosses weight blocks")
+        # d keeps (weight, parity) blocks; a row word's sum is shared like its terms
+        if names:
+            pw, mw = self._alg_pw, self._mod_pw
+            ui, c = divmod(cochains[0], nm)
+            want = _key_int(mw[c], mpar[c], sum(map(pw.__getitem__, data.words[ui])))
+            sums = self._row_sums if shared is not None else {}
+            for w, r in names:
+                s = sums.get(w)
+                if s is None:
+                    s = sums[w] = sum(map(pw.__getitem__, w))
+                if (mw[r] - (s >> 64)) * 2 + (mpar[r] ^ (s & 1)) != want:  # `_key_int`
+                    raise AssertionError("differential entry crosses weight blocks")
         return names, columns
 
     def differential(self, k: int) -> dict[Row, SparseRow]:

@@ -16,7 +16,9 @@ matrix, which no module of the package calls any more): integer
 elimination on the vectors once their denominators are cleared, one pivot
 per leading (smallest) coordinate.  A vector of nonzero plain ints, as
 every `block_matrix` column of integral data, is used as it is, not
-copied.  `rank` ranks whichever side of the matrix has fewer vectors and
+copied; a step whose multiplier on it is +-1 subtracts from a plain copy.
+`rank` returns at once on at most one nonzero vector or one coordinate;
+otherwise it ranks whichever side of the matrix has fewer vectors and
 numbers the coordinates rarest first, so that a vector leads at its
 rarest coordinate, which limits fill-in (Markowitz, 1957); `rref` and
 `nullspace` keep the caller's labels.  `Fraction`s appear again only in
@@ -88,10 +90,14 @@ def _integer_vectors(vecs: Sequence[SparseRow]) -> list[IntRow]:
 
 
 def _eliminate(vec: IntRow, piv: IntRow, col: int) -> IntRow:
-    """The primitive form of a * vec - b * piv, whose entry at col is 0."""
+    """The primitive form of a * vec - b * piv, whose entry at col is 0 (up
+    to sign: for a = +-1, vec - (b / a) * piv on a copy of vec)."""
     g = gcd(piv[col], vec[col])
     a, b = piv[col] // g, vec[col] // g
-    new = {c: a * x for c, x in vec.items()}
+    if a == 1 or a == -1:
+        new, b = dict(vec), b * a
+    else:
+        new = {c: a * x for c, x in vec.items()}
     for c, x in piv.items():
         y = new.get(c, 0) - b * x
         if y:
@@ -127,8 +133,9 @@ def rank(vecs: Sequence[SparseRow]) -> int:
     """Exact rank of the matrix whose rows, or whose columns, are the
     given sparse vectors: rank(A) = rank(A^T).
 
-    The elimination runs over the given vectors, or over the other side
-    when that has fewer; the rank is the number of pivots.  The
+    At most one nonzero vector or coordinate gives the rank at once.
+    Otherwise the elimination runs over the given vectors, or over the
+    other side when that has fewer; the rank is the number of pivots.  The
     coordinates are numbered rarest first, so that the leading (smallest)
     coordinate of a vector is its rarest one, which limits fill-in
     (Markowitz, 1957): on the other side as it is built, and on the given
@@ -138,7 +145,11 @@ def rank(vecs: Sequence[SparseRow]) -> int:
     ignored and the input is not modified.
     """
     vecs = _integer_vectors(vecs)
+    if len(vecs) < 2:
+        return len(vecs)
     counts = Counter(itertools.chain.from_iterable(vecs))
+    if len(counts) < 2:
+        return len(counts)
     if len(counts) < len(vecs):
         # the other side; its coordinates, the given vectors, numbered sparsest first
         other: dict[int, IntRow] = {}

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from supernil import linalg, realize
-from supernil.cohomology import cohomology, h0_fixed_points, h1_via_superderivations
+from supernil.cohomology import (
+    CohomologyResult,
+    cohomology,
+    h0_fixed_points,
+    h1_via_superderivations,
+)
 from supernil.koszul import (
     CochainComplex,
     GModule,
@@ -289,20 +294,36 @@ def test_block_columns_detects_an_entry_crossing_weight_blocks(built):
     # the assertion in block_columns is the one check that d^k keeps
     # (weight, parity) blocks: once degree(k) is built, a letter whose scaled
     # weight is off, in both its int forms (tuple and packed with its parity),
-    # files the rows of words holding it under another block; both the
-    # ranks and the whole differential reach it
-    alg, _ = built("gl", (3, 2))
+    # files the rows of words holding it under another block; with dim M > 1
+    # (I* and Lambda_s^2(I*)), so does a module vector r whose packed weight
+    # is off, for the rows (w, r); both the ranks and the whole differential
+    # reach it
+    alg, ideal = built("gl", (3, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    dm = dual_module(alg, ideal, quo)
     k = 1
-    letter = next(iter(CochainComplex(alg, trivial_module(alg)).differential(k)))[0][0]
+
+    def shift_letter(cx, row):
+        letter = row[0][0]
+        cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
+        cx._alg_pw[letter] = _packed((cx.alg.parities[letter],) + cx._alg_iw[letter])
+
+    def shift_module_vector(cx, row):
+        cx._mod_pw[row[1]] += 1
+
+    cases = [(alg, trivial_module(alg), shift_letter),
+             (quo, dm, shift_module_vector),
+             (quo, lambda_s_module(quo, dm, 2), shift_module_vector)]
     routes = [lambda cx: [cx.block_rank(k, key) for key in cx.degree(k).blocks],
               lambda cx: cx.differential(k)]
-    for route in routes:
-        cx = CochainComplex(alg, trivial_module(alg))
-        cx.degree(k)
-        cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
-        cx._alg_pw[letter] = _packed((alg.parities[letter],) + cx._alg_iw[letter])
-        with pytest.raises(AssertionError, match="crosses weight blocks"):
-            route(cx)
+    for a, module, shift in cases:
+        row = next(iter(CochainComplex(a, module).differential(k)))
+        for route in routes:
+            cx = CochainComplex(a, module)
+            cx.degree(k)
+            shift(cx, row)
+            with pytest.raises(AssertionError, match="crosses weight blocks"):
+                route(cx)
 
 
 def vector_pairs(coords):
@@ -346,6 +367,21 @@ def test_block_keys_refuse_sums_past_the_packed_range(built, big):
     key = cx.degree(0).keys[0]
     for call in [lambda: cx.block_columns(1, key), lambda: cx.block_columns(0, key),
                  lambda: cx.degree(1)]:
+        with pytest.raises(ValueError, match="packed range"):
+            call()
+
+
+@pytest.mark.parametrize("big", [2**63 - 1, -(2**63) + 1])
+def test_block_keys_refuse_module_weights_past_the_packed_range(built, big):
+    # a module weight packs up to 2**63 - 1, but a cochain's packed key int
+    # takes that weight less its word's letters, which would carry into the
+    # next coordinate
+    alg, _ = built("gl", (3, 2))
+    weight = (big,) + (0,) * (len(alg.symbols) - 1)
+    module = GModule(alg, "C(big)", (EVEN,), (weight,), [{} for _ in range(alg.dim)])
+    cx = CochainComplex(alg, module)
+    for call in [lambda: cx.degree(0), lambda: cx.degree(1),
+                 lambda: cx.block_columns(0, (weight, EVEN))]:
         with pytest.raises(ValueError, match="packed range"):
             call()
 
@@ -746,6 +782,61 @@ def test_cohomology_never_builds_a_whole_differential(built, monkeypatch, family
         assert [cohomology(a, module, k).blocks for k in range(4)] == want
 
 
+@pytest.mark.parametrize("family,params", [("gl", (3, 3)), ("osp_odd", (2, 2)), ("q", (4,))])
+def test_cohomology_assembles_d_k_minus_1_only_on_blocks_of_c_k_minus_1(built, monkeypatch,
+                                                                       family, params):
+    # a block of C^k that C^{k-1} lacks has rank d^{k-1} = 0 (block_rank still
+    # gives it), so H^k never asks block_columns for it, and its blocks are
+    # those of ranking d^{k-1} on every block of C^k
+    alg, ideal = built(family, params)
+    quo = realize.quotient_algebra(alg, ideal)
+    cases = [(alg, trivial_module(alg)), (quo, dual_module(alg, ideal, quo))]
+    expected, absent = [], 0
+    for a, module in cases:
+        cx = CochainComplex(a, module)
+        want = []
+        for k in range(4):
+            res = CohomologyResult(a.name, k, "koszul", module.name)
+            for key, cols in cx.degree(k).blocks.items():
+                before = cx.block_rank(k - 1, key) if k else 0
+                if k and key not in cx.degree(k - 1).blocks:
+                    absent += 1
+                    assert before == 0 and cx.block_columns(k - 1, key) == ([], {})
+                res.add(*key, len(cols) - cx.block_rank(k, key) - before)
+            want.append(res.blocks)
+        expected.append(want)
+    assert absent
+    asked = []
+    columns = CochainComplex.block_columns
+
+    def spy(cx, k, key):
+        asked.append((cx, k, key))
+        return columns(cx, k, key)
+
+    monkeypatch.setattr(CochainComplex, "block_columns", spy)
+    for (a, module), want in zip(cases, expected):
+        assert [cohomology(a, module, k).blocks for k in range(4)] == want
+    assert asked and all(key in cx.degree(k).blocks for cx, k, key in asked)
+
+
+def test_cohomology_enumerates_no_previous_degree_when_c_k_is_empty(monkeypatch):
+    # three even letters span no degree-4 word: H^4 = 0 with C^3 never built
+    from supernil import koszul
+
+    basis = [realize.BasisVector(i, f"x{i}", EVEN, (-1,)) for i in range(3)]
+    alg = realize.NilpotentAlgebra("A", "test", (), ("e1",), basis, {}, (Fraction(1),))
+    enumerated = []
+
+    def recording(parities, k):
+        enumerated.append(k)
+        return monomial_words(parities, k)
+
+    monkeypatch.setattr(koszul, "monomial_words", recording)
+    assert cohomology(alg, None, 4).blocks == {}
+    assert enumerated == [4]
+    assert cohomology(alg, None, 3).total == 1 and enumerated == [4, 3, 2]
+
+
 # every family at params <= 3, as the collapse sweep (acceptance criterion 5) takes them
 SMALL_FAMILIES = (
     [(fam, (m, n)) for m in range(1, 4) for n in range(1, m + 1)
@@ -849,3 +940,56 @@ def test_cohomology_never_enumerates_the_next_degree(built, monkeypatch, family,
     enumerated.clear()
     is_cocycle(alg, h)
     assert enumerated == [2]
+
+
+def _relabelled(alg, inv):
+    """alg with its basis renumbered: new id i is old id inv[i]."""
+    perm = {old: new for new, old in enumerate(inv)}
+    basis = [alg.basis[old]._replace(id=new) for new, old in enumerate(inv)]
+    table = {}
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            br = alg.bracket(inv[i], inv[j])
+            if br:
+                table[(i, j)] = {perm[t]: c for t, c in br.items()}
+    out = realize.NilpotentAlgebra(alg.name, alg.family, alg.params, alg.symbols, basis,
+                                   table, alg.grading)
+    out.verify()
+    return out
+
+
+def test_relabelling_odd_ids_first_maps_the_complex_through(built):
+    # gl(3|2) and gl(3|2)/I with I*, relabelled so that every odd id comes
+    # before every even one: canonical (parity, id) order is then not id
+    # order, so row words take the keyed sort, as q's do.  The cochain on a
+    # relabelled word is +-1 times the one on its word in the old ids
+    # (`normalize_word`), so each d^k entry maps through with those signs,
+    # and H^k keeps its blocks, k <= 3
+    alg, ideal = built("gl", (3, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    for a, module in [(alg, trivial_module(alg)), (quo, dual_module(alg, ideal, quo))]:
+        assert [b.id for b in a.basis] == list(range(a.dim))
+        inv = a.odd_ids() + a.even_ids()
+        b = _relabelled(a, inv)
+        relabelled = GModule(b, module.name, module.parities, module.weights,
+                             [module.action[old] for old in inv])
+        relabelled.verify()
+        old, new = CochainComplex(a, module), CochainComplex(b, relabelled)
+        assert any(list(w) != sorted(w) for w in new.degree(2).words)
+        nm = module.dim
+
+        def to_old(word):
+            return normalize_word(a.parities, [inv[x] for x in word])
+
+        for k in range(4):
+            src, new_src = old.degree(k), new.degree(k)
+            mapped = {}
+            for (w, r), row in new.differential(k).items():
+                sr, w_old = to_old(w)
+                out = mapped[(w_old, r)] = {}
+                for c, v in row.items():
+                    sc, u_old = to_old(new_src.words[c // nm])
+                    out[src.word_index[u_old] * nm + c % nm] = sr * sc * v
+            assert mapped == old.differential(k), (module.name, k)
+            assert (cohomology(b, relabelled, k).blocks
+                    == cohomology(a, module, k).blocks), (module.name, k)

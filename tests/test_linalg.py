@@ -49,10 +49,32 @@ def test_rank_matches_naive_gauss():
         assert linalg.rank(sparse_rows(a)) == naive_rank(a)
 
 
-def test_rank_degenerate():
-    assert linalg.rank([]) == 0
-    assert linalg.rank([{}]) == 0
-    assert linalg.rank(sparse_rows([[Fraction(0), Fraction(0)]])) == 0
+def test_rank_degenerate(monkeypatch):
+    # no vectors, at most one nonzero vector (plain ints, Fractions, stored
+    # zeros) or all vectors on one coordinate: the rank is read off with no
+    # elimination, and the input is left as it was
+    def refuse(vecs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg, "_echelon", refuse)
+    cases = [
+        [],
+        [{}],
+        [{0: 3, 5: -2}],
+        [{1: Fraction(1, 2), 4: Fraction(-3, 7)}],
+        [{0: 0, 2: 5, 3: 0}],
+        [{0: 0, 1: Fraction(0)}],
+        sparse_rows([[Fraction(0), Fraction(0)]]),
+        [{}, {c: c - 4 for c in range(9) if c != 4}, {3: 0}],
+        [{7: 2}, {7: -5}, {7: Fraction(1, 3)}, {7: 0, 9: 0}, {}],
+        [{-2: 1}] * 12,
+    ]
+    for vecs in cases:
+        labels = sorted({c for vec in vecs for c in vec})
+        dense = [[Fraction(vec.get(c, 0)) for c in labels] for vec in vecs]
+        copies = [dict(vec) for vec in vecs]
+        assert linalg.rank(vecs) == naive_rank(dense), vecs
+        assert vecs == copies
 
 
 def test_rank_sparse_tall_and_wide():
@@ -311,3 +333,19 @@ def test_rank_of_plain_int_rows_and_columns():
         copies = [dict(vec) for vec in rows + cols]
         assert linalg.rank(rows) == linalg.rank(cols) == want, (m, n)
         assert rows + cols == copies
+
+
+def test_eliminate_modifies_neither_vector():
+    # vec - (b / a) * piv from a copy of vec when the multiplier a is +-1,
+    # and a * vec - b * piv otherwise: the primitive vector, up to sign, with
+    # 0 at the pivot column and every cancelled entry dropped
+    for lead in (1, -1, 2, 3, -3):
+        piv = {0: lead, 2: 3 * lead, 5: -1}
+        vec = {0: 4, 2: 12, 5: 7, 8: 2}
+        saved = (dict(piv), dict(vec))
+        new = linalg._eliminate(vec, piv, 0)
+        assert (piv, vec) == saved and new is not vec
+        full = {c: lead * vec.get(c, 0) - 4 * piv.get(c, 0) for c in set(vec) | set(piv)}
+        want = linalg._primitive({c: x for c, x in full.items() if x})
+        assert new in (want, {c: -x for c, x in want.items()}), lead
+        assert 0 not in new and 2 not in new

@@ -4,14 +4,17 @@ The Koszul route is authoritative: per (weight, parity) block of C^k,
 
     dim H^k = dim C^k - rank d^k - rank d^{k-1}
 
-with every rank computed exactly by `linalg.rank` on the block's nonzero
-sparse columns: integer elimination after each column's denominators are
+which rests on d o d = 0, checked by the tests on every family.  Every
+rank is computed exactly by `linalg.rank` on the block's nonzero sparse
+columns: integer elimination after each column's denominators are
 cleared, with no dense matrix built.  The blocks stream: each block of
-d^k and d^{k-1} is assembled alone, ranked and dropped before the next
-(`CochainComplex.block_rank`), so d^k is never held whole, and the complex
-keeps each rank for the next degree; d^{k-1} is ranked only on blocks
-C^{k-1} has.  Every rank is taken in the calling process, one block at a
-time.  Only C^{k-1} (when C^k has a block) and C^k are enumerated; d^k is
+d^{k-1} and then d^k is assembled alone, ranked and dropped before the
+next (`CochainComplex.block_rank`), so d^k is never held whole, and the
+complex keeps each rank for the next degree; d^{k-1} is ranked only on
+blocks C^{k-1} has.  The d^{k-1} block's pivot rows clear d^k's columns
+at those cochains, which d o d = 0 puts in the span of the others: d^k
+is ranked on the rest alone ("clearing", Chen and Kerber, 2011).  Every
+rank is taken in the calling process, one block at a time.  Only C^{k-1} (when C^k has a block) and C^k are enumerated; d^k is
 assembled from its source side, so H^k never builds the basis of C^{k+1}.
 Two independent degree-specific routes (dual of the abelianization for H^1
 with trivial coefficients, and the superderivation quotient for H^1 with
@@ -121,10 +124,16 @@ def cohomology(
     k: int,
     complex_cache: CochainComplex | None = None,
 ) -> CohomologyResult:
-    """H^k(n, M) with full (weight, parity) decomposition, Koszul route."""
-    if module is None:
-        module = trivial_module(alg)
-    cx = complex_cache if complex_cache is not None else CochainComplex(alg, module)
+    """H^k(n, M) with full (weight, parity) decomposition, Koszul route;
+    ValueError unless `complex_cache` is None or the complex of alg and
+    module (a trivial module if module is None)."""
+    cx = complex_cache
+    if cx is None:
+        cx = CochainComplex(alg, module if module is not None else trivial_module(alg))
+    elif cx.alg is not alg or (cx.module is not module if module is not None
+                               else not _is_trivial(cx.module)):
+        raise ValueError("complex_cache is not the complex of this algebra and module")
+    module = cx.module
     src = cx.degree(k)
     res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
                            family=alg.family, params=alg.params)
@@ -133,13 +142,23 @@ def cohomology(
     # blocks in the order `degree` met them: every consumer of the result
     # is order-free
     for key, cols in src.blocks.items():
-        h = len(cols) - cx.block_rank(k, key)
+        h = len(cols)
         if key in before:
+            # d^{k-1} first: its pivot rows clear columns of d^k (`block_rank`)
+            if (k, key) not in cx.ranks:
+                cx.clearing = (k, key, set())
             h -= cx.block_rank(k - 1, key)
+        h -= cx.block_rank(k, key)
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")
         res.add(*key, h)
     return res
+
+
+def _is_trivial(module: GModule) -> bool:
+    """Whether module is C: one even vector of weight 0, acted on by 0."""
+    return (module.parities == (EVEN,) and not any(module.weights[0])
+            and not any(module.action))
 
 
 def h0_fixed_points(alg: NilpotentAlgebra, module: GModule) -> CohomologyResult:

@@ -54,7 +54,10 @@ block's.  A word's terms are made once per complex and shared by the
 blocks its cochains fall in (many, when dim M > 1).
 `block_rank` ranks a block's columns (`block_matrix`) in the calling
 process and keeps only the rank, so H^k holds one block of d^k at a time
-and H^k and H^{k+1} on one complex assemble d^k once between them.
+and H^k and H^{k+1} on one complex assemble d^k once between them.  While
+`clearing` names a block of d^k, ranking that block of d^{k-1} also finds
+a maximal independent set of its rows, and `block_matrix` leaves their d^k
+columns out: by d o d = 0 they cannot raise the rank (`block_rank`).
 `differential(k)` turns the columns of every block of C^k into rows
 {C^k cochain index: value}, named by their cochains, built once and kept,
 the only store of rows, for the callers that need all of d^k: the
@@ -356,6 +359,9 @@ class CochainComplex:
         self._terms: Callable[[Word], WordTerms] | None = None
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
+        # (k, key, C^k cochains) while `cohomology` ranks one block: the
+        # cochains whose d^k columns `block_matrix` clears (see `block_rank`)
+        self.clearing: tuple[int, BlockKey, set[int]] | None = None
 
     def _fits(self, letters: int) -> None:  # keys of words of that many letters pack injectively
         if (letters * self._max_coord + self._max_mod) >> 63:
@@ -489,7 +495,7 @@ class CochainComplex:
         word's letters, must be that of the block's first cochain."""
         terms = self._word_terms()
         self._fits(k + 2)  # the row words
-        data = self.degree(k)
+        data = self._degrees.get(k) or self.degree(k)
         nm, mpar = self.module.dim, self.module.parities
         # with dim M > 1 a word's cochains spread over many blocks; its
         # terms are then made once and shared by those blocks
@@ -581,15 +587,41 @@ class CochainComplex:
         """Exact check that d^{k+1} o d^k = 0, as one sparse product."""
         return not sparse_matmul(self.indexed_differential(k + 1), self.indexed_differential(k))
 
-    def block_matrix(self, k: int, key: BlockKey) -> list[SparseRow]:
-        """The nonzero columns of the d^k block `key` (see `block_columns`)."""
-        return list(self.block_columns(k, key)[1].values())
+    def block_matrix(
+        self, k: int, key: BlockKey, names: list[Row] | None = None
+    ) -> list[SparseRow]:
+        """The nonzero columns of the d^k block `key` (see `block_columns`)
+        less those of the cochains `clearing` holds for it; a list `names`
+        is extended by the names of the block's rows."""
+        rows, columns = self.block_columns(k, key)
+        if names is not None:
+            names += rows
+        clear = self.clearing
+        if clear is not None and clear[:2] == (k, key):
+            return [col for idx, col in columns.items() if idx not in clear[2]]
+        return list(columns.values())
 
     def block_rank(self, k: int, key: BlockKey) -> int:
         """The rank of the d^k block `key`, computed once per complex and
-        kept in `ranks` as an int; the block's columns are not kept."""
+        kept in `ranks` as an int; the block's columns are not kept.
+        While `clearing` is (k + 1, key, cochains), the C^{k+1} cochains of
+        a maximal independent set R of this block's rows (`rank`'s basis)
+        fill `cochains`, and ranking d^{k+1} on `key` ends the clearing.
+        Without its columns at R the d^{k+1} block D keeps its rank: with
+        this block V, DV = 0 and V[R, J] invertible for some columns J give
+        D[:, R] = -D[:, R^c] V[R^c, J] V[R, J]^-1."""
         job = (k, key)
         found = self.ranks.get(job)
+        clear = self.clearing
         if found is None:
-            found = self.ranks[job] = rank(self.block_matrix(k, key))
+            if clear is not None and clear[:2] == (k + 1, key):
+                names, rows = [], []
+                found = rank(self.block_matrix(k, key, names), rows)
+                index, nm = self._degrees[k + 1].word_index, self.module.dim
+                clear[2].update(index[w] * nm + c for w, c in map(names.__getitem__, rows))
+            else:
+                found = rank(self.block_matrix(k, key))
+            self.ranks[job] = found
+        if clear is not None and clear[:2] == job:
+            self.clearing = None
         return found

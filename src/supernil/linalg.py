@@ -18,8 +18,9 @@ per leading (smallest) coordinate.  A vector of nonzero plain ints, as
 every `block_matrix` column of integral data, is used as it is, not
 copied; a step whose multiplier on it is +-1 subtracts from a plain copy.
 `rank` returns at once on at most one nonzero vector or one coordinate;
-otherwise it ranks whichever side of the matrix has fewer vectors and
-numbers the coordinates rarest first, so that a vector leads at its
+otherwise it ranks whichever side of the matrix has fewer vectors (the
+given side when asked for independent coordinates, `rank(vecs, basis)`)
+and numbers the coordinates rarest first, so that a vector leads at its
 rarest coordinate, which limits fill-in (Markowitz, 1957); `rref` and
 `nullspace` keep the caller's labels.  `Fraction`s appear again only in
 the reduced rows `rref` returns.  The RREF is unique, so kernels, row
@@ -129,7 +130,7 @@ def _echelon(vecs: list[IntRow]) -> dict[int, IntRow]:
     return pivots
 
 
-def rank(vecs: Sequence[SparseRow]) -> int:
+def rank(vecs: Sequence[SparseRow], basis: list[int] | None = None) -> int:
     """Exact rank of the matrix whose rows, or whose columns, are the
     given sparse vectors: rank(A) = rank(A^T).
 
@@ -143,14 +144,24 @@ def rank(vecs: Sequence[SparseRow]) -> int:
     fewer the copy costs more than it saves).  Vectors of nonzero plain
     ints are otherwise used as they are, not copied.  Stored zeros are
     ignored and the input is not modified.
+
+    A list `basis` is extended by rank-many coordinates at which the
+    matrix restricted to them keeps its rank: the leading coordinates of
+    the pivots, as the given vectors label them.  The elimination then
+    runs over the given vectors, whichever side is fewer.
     """
     vecs = _integer_vectors(vecs)
     if len(vecs) < 2:
+        if basis is not None and vecs:
+            basis.append(min(vecs[0]))
         return len(vecs)
     counts = Counter(itertools.chain.from_iterable(vecs))
     if len(counts) < 2:
+        if basis is not None:
+            basis += counts
         return len(counts)
-    if len(counts) < len(vecs):
+    order = None
+    if len(counts) < len(vecs) and basis is None:
         # the other side; its coordinates, the given vectors, numbered sparsest first
         other: dict[int, IntRow] = {}
         for r, vec in enumerate(sorted(vecs, key=len)):
@@ -158,9 +169,13 @@ def rank(vecs: Sequence[SparseRow]) -> int:
                 other.setdefault(c, {})[r] = x
         vecs = list(other.values())
     elif len(vecs) > 8:
-        label = {c: i for i, c in enumerate(sorted(counts, key=counts.__getitem__))}
+        order = sorted(counts, key=counts.__getitem__)
+        label = {c: i for i, c in enumerate(order)}
         vecs = [{label[c]: x for c, x in vec.items()} for vec in vecs]
-    return len(_echelon(vecs))
+    pivots = _echelon(vecs)
+    if basis is not None:
+        basis += pivots if order is None else map(order.__getitem__, pivots)
+    return len(pivots)
 
 
 def rref(rows: Sequence[SparseRow]) -> tuple[list[SparseRow], list[int]]:

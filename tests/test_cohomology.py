@@ -18,7 +18,7 @@ from supernil.cohomology import (
     h1_via_superderivations,
     is_cocycle,
 )
-from supernil.koszul import dual_module, lambda_s_module, trivial_module
+from supernil.koszul import CochainComplex, dual_module, lambda_s_module, trivial_module
 
 
 def test_h2_gl22_total_8(built):
@@ -45,6 +45,37 @@ def test_a_rank_above_the_block_width_is_refused(built, monkeypatch):
     monkeypatch.setattr(koszul.CochainComplex, "block_rank", lambda self, k, key: 10 ** 6)
     with pytest.raises(AssertionError, match="negative block dimension at"):
         cohomology(alg, None, 1)
+
+
+def test_a_complex_cache_of_another_algebra_or_module_is_refused(built):
+    # the cache must be the complex of the algebra and the module asked for
+    # (module None: trivial coefficients), or the blocks would be another
+    # complex's; an equal copy of the module is not the cache's module
+    alg, ideal = built("gl", (3, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    dual = dual_module(alg, ideal, quo)
+    other, _ = built("gl", (2, 2))
+    zero = (0,) * len(quo.symbols)
+    shifted = koszul.GModule(quo, "C'", (0,), (quo.weights[0],), [{} for _ in range(quo.dim)])
+    odd = koszul.GModule(quo, "C'", (1,), (zero,), [{} for _ in range(quo.dim)])
+    refused = [
+        (alg, None, CochainComplex(other, trivial_module(other))),
+        (quo, dual, CochainComplex(alg, trivial_module(alg))),
+        (quo, dual, CochainComplex(quo, trivial_module(quo))),
+        (quo, dual, CochainComplex(quo, dual_module(alg, ideal, quo))),
+        (quo, None, CochainComplex(quo, dual)),
+        (quo, None, CochainComplex(quo, shifted)),
+        (quo, None, CochainComplex(quo, odd)),
+    ]
+    for a, module, cx in refused:
+        with pytest.raises(ValueError, match="complex_cache"):
+            cohomology(a, module, 1, complex_cache=cx)
+        assert not cx.ranks and cx.clearing is None
+    for a, module, cx in [(alg, None, CochainComplex(alg, trivial_module(alg))),
+                          (quo, dual, CochainComplex(quo, dual))]:
+        for k in range(3):
+            assert (cohomology(a, module, k, complex_cache=cx).blocks
+                    == cohomology(a, module, k).blocks)
 
 
 def test_h0_zero_dimensional_algebra():

@@ -1,5 +1,9 @@
+import copy
 import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
 
 from supernil import linalg
 
@@ -349,3 +353,30 @@ def test_eliminate_modifies_neither_vector():
         want = linalg._primitive({c: x for c, x in full.items() if x})
         assert new in (want, {c: -x for c, x in want.items()}), lead
         assert 0 not in new and 2 not in new
+
+
+# entries: small ints and Fractions, zeros among them stored as entries
+ENTRIES = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3),
+                                                  st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("least,most", [(0, 0), (1, 1), (2, 8), (9, 16)])
+@given(data=st.data())
+def test_rank_basis_is_rows_that_keep_the_rank(least, most, data):
+    # no vectors, one vector, at most 8 vectors and more than 8 (the
+    # renumbered path), over one coordinate or many, scattered labels: the
+    # basis has rank-many distinct coordinates, the matrix restricted to
+    # them has the same rank, and the input is left as it was
+    width = data.draw(st.sampled_from([1, 3, 12]))
+    labels = st.integers(0, width - 1).map(lambda c: 5 * c - 7)
+    vecs = data.draw(st.lists(st.dictionaries(labels, ENTRIES, max_size=6),
+                              min_size=least, max_size=most))
+    saved = copy.deepcopy(vecs)
+    coords = sorted({c for vec in vecs for c in vec})
+    r = naive_rank([[Fraction(vec.get(c, 0)) for c in coords] for vec in vecs])
+    basis = []
+    assert linalg.rank(vecs, basis) == r == linalg.rank(vecs)
+    assert vecs == saved
+    assert len(basis) == len(set(basis)) == r
+    kept = sorted(basis)
+    assert naive_rank([[Fraction(vec.get(c, 0)) for c in kept] for vec in vecs]) == r

@@ -38,20 +38,28 @@ its cochain indices in ascending order.
 d^k is assembled from the source side, by columns, and never enumerates
 C^{k+1}.  The terms of a degree-k word u (`_word_terms`) are the column
 of each cochain (u, c): for each letter t of u and each pair (a, b) whose
-bracket has an x_t component (`NilpotentAlgebra.inverse_table`, split
-into three sign cases), the bracket sum puts an entry in the row of the
-word (a, b) + (u less one t); each nonzero module action x puts one in
-the row of x + u.  A row is named by its (canonical word, module index)
-rather than by an index into C^{k+1}; only rows with a nonzero entry
-exist, and the rank of a block needs no others.
+bracket has an x_t component (`NilpotentAlgebra.inverse_table`, tagged
+by its sign case), the bracket sum puts an entry in the row of the word
+(a, b) + (u less one t); each nonzero module action x puts one in the row
+of x + u.  A row is named by its (canonical word, module index) rather
+than by an index into C^{k+1}; only rows with a nonzero entry exist, and
+the rank of a block needs no others.
 
 The weight block is the unit of assembly, and `block_columns(k, key)` is
 the one routine that makes a d^k entry.  A column (u, c) feeds only rows
 of its own block, so `block_columns` builds a block's columns from that
-block's own C^k cochains alone, straight from their terms, and asserts
-that every row's packed key int, from its own word's letters, is the
-block's.  A word's terms are made once per complex and shared by the
-blocks its cochains fall in (many, when dim M > 1).
+block's own C^k cochains alone and asserts that every row's key, from its
+own word's letters, is the block's.  One term generator writes a word's
+bracket terms into a column, numbering each row word there as it first
+meets it and checking that row's letters there, once.  With dim M = 1 the
+module has no action (its one weight would move), each word has one
+cochain, and the generator writes straight into the block's column.  With
+dim M > 1 a word's cochains fall in many blocks, so it writes into a
+column of the word's own, made once per complex and shared by those
+blocks; its bracket rows are checked against the word's letters there,
+and each cochain's key and each action row's against the block's in
+`block_columns`.  The letter checks sum letters packed only as wide as
+the row words need (`_narrowed`), a few bits a coordinate rather than 64.
 `block_rank` ranks a block's columns (`block_matrix`) in the calling
 process and keeps only the rank, so H^k holds one block of d^k at a time
 and H^k and H^{k+1} on one complex assemble d^k once between them.  While
@@ -92,8 +100,10 @@ Word = tuple[int, ...]
 Row = tuple[Word, int]  # a cochain named by (canonical word, module index)
 # a letter's action on M by column: c -> [(r, value)]
 ByColumn = dict[int, list[tuple[int, Rational]]]
-# a degree-k word's terms in d^k (see `CochainComplex._word_terms`)
-WordTerms = tuple[list[tuple[Word, Rational]], list[tuple[Word, ByColumn, list[int]]]]
+# a degree-k word's action term in d^k: (row word, the acting letter's
+# action by column, its totals for an even and an odd module vector) (see
+# `CochainComplex._word_terms`)
+ActionTerm = tuple[Word, ByColumn, int, int]
 
 
 # -- monomials -----------------------------------------------------------------
@@ -352,11 +362,15 @@ class CochainComplex:
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._diffs: dict[int, dict[Row, SparseRow]] = {}
-        # with dim M > 1, per degree: word index -> that word's terms in d;
-        # and row word -> the sum of its packed letters
-        self._shared_terms: dict[int, dict[int, WordTerms]] = {}
-        self._row_sums: dict[Word, int] = {}
-        self._terms: Callable[[Word], WordTerms] | None = None
+        # dim M = 1 and so no action: each word has one cochain, in one block
+        self._one_dim = module.dim == 1 and not any(module.action)
+        # with dim M > 1, per degree: word index -> that word's terms in d,
+        # (sum of its packed letters, [(row word, value)], action terms)
+        self._shared_terms: dict[int, dict[int, tuple[int, list[tuple[Word, Rational]],
+                                                      list[ActionTerm]]]] = {}
+        self._row_sums: dict[Word, int] = {}  # action row word -> its packed letters' sum
+        self._terms: Callable[..., list[ActionTerm]] | None = None
+        self._narrow: dict[int, list[int]] = {}  # width -> letters (`_narrowed`)
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
         # (k, key, C^k cochains) while `cohomology` ranks one block: the
@@ -366,6 +380,23 @@ class CochainComplex:
     def _fits(self, letters: int) -> None:  # keys of words of that many letters pack injectively
         if (letters * self._max_coord + self._max_mod) >> 63:
             raise ValueError(f"weights of {letters} letters leave the packed range")
+
+    def _narrowed(self, letters: int) -> tuple[list[int], int]:
+        """Each letter's (parity,) + scaled weight packed `width` bits a
+        coordinate, width the fewest in which sums of `letters` letters pack
+        injectively as `_fits` bounds them for 64 bits, and the mask that
+        keeps such a sum's weight and parity: two sums s agree on s & mask
+        iff their words share weight and parity (the odd count fills the
+        lowest field, and the mask keeps its lowest bit).  The row words'
+        letter checks sum these (4 bits a coordinate for gl(7|7) H^3, a
+        60-bit int, against 64 and a 960-bit int in `_packed`)."""
+        width = max(letters * self._max_coord, letters).bit_length() + 1
+        found = self._narrow.get(width)
+        if found is None:
+            found = self._narrow[width] = [
+                sum(c << width * i for i, c in enumerate((p,) + iw))
+                for p, iw in zip(self.alg.parities, self._alg_iw)]
+        return found, -1 << width | 1
 
     def _new_key(self, ki: int, word: Word, c: int) -> BlockKey:
         """The BlockKey (weight, parity) of the cochain (word, c), interned
@@ -405,25 +436,31 @@ class CochainComplex:
     def dim(self, k: int) -> int:
         return len(self.degree(k).words) * self.module.dim
 
-    def _word_terms(self) -> Callable[[Word], WordTerms]:
-        """The function that gives a degree-k word u its terms in d^k.
+    def _word_terms(self) -> Callable[..., list[ActionTerm]]:
+        """The one term generator, `terms(u, col, ids, names, check)`: a
+        degree-k word u's terms in d^k, its bracket terms added to `col` and
+        its action terms returned.
 
-        It returns (brackets, actions).  brackets holds (w, value) per
-        bracket term: w = (a, b) + (u less one t), t a letter of u, puts
-        value in the row (w, c) of each column (u, c).  actions holds
-        (w, by_col, totals) per letter x acting nontrivially, w = x + u:
-        the column (u, c) gets v * totals[|c|] in the row (w, r) for each
-        (r, v) of by_col[c], the column c of x's action.  Entries are those
-        of the two-sum formula, summed in closed form over the places of the
-        letters in the row word w: an even letter x has one, i_x, an odd one
-        a run of c_x; w has we even letters, and a comes before b.  By the
-        reduced sigma_ij (module docstring) the bracket total is
-        (-1)^(i_a+i_b) for a, b even, c_b (-1)^(i_a+we) for a even and b odd,
-        -c_a c_b for a != b odd and -c_a(c_a-1)/2 for a = b odd; the action
-        total is (-1)^(i_x) for x even and c_x (-1)^(we+|f|) for x odd.  No
-        total is 0.  Made once per complex: each letter's inverse_table
-        entries split into the three bracket cases, and the sort key of row
-        words, none where canonical order is id order (all families but q).
+        A bracket term w = (a, b) + (u less one t), t a letter of u, puts
+        value in the row (w, c) of each column (u, c); `terms` adds it to
+        col[ids[w]].  A row word met for the first time is numbered there,
+        ids[w] = len(names), appended to names and checked there, once, from
+        its own letters: with check = (letter, mask, want), the sum s of
+        letter(x) over its letters x must have s & mask == want (`_narrowed`).
+        An action term (w, by_col, even, odd), one per letter x acting
+        nontrivially, w = x + u, gives the column (u, c) v * total in the row
+        (w, r) for each (r, v) of by_col[c], the column c of x's action, total
+        being `even` or `odd` by the parity of m_c.  Entries are those of the
+        two-sum formula, summed in closed form over the places of the letters
+        in the row word w: an even letter x has one, i_x, an odd one a run of
+        c_x; w has we even letters, and a comes before b.  By the reduced
+        sigma_ij (module docstring) the bracket total is (-1)^(i_a+i_b) for
+        a, b even, c_b (-1)^(i_a+we) for a even and b odd, -c_a c_b for
+        a != b odd and -c_a(c_a-1)/2 for a = b odd; the action total is
+        (-1)^(i_x) for x even and c_x (-1)^(we+|f|) for x odd.  No total is
+        0.  Made once per complex: each letter's inverse_table entries tagged
+        by their bracket case, and the sort key of row words, none where
+        canonical order is id order (all families but q).
         """
         if self._terms is not None:
             return self._terms
@@ -433,16 +470,15 @@ class CochainComplex:
         place = None
         if order != list(range(alg.dim)):
             place = {x: i for i, x in enumerate(order)}.__getitem__
-        cases: dict[int, tuple[list, list, list]] = {}
-        for t, entries in alg.inverse_table.items():
-            ee, eo, oo = cases[t] = ([], [], [])
-            for a, b, c in entries:
-                (oo if par[a] else eo if par[b] else ee).append((a, b, c))
+        # case of (a, b): 0 both even, 1 a even and b odd, 2 both odd
+        cases = {t: [(a, b, c, par[a] + par[b]) for a, b, c in entries]
+                 for t, entries in alg.inverse_table.items()}
         acting = [(x, _by_column(m.action[x])) for x in range(alg.dim) if m.action[x]]
 
-        def terms(u: Word) -> WordTerms:
-            brackets: list[tuple[Word, Rational]] = []
-            evens = sum(1 for x in u if par[x] == EVEN)
+        def terms(u: Word, col: SparseRow, ids: dict[Word, int], names: list[Word],
+                  check: tuple[Callable[[int], int], int, int]) -> list[ActionTerm]:
+            letter, mask, want = check
+            evens = len(u) - sum(map(par.__getitem__, u))
             for cut, t in enumerate(u):
                 if (cut and u[cut - 1] == t) or t not in cases:
                     continue
@@ -450,36 +486,46 @@ class CochainComplex:
                 # the sign of sorting (t,) + rest into u: t passes the cut
                 # letters before it, which change the sign unless both odd
                 s = -1 if (evens if par[t] else cut) % 2 else 1
-                ee, eo, oo = cases[t]
-                for a, b, cval in ee:  # no even letter may repeat
-                    if a not in rest and b not in rest:
-                        w = tuple(sorted(rest + (a, b), key=place))
-                        brackets.append((w, -cval * s if (w.index(a) + w.index(b)) % 2
-                                         else cval * s))
                 we = evens + par[t]  # the even letters of w: evens - |t| + 1
-                for a, b, cval in eo:
-                    if a not in rest:
+                for a, b, cval, case in cases[t]:
+                    if case == 0:
+                        if a in rest or b in rest:  # no even letter may repeat
+                            continue
+                        w = tuple(sorted(rest + (a, b), key=place))
+                        val = -cval * s if (w.index(a) + w.index(b)) % 2 else cval * s
+                    elif case == 1:
+                        if a in rest:
+                            continue
                         w = tuple(sorted(rest + (a, b), key=place))
                         total = -w.count(b) if (w.index(a) + we) % 2 else w.count(b)
-                        brackets.append((w, cval * total * s))
-                for a, b, cval in oo:
-                    w = tuple(sorted(rest + (a, b), key=place))
-                    ca = w.count(a)
-                    total = ca * (ca - 1) // 2 if a == b else ca * w.count(b)
-                    brackets.append((w, -cval * total * s))
-            actions: list[tuple[Word, ByColumn, list[int]]] = []
+                        val = cval * total * s
+                    else:
+                        w = tuple(sorted(rest + (a, b), key=place))
+                        ca = w.count(a)
+                        total = ca * (ca - 1) // 2 if a == b else ca * w.count(b)
+                        val = -cval * total * s
+                    new = len(names)
+                    rid = ids.setdefault(w, new)
+                    if rid == new:
+                        names.append(w)
+                        if sum(map(letter, w)) & mask != want:
+                            raise AssertionError("differential entry crosses weight blocks")
+                        col[rid] = val
+                    else:
+                        col[rid] = col.get(rid, 0) + val
+            actions: list[ActionTerm] = []
             upar = (len(u) - evens) % 2
             for x, by_col in acting:
                 if par[x] == EVEN:
                     if x not in u:
                         w = tuple(sorted(u + (x,), key=place))
                         total = -1 if w.index(x) % 2 else 1
-                        actions.append((w, by_col, [total, total]))
+                        actions.append((w, by_col, total, total))
                 else:
                     w = tuple(sorted(u + (x,), key=place))
                     total = -w.count(x) if (evens + upar) % 2 else w.count(x)
-                    actions.append((w, by_col, [total, -total]))
-            return brackets, actions
+                    actions.append((w, by_col, total, -total))
+            return actions
 
         self._terms = terms
         return terms
@@ -490,66 +536,95 @@ class CochainComplex:
         column is nonzero, in ascending order, and names[row id] the
         degree-(k+1) cochain (word, module index) that row stands for.
         Every d^k entry is made here, from the block's own cochains, and
-        nothing is kept; an unknown key gives ([], {}).  Any key equal to
-        a block's key finds that block.  Each row's `_key_int`, from its
-        word's letters, must be that of the block's first cochain."""
+        nothing is kept but, with dim M > 1, the words' terms; an unknown key
+        gives ([], {}).  Any key equal to a block's key finds that block.
+        Each row's `_key_int`, from its word's letters, must be that of the
+        block's first cochain.
+
+        With dim M = 1 (and so no action) each word has one cochain, and
+        `_word_terms` puts its terms straight into that cochain's column and
+        numbers and checks each new row there: the block's rows share M's
+        weight and parity, so their letters' masked sums (`_narrowed`) must
+        be the first word's.  With dim M > 1 a word's cochains spread over
+        many blocks, so its terms are made once, into a column of its own,
+        and shared by those blocks: there each bracket row's letters are
+        checked against the word's, and here each new row's `_key_int`, from
+        its module vector and its word's letters (a bracket row's word
+        having its source word's), against the block's."""
         terms = self._word_terms()
         self._fits(k + 2)  # the row words
         data = self._degrees.get(k) or self.degree(k)
-        nm, mpar = self.module.dim, self.module.parities
-        # with dim M > 1 a word's cochains spread over many blocks; its
-        # terms are then made once and shared by those blocks
-        shared = self._shared_terms.setdefault(k, {}) if nm > 1 else None
+        cochains = data.blocks.get(key, ())
+        if not cochains:
+            return [], {}
+        words = data.words
+        letters, mask = self._narrowed(k + 2)
+        letter = letters.__getitem__
+        columns: dict[int, SparseRow] = {}
+        if self._one_dim:
+            row_words: list[Word] = []
+            ids: dict[Word, int] = {}
+            check = (letter, mask, sum(map(letter, words[cochains[0]])) & mask)
+            for idx in cochains:
+                col: SparseRow = {}
+                terms(words[idx], col, ids, row_words, check)
+                if not all(col.values()):
+                    col = {rid: v for rid, v in col.items() if v}  # entries cancelled
+                if col:
+                    columns[idx] = col
+            return [(w, 0) for w in row_words], columns
+        shared, sums = self._shared_terms.setdefault(k, {}), self._row_sums
+        pw, mw, mpar, nm = self._alg_pw, self._mod_pw, self.module.parities, self.module.dim
+        ui, c = divmod(cochains[0], nm)
+        want = _key_int(mw[c], mpar[c], sum(map(pw.__getitem__, words[ui])))
         names: list[Row] = []
         # module index -> row word -> row id
-        ids: defaultdict[int, dict[Word, int]] = defaultdict(dict)
-        columns: dict[int, SparseRow] = {}
+        by_module: defaultdict[int, dict[Word, int]] = defaultdict(dict)
         last = -1
-        cochains = data.blocks.get(key, ())
         for idx in cochains:
             ui, c = divmod(idx, nm)
             if ui != last:
                 last = ui
-                if shared is None:
-                    brackets, actions = terms(data.words[ui])
-                else:
-                    found = shared.get(ui)
-                    if found is None:
-                        found = shared[ui] = terms(data.words[ui])
-                    brackets, actions = found
-            col: SparseRow = {}
-            wids = ids[c]
-            for w, val in brackets:  # rows (w, c)
-                rid = wids.get(w)
+                found = shared.get(ui)
+                if found is None:
+                    u = words[ui]
+                    su = sum(map(pw.__getitem__, u))
+                    wcol: SparseRow = {}
+                    wnames: list[Word] = []
+                    own = sum(map(letter, u)) & mask  # u's weight and parity
+                    actions = terms(u, wcol, {}, wnames, (letter, mask, own))
+                    found = shared[ui] = (su, [(wnames[i], v) for i, v in wcol.items() if v],
+                                          actions)
+                su, brackets, actions = found
+            col = {}
+            ids = by_module[c]
+            for w, val in brackets:  # rows (w, c), one per row word
+                rid = ids.get(w)
                 if rid is None:
-                    rid = wids[w] = len(names)
+                    rid = ids[w] = len(names)
                     names.append((w, c))
-                col[rid] = col.get(rid, 0) + val
-            for w, by_col, totals in actions:  # rows (w, r)
-                total = totals[mpar[c]]
+                    # d keeps (weight, parity) blocks; `terms` checked w's against u's
+                    if (mw[c] - (su >> 64)) * 2 + (mpar[c] ^ (su & 1)) != want:  # `_key_int`
+                        raise AssertionError("differential entry crosses weight blocks")
+                col[rid] = val
+            for w, by_col, even, odd in actions:  # rows (w, r)
+                total = odd if mpar[c] else even
                 for r, v in by_col.get(c, ()):
-                    rids = ids[r]
+                    rids = by_module[r]
                     rid = rids.get(w)
                     if rid is None:
                         rid = rids[w] = len(names)
                         names.append((w, r))
+                        sw = sums.get(w)
+                        if sw is None:
+                            sw = sums[w] = sum(map(pw.__getitem__, w))
+                        if (mw[r] - (sw >> 64)) * 2 + (mpar[r] ^ (sw & 1)) != want:
+                            raise AssertionError("differential entry crosses weight blocks")
                     col[rid] = col.get(rid, 0) + v * total
             if not all(col.values()):
                 col = {rid: v for rid, v in col.items() if v}  # entries cancelled
             if col:
                 columns[idx] = col
-        # d keeps (weight, parity) blocks; a row word's sum is shared like its terms
-        if names:
-            pw, mw = self._alg_pw, self._mod_pw
-            ui, c = divmod(cochains[0], nm)
-            want = _key_int(mw[c], mpar[c], sum(map(pw.__getitem__, data.words[ui])))
-            sums = self._row_sums if shared is not None else {}
-            for w, r in names:
-                s = sums.get(w)
-                if s is None:
-                    s = sums[w] = sum(map(pw.__getitem__, w))
-                if (mw[r] - (s >> 64)) * 2 + (mpar[r] ^ (s & 1)) != want:  # `_key_int`
-                    raise AssertionError("differential entry crosses weight blocks")
         return names, columns
 
     def differential(self, k: int) -> dict[Row, SparseRow]:

@@ -326,6 +326,35 @@ def test_block_columns_detects_an_entry_crossing_weight_blocks(built):
                 route(cx)
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["trivial", "ideal-dual"])
+def test_block_rank_refuses_a_bracket_entry_crossing_weight_blocks(built, monkeypatch, dual):
+    # one inverse_table entry (a, b, c) of a letter t with b replaced by a
+    # letter of b's parity and another weight: its row words no longer have
+    # the weight of their columns.  block_rank refuses them on both paths of
+    # block_columns: with trivial coefficients each new row is checked where
+    # it is numbered, and with I* each word's shared terms are checked
+    alg, ideal = built("osp_even", (2, 2))
+    if dual:
+        quo = realize.quotient_algebra(alg, ideal)
+        alg, module = quo, dual_module(alg, ideal, quo)
+    else:
+        module = trivial_module(alg)
+    k = 1
+    cx = CochainComplex(alg, module)
+    cx.degree(k)
+    assert cx._one_dim != dual
+    table = {t: list(entries) for t, entries in alg.inverse_table.items()}
+    t, (x, b, c), y = next((t, entry, y) for t, entries in table.items()
+                           for entry in entries[:1] for y in range(alg.dim)
+                           if alg.parities[y] == alg.parities[entry[1]]
+                           and alg.weights[y] != alg.weights[entry[1]])
+    table[t][0] = (x, y, c)
+    monkeypatch.setattr(alg, "inverse_table", table)
+    with pytest.raises(AssertionError, match="crosses weight blocks"):
+        for key in cx.degree(k).blocks:
+            cx.block_rank(k, key)
+
+
 def vector_pairs(coords):
     """Two int vectors of one length, 1 to 5, with coordinates from coords."""
     def pair(n):
@@ -399,6 +428,22 @@ def test_packed_letters_sum_to_the_packed_weight_and_the_parity(letters):
     s = sum(_packed((p,) + tuple(v)) for p, v in letters)
     assert s >> 64 == _packed([sum(c) for c in zip(*(v for _, v in letters))])
     assert s & 1 == sum(p for p, _ in letters) % 2
+
+
+@pytest.mark.parametrize("family,params", [("gl", (3, 2)), ("q", (4,)), ("exc", ("G3",))])
+def test_narrowed_letter_sums_keep_weight_and_parity(built, family, params):
+    # the row words' letter check compares narrowed sums under a mask: over
+    # all words of 1 to 3 letters, two agree under the mask exactly when
+    # their `_packed` sums agree on weight and parity
+    alg, _ = built(family, params)
+    cx = CochainComplex(alg, trivial_module(alg))
+    letters, mask = cx._narrowed(3)
+    pairs = set()
+    for n in (1, 2, 3):
+        for w in itertools.combinations_with_replacement(range(alg.dim), n):
+            s = sum(cx._alg_pw[x] for x in w)
+            pairs.add((sum(letters[x] for x in w) & mask, (s >> 64, s & 1)))
+    assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
 
 
 def test_lambda_s_module_degree_zero_is_trivial():
@@ -711,18 +756,26 @@ def _closed_form_cases(alg, module, k):
 
 
 def test_oracle_matrix_reaches_every_closed_form_case(built):
-    # shrinking ORACLE_MATRIX must not drop a case the oracle checks
-    cases = Counter()
+    # shrinking ORACLE_MATRIX must not drop a case the oracle checks, on
+    # either path of block_columns: one-dimensional coefficients (terms
+    # straight into the block's columns) and dim M > 1 (terms shared by the
+    # blocks of a word's cochains)
+    paths = {True: Counter(), False: Counter()}
     for family, params in ORACLE_MATRIX:
         for a, module in _oracle_cases(built, family, params):
+            one_dim = CochainComplex(a, module)._one_dim
             for k in range(4):
-                cases.update(_closed_form_cases(a, module, k))
-    # a before b in inverse_table, so an odd a never meets an even b
-    assert cases["pair", EVEN, EVEN] and cases["pair", EVEN, ODD] and cases["pair", ODD, ODD]
-    assert not cases["pair", ODD, EVEN]
-    assert any(case[0] == "self" and case[1] >= 3 for case in cases)
-    assert cases["act", EVEN, 1]
-    assert any(case[:2] == ("act", ODD) and case[2] >= 2 for case in cases)
+                paths[one_dim].update(_closed_form_cases(a, module, k))
+    for one_dim, cases in paths.items():
+        # a before b in inverse_table, so an odd a never meets an even b
+        assert cases["pair", EVEN, EVEN] and cases["pair", EVEN, ODD], one_dim
+        assert cases["pair", ODD, ODD] and not cases["pair", ODD, EVEN], one_dim
+        assert any(case[0] == "self" and case[1] >= 3 for case in cases), one_dim
+    # a one-dimensional module has no action
+    assert not any(case[0] == "act" for case in paths[True])
+    acts = paths[False]
+    assert acts["act", EVEN, 1]
+    assert any(case[:2] == ("act", ODD) and case[2] >= 2 for case in acts)
 
 
 def _named_rows(cx, k, key):

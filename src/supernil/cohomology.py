@@ -252,6 +252,7 @@ class CentralExtension:
 
     def __init__(self, alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational]):
         self.alg = alg
+        _check_words(alg, h)
         for (i, j), val in h.items():
             if val and (alg.parities[i] + alg.parities[j]) % 2 != EVEN:
                 raise ValueError("extension cochain must be even")
@@ -280,6 +281,14 @@ class CentralExtension:
         return jacobi_failures(self.alg.parities, self.bracket)
 
 
+def _check_words(alg: NilpotentAlgebra, h: dict) -> None:
+    """ValueError naming the first key of the 2-cochain h that is no canonical degree-2 word."""
+    for w in h:
+        if not (isinstance(w, tuple) and len(w) == 2 and all(x in range(alg.dim) for x in w)
+                and normalize_word(alg.parities, w) == (1, w)):
+            raise ValueError(f"{w!r} is not a canonical degree-2 word of {alg.name}")
+
+
 def central_extension(alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational]) -> CentralExtension:
     return CentralExtension(alg, h)
 
@@ -289,12 +298,12 @@ def is_cocycle(
     h: dict[tuple[int, int], Rational],
     complex_cache: CochainComplex | None = None,
 ) -> bool:
-    """Whether d^2 h = 0, read row by row off d^2 up to the first nonzero
-    value; C^3 is not enumerated.  `complex_cache` is alg's
-    trivial-coefficient complex, if already built."""
+    """Whether d^2 h = 0, read off d^2 row by row up to the first nonzero
+    value, C^3 not enumerated; h's keys must be canonical degree-2 words.
+    `complex_cache` is alg's trivial-coefficient complex, if already built."""
+    _check_words(alg, h)
     cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
-    idx2 = cx.degree(2).word_index
-    vec = {idx2[word]: exact(Fraction(val)) for word, val in h.items()}
+    vec = {c: exact(Fraction(h[w])) for c, w in enumerate(cx.degree(2).words) if w in h}
     return not any(sum(v * vec[c] for c, v in row.items() if c in vec)
                    for row in cx.differential(2).values())
 

@@ -20,8 +20,8 @@ i(1+|w_i|) + j(1+|w_j|) + |w_i||w_j| + we(|w_i|+|w_j|), so each letter pair's
 
 Every entry is exact: an int unless a bracket coefficient or module action
 entry has a true denominator.  Because the torus action commutes with d,
-the matrices are block diagonal over (weight, parity) keys; d od = 0 is
-checked as an exact sparse product wherever a test asks for it.
+the matrices are block diagonal over (weight, parity) keys; d o d = 0 is
+checked block by block wherever a test asks for it.
 
 Block bookkeeping is done in integers too.  Each complex scales the
 algebra and module weights once by the lcm of their denominators (1 for
@@ -41,38 +41,28 @@ of each cochain (u, c): for each letter t of u and each pair (a, b) whose
 bracket has an x_t component (`NilpotentAlgebra.inverse_table`, tagged
 by its sign case), the bracket sum puts an entry in the row of the word
 (a, b) + (u less one t); each nonzero module action x puts one in the row
-of x + u.  A row is named by its (canonical word, module index) rather
-than by an index into C^{k+1}; only rows with a nonzero entry exist, and
+of x + u.  A row is named by its cochain (canonical word, module index),
+and every reader that meets a cochain in two degrees names it so, never by
+an index into a whole degree; only rows with a nonzero entry exist, and
 the rank of a block needs no others.
 
 The weight block is the unit of assembly, and `block_columns(k, key)` is
 the one routine that makes a d^k entry.  A column (u, c) feeds only rows
-of its own block, so `block_columns` builds a block's columns from that
-block's own C^k cochains alone and asserts that every row's key, from its
-own word's letters, is the block's.  One term generator writes a word's
-bracket terms into a column, numbering each row word there as it first
-meets it and checking that row's letters there, once.  With dim M = 1 the
-module has no action (its one weight would move), each word has one
-cochain, and the generator writes straight into the block's column.  With
-dim M > 1 a word's cochains fall in many blocks, so it writes into a
-column of the word's own, made once per complex and shared by those
-blocks; its bracket rows are checked against the word's letters there,
-and each cochain's key and each action row's against the block's in
-`block_columns`.  The letter checks sum letters packed only as wide as
-the row words need (`_narrowed`), a few bits a coordinate rather than 64.
-`block_rank` ranks a block's columns (`block_matrix`) in the calling
-process and keeps only the rank, so H^k holds one block of d^k at a time
-and H^k and H^{k+1} on one complex assemble d^k once between them.  While
-`clearing` names a block of d^k, ranking that block of d^{k-1} also finds
-a maximal independent set of its rows, and `block_matrix` leaves their d^k
-columns out: by d o d = 0 they cannot raise the rank (`block_rank`).
-`differential(k)` turns the columns of every block of C^k into rows
-{C^k cochain index: value}, named by their cochains, built once and kept,
-the only store of rows, for the callers that need all of d^k: the
-d o d = 0 check, the commutation check, the cocycle scan and the
-Hochschild-Serre coefficient modules (which cut it back into blocks).
-All but the scan number its rows through `word_index` with
-`indexed_differential`, which enumerates C^{k+1}.
+of its own block, so a block's columns come from that block's own C^k
+cochains alone, and every row's key, from its own word's letters, is
+asserted to be the block's.  With dim M = 1 the module has no action (its
+one weight would move); with dim M > 1 a word's terms are made once per
+complex and shared by the blocks of its cochains.  The letter checks sum
+letters packed only as wide as the row words need (`_narrowed`), a few
+bits a coordinate rather than 64.  `block_rank` ranks a block's columns
+(`block_matrix`) in the calling process and keeps only the rank, so H^k
+holds one block of d^k at a time and H^k and H^{k+1} on one complex
+assemble d^k once between them.  While `clearing` names a block of d^k,
+ranking that block of d^{k-1} also names a maximal independent set of its
+rows, and `block_matrix` leaves their d^k columns out: by d o d = 0 they
+cannot raise the rank (`block_rank`).  `check_d_squared` meets each row
+of a d^k block with the d^{k+1} column of the cochain it names;
+`differential(k)` keeps all of d^k's `named_rows`, for the cocycle scan.
 
 Every dual action is (x.f)(v) = -(-1)^{|x||f|} f(x.v), f the column
 functional, written once, in `contragredient`.  `dual_module` (I* over
@@ -92,7 +82,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .linalg import Sparse, SparseRow, add_to, rank, sparse_matmul
+from .linalg import Sparse, SparseRow, add_to, rank
 from .realize import Ideal, NilpotentAlgebra, supercommutator, verify_ideal
 from .supercore import EVEN, ODD, Parity, Rational, Weight, exact, parity_sum, swap_sign
 
@@ -318,7 +308,6 @@ BlockKey = tuple[Weight, Parity]
 
 class DegreeData(NamedTuple):
     words: list[Word]
-    word_index: dict[Word, int]
     keys: list[BlockKey]           # per cochain index
     blocks: dict[BlockKey, list[int]]
 
@@ -373,9 +362,9 @@ class CochainComplex:
         self._narrow: dict[int, list[int]] = {}  # width -> letters (`_narrowed`)
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
-        # (k, key, C^k cochains) while `cohomology` ranks one block: the
+        # (k, key, C^k cochain names) while `cohomology` ranks one block: the
         # cochains whose d^k columns `block_matrix` clears (see `block_rank`)
-        self.clearing: tuple[int, BlockKey, set[int]] | None = None
+        self.clearing: tuple[int, BlockKey, set[Row]] | None = None
 
     def _fits(self, letters: int) -> None:  # keys of words of that many letters pack injectively
         if (letters * self._max_coord + self._max_mod) >> 63:
@@ -408,7 +397,7 @@ class CochainComplex:
         key = self._keys[ki] = (wt, ki & 1)
         return key
 
-    # cochain index = word_index * dim(M) + module_index
+    # cochain index = (its word's index in `words`) * dim(M) + module index
     def degree(self, k: int) -> DegreeData:
         """C^k: its words and each cochain's block, found by its packed key
         int from one sum of the word's packed letters."""
@@ -416,7 +405,6 @@ class CochainComplex:
             return self._degrees[k]
         self._fits(k + 1)
         words = monomial_words(self.alg.parities, k)
-        word_index = {w: i for i, w in enumerate(words)}
         keys: list[BlockKey] = []
         blocks: dict[BlockKey, list[int]] = {}
         pw, interned = self._alg_pw, self._keys
@@ -429,7 +417,7 @@ class CochainComplex:
                 key = interned.get(ki) or self._new_key(ki, w, c)
                 blocks.setdefault(key, []).append(len(keys))
                 keys.append(key)
-        data = DegreeData(words, word_index, keys, blocks)
+        data = DegreeData(words, keys, blocks)
         self._degrees[k] = data
         return data
 
@@ -627,61 +615,64 @@ class CochainComplex:
                 columns[idx] = col
         return names, columns
 
-    def differential(self, k: int) -> dict[Row, SparseRow]:
-        """d^k: C^k -> C^{k+1} as sparse rows {C^k cochain index: value}:
-        the columns of `block_columns` over the blocks of C^k, turned into
-        rows, kept once built.
+    def named_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
+        """The d^k block `key` as rows {C^k cochain index: value}, each named
+        by its degree-(k+1) cochain: its `block_columns` turned."""
+        names, columns = self.block_columns(k, key)
+        rows: dict[Row, SparseRow] = {}
+        for idx, col in columns.items():
+            for rid, v in col.items():
+                rows.setdefault(names[rid], {})[idx] = v
+        return rows
 
-        A row is named by the degree-(k+1) cochain (canonical word, module
-        index) and exists only when it has a nonzero entry; C^{k+1} is not
-        enumerated (see `indexed_differential`).
-        """
+    def differential(self, k: int) -> dict[Row, SparseRow]:
+        """d^k: C^k -> C^{k+1} as the `named_rows` of every block of C^k,
+        kept once built; C^{k+1} is not enumerated."""
         if k not in self._diffs:
-            d: dict[Row, SparseRow] = {}
-            for key in self.degree(k).blocks:
-                names, columns = self.block_columns(k, key)
-                for idx, col in columns.items():
-                    for rid, v in col.items():
-                        d.setdefault(names[rid], {})[idx] = v
-            self._diffs[k] = d
+            self._diffs[k] = {name: row for key in self.degree(k).blocks
+                              for name, row in self.named_rows(k, key).items()}
         return self._diffs[k]
 
-    def indexed_differential(self, k: int) -> Sparse:
-        """d^k as one sparse matrix {(row, col): value}, each row numbered
-        by its index in C^{k+1}, which this enumerates:
-        word_index(word) * dim(M) + module index."""
-        index = self.degree(k + 1).word_index
-        nm = self.module.dim
-        return {
-            (index[w] * nm + r, c): v
-            for (w, r), row in self.differential(k).items()
-            for c, v in row.items()
-        }
-
     def check_d_squared(self, k: int) -> bool:
-        """Exact check that d^{k+1} o d^k = 0, as one sparse product."""
-        return not sparse_matmul(self.indexed_differential(k + 1), self.indexed_differential(k))
+        """Exact check that d^{k+1} o d^k = 0, block by block: each row of a
+        d^k block meets the d^{k+1} column of the cochain it names.  Only
+        C^k and C^{k+1} are enumerated."""
+        words, nm = self.degree(k + 1).words, self.module.dim
+        for key in self.degree(k).blocks:
+            names, columns = self.block_columns(k, key)
+            after = {(words[idx // nm], idx % nm): col
+                     for idx, col in self.block_columns(k + 1, key)[1].items()}
+            for col in columns.values():
+                image: SparseRow = {}  # d^{k+1} of this column
+                for rid, v in col.items():
+                    for r, x in after.get(names[rid], {}).items():
+                        add_to(image, r, v * x)
+                if image:
+                    return False
+        return True
 
     def block_matrix(
         self, k: int, key: BlockKey, names: list[Row] | None = None
     ) -> list[SparseRow]:
         """The nonzero columns of the d^k block `key` (see `block_columns`)
-        less those of the cochains `clearing` holds for it; a list `names`
-        is extended by the names of the block's rows."""
+        less those of the cochains that `clearing` names for it; a list
+        `names` is extended by the names of the block's rows."""
         rows, columns = self.block_columns(k, key)
         if names is not None:
             names += rows
         clear = self.clearing
         if clear is not None and clear[:2] == (k, key):
-            return [col for idx, col in columns.items() if idx not in clear[2]]
+            words, nm = self._degrees[k].words, self.module.dim
+            return [col for idx, col in columns.items()
+                    if (words[idx // nm], idx % nm) not in clear[2]]
         return list(columns.values())
 
     def block_rank(self, k: int, key: BlockKey) -> int:
         """The rank of the d^k block `key`, computed once per complex and
         kept in `ranks` as an int; the block's columns are not kept.
-        While `clearing` is (k + 1, key, cochains), the C^{k+1} cochains of
-        a maximal independent set R of this block's rows (`rank`'s basis)
-        fill `cochains`, and ranking d^{k+1} on `key` ends the clearing.
+        While `clearing` is (k + 1, key, names), the names of a maximal
+        independent set R of this block's rows (`rank`'s basis) fill
+        `names`, and ranking d^{k+1} on `key` ends the clearing.
         Without its columns at R the d^{k+1} block D keeps its rank: with
         this block V, DV = 0 and V[R, J] invertible for some columns J give
         D[:, R] = -D[:, R^c] V[R^c, J] V[R, J]^-1."""
@@ -692,8 +683,7 @@ class CochainComplex:
             if clear is not None and clear[:2] == (k + 1, key):
                 names, rows = [], []
                 found = rank(self.block_matrix(k, key, names), rows)
-                index, nm = self._degrees[k + 1].word_index, self.module.dim
-                clear[2].update(index[w] * nm + c for w, c in map(names.__getitem__, rows))
+                clear[2].update(map(names.__getitem__, rows))
             else:
                 found = rank(self.block_matrix(k, key))
             self.ranks[job] = found

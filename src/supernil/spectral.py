@@ -72,8 +72,8 @@ class IdealComplex:
     on C^j(I) = Lambda_s^j(I)*, the `contragredient` of `word_action` on
     `ideal_module` over the words of `cx.degree(j)`.  The action commutes
     with d_I exactly (asserted by `hj_ideal_module`), which makes the
-    Hochschild-Serre coefficient modules well defined.  Each is built once
-    and shared by the H^j(I, C) of every j."""
+    Hochschild-Serre coefficient modules well defined.  Each action, and
+    each block of d_I, is built once and shared by the H^j(I, C) of every j."""
 
     def __init__(self, parent: NilpotentAlgebra, ideal: Ideal):
         self.parent = parent
@@ -82,6 +82,7 @@ class IdealComplex:
         self.cx = CochainComplex(self.sub, trivial_module(self.sub))
         self.adjoint = ideal_module(parent, ideal)
         self._actions: dict[int, list[Sparse]] = {}
+        self._blocks: dict[int, dict[BlockKey, dict[Row, linalg.SparseRow]]] = {}
 
     def action(self, j: int) -> list[Sparse]:
         """Per parent basis vector, its Lie-derivative action on C^j(I)."""
@@ -93,6 +94,12 @@ class IdealComplex:
                 for pid, mat in enumerate(word_action(self.adjoint, words))
             ]
         return self._actions[j]
+
+    def blocks(self, k: int) -> dict[BlockKey, dict[Row, linalg.SparseRow]]:
+        """d_I^k by the blocks of C^k(I), each block's `named_rows`."""
+        if k not in self._blocks:
+            self._blocks[k] = {key: self.cx.named_rows(k, key) for key in self.cx.degree(k).blocks}
+        return self._blocks[k]
 
 
 def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GModule:
@@ -110,12 +117,11 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     ideal must act trivially on the subquotient (asserted) for the quotient
     action to be well defined.  j >= 1; H^0(I, C) is the trivial module.
     """
-    cx = ic.cx
-    deg = cx.degree(j)
+    deg = ic.cx.degree(j)
     lam = ic.action(j)
-    _assert_commutes_with_d(cx, j, lam, ic.action(j + 1))
-    # d^j is kept from that check: cut it and d^{j-1}, assembling no block twice
-    d_outs, d_ins = _cut_into_blocks(cx, j), _cut_into_blocks(cx, j - 1)
+    _assert_commutes_with_d(ic, j, lam, ic.action(j + 1))
+    # d^j's blocks are kept from that check, and d^{j-1}'s from H^{j-1}(I, C)
+    d_outs, d_ins = ic.blocks(j), ic.blocks(j - 1)
 
     classes: Sparse = {}  # class representatives as columns over C^j(I)
     class_of: dict[int, int] = {}  # free cochain of a class -> class index
@@ -123,15 +129,16 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     parities = []
     weights = []
     for key in sorted(deg.blocks):
-        d_out = list(d_outs.get(key, {}).values())
+        d_out = list(d_outs[key].values())
         # keyed by free cochain: a kernel vector's other entries are at earlier pivots
         kernel = {max(vec): vec for vec in linalg.nullspace(d_out, deg.blocks[key])}
         # the image of d^{j-1} is spanned by the columns of its block, each
-        # entry at its cochain (trivial coefficients: a cochain's index is its
-        # word's); free cochain c is labelled -c, so each row leads at its last
+        # entry at the cochain its row names, found by word among the block's
+        # own; free cochain c is labelled -c, so each row leads at its last
+        own = {deg.words[c]: c for c in deg.blocks[key]}  # trivial coefficients
         img: dict[int, linalg.SparseRow] = {}
         for (w, _), row in d_ins.get(key, {}).items():
-            r = deg.word_index[w]
+            r = own[w]
             if r in kernel:
                 for c, x in row.items():
                     img.setdefault(c, {})[-r] = x
@@ -160,7 +167,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
             if key not in deg.blocks:
                 raise AssertionError("action leaves computed blocks")
             if any(sum(x * cells.get(c, 0) for c, x in row.items())
-                   for row in d_outs.get(key, {}).values()):
+                   for row in d_outs[key].values()):
                 raise AssertionError("action leaves the cohomology subquotient")
             coords = {c: v for c, v in cells.items() if c in class_of or c in lead}
             for c in [c for c in coords if c in lead]:
@@ -182,21 +189,15 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     return mod
 
 
-def _cut_into_blocks(cx: CochainComplex, k: int) -> dict[BlockKey, dict[Row, linalg.SparseRow]]:
-    """The rows of `differential(k)` by the block of each row's first column."""
-    keys = cx.degree(k).keys
-    out: dict[BlockKey, dict[Row, linalg.SparseRow]] = {}
-    for name, row in cx.differential(k).items():
-        out.setdefault(keys[next(iter(row))], {})[name] = row
-    return out
-
-
 def _assert_commutes_with_d(
-    cx: CochainComplex, j: int, lam: list[Sparse], lam_next: list[Sparse]
+    ic: IdealComplex, j: int, lam: list[Sparse], lam_next: list[Sparse]
 ) -> None:
     """Exact check that d_I^j o lam = lam_next o d_I^j, for the Lie
-    derivative `lam` on C^j(I) and `lam_next` on C^{j+1}(I)."""
-    d = cx.indexed_differential(j)
+    derivative `lam` on C^j(I) and `lam_next` on C^{j+1}(I), each numbering
+    a cochain by its word's place in `degree`, as d_I^j's rows are here."""
+    index = {w: r for r, w in enumerate(ic.cx.degree(j + 1).words)}
+    d = {(index[w], c): v for rows in ic.blocks(j).values()
+         for (w, _), row in rows.items() for c, v in row.items()}
     for pid, (act, act_next) in enumerate(zip(lam, lam_next, strict=True)):
         if sparse_matmul(d, act) != sparse_matmul(act_next, d):
             raise AssertionError(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -245,6 +246,32 @@ def test_central_extension_rejects_odd_cochain():
     )
     with pytest.raises(ValueError):
         central_extension(alg, {odd_word: Fraction(1)})
+
+
+# (1, 0) is out of canonical order, (0, 0) repeats an even id, and the
+# others are not two ids of the algebra's basis
+@pytest.mark.parametrize("word", [(1, 0), (0, 0), (0,), (0, 1, 2), (0, 99), (-1, 0)])
+def test_malformed_cochain_words_are_refused(built, word):
+    # neither a KeyError nor a key that `pair` never reads, which would
+    # build the trivial extension: a ValueError that names the word
+    message = rf"^{re.escape(repr(word))} is not a canonical degree-2 word"
+    for family, params in [("gl", (2, 2)), ("gl", (3, 2))]:
+        alg, _ = built(family, params)
+        assert alg.parities[0] == alg.parities[1] == 0
+        with pytest.raises(ValueError, match=message):
+            is_cocycle(alg, {word: 1})
+        with pytest.raises(ValueError, match=message):
+            central_extension(alg, {word: 1})
+
+
+def test_a_canonical_even_word_is_accepted(built):
+    # x_0 ^ x_1 of gl(3|2), both even: d^2 of its dual is not 0, and the
+    # extension reads it back in either order
+    alg, _ = built("gl", (3, 2))
+    h = {(0, 1): Fraction(1)}
+    ext = central_extension(alg, h)
+    assert not is_cocycle(alg, h) and ext.jacobi_failures()
+    assert ext.pair(0, 1) == 1 and ext.pair(1, 0) == -1
 
 
 def test_coboundaries_are_cocycles_and_give_jacobi():

@@ -139,7 +139,7 @@ TEST_MATRIX = [
 def test_d_squared_zero_trivial_coefficients(built, family, params):
     alg, _ = built(family, params)
     cx = CochainComplex(alg, trivial_module(alg))
-    for k in range(3):
+    for k in range(4):
         assert cx.check_d_squared(k)
 
 
@@ -153,21 +153,44 @@ def test_d_squared_zero_module_coefficients(built, family, params):
     dm = dual_module(alg, ideal, quo)
     for module in (dm, lambda_s_module(quo, dm, 2)):
         cx = CochainComplex(quo, module)
-        for k in range(2):
+        for k in range(3):
             assert cx.check_d_squared(k)
 
 
-def test_check_d_squared_detects_a_perturbed_entry(built):
+def test_check_d_squared_detects_a_perturbed_entry(built, monkeypatch):
     alg, _ = built("osp_odd", (2, 1))
     cx = CochainComplex(alg, trivial_module(alg))
-    d1, d2 = cx.differential(1), cx.differential(2)
     assert cx.check_d_squared(1)
-    # an entry of d^1 whose row feeds d^2: doubling it breaks d o d = 0
+    # an entry of d^1 whose row feeds d^2, doubled as block_columns hands
+    # it out: d o d = 0 then fails
     words2 = cx.degree(2).words
-    used = {(words2[c], 0) for row in d2.values() for c in row}
-    name = next(name for name in sorted(d1) if name in used)
-    d1[name][min(d1[name])] *= 2
-    assert not cx.check_d_squared(1)
+    used = {(words2[c], 0) for key in cx.degree(2).blocks for c in cx.block_columns(2, key)[1]}
+    key, c, rid = next((key, c, rid) for key in cx.degree(1).blocks
+                       for names, columns in [cx.block_columns(1, key)]
+                       for c, col in columns.items() for rid in col if names[rid] in used)
+    assemble = CochainComplex.block_columns
+
+    def doubled(self, k, at):
+        names, columns = assemble(self, k, at)
+        if (k, at) == (1, key):
+            columns = {idx: dict(col) for idx, col in columns.items()}
+            columns[c][rid] *= 2
+        return names, columns
+
+    monkeypatch.setattr(CochainComplex, "block_columns", doubled)
+    assert not CochainComplex(alg, trivial_module(alg)).check_d_squared(1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_check_d_squared_enumerates_no_degree_past_the_next(built, k):
+    # d^{k+1} o d^k = 0 is checked on the blocks of C^k and C^{k+1} alone:
+    # the row words of d^{k+1} are named, C^{k+2} is never built
+    alg, ideal = built("gl", (3, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    for a, module in [(alg, trivial_module(alg)), (quo, dual_module(alg, ideal, quo))]:
+        cx = CochainComplex(a, module)
+        assert cx.check_d_squared(k)
+        assert max(cx._degrees) == k + 1, module.name
 
 
 def test_module_verify_detects_a_perturbed_action_entry(built):
@@ -472,11 +495,11 @@ def test_differential_preserves_blocks(built):
     cx = CochainComplex(alg, trivial_module(alg))
     d = cx.differential(1)
     src, dst = cx.degree(1), cx.degree(2)
-    assert len(cx.indexed_differential(1)) == sum(map(len, d.values()))
+    index = {w: i for i, w in enumerate(dst.words)}
     for (w, m), row in d.items():
         assert row
         for c in row:
-            assert dst.keys[dst.word_index[w] * cx.module.dim + m] == src.keys[c]
+            assert dst.keys[index[w] * cx.module.dim + m] == src.keys[c]
 
 
 def test_cochain_dim_formula(built):
@@ -515,23 +538,24 @@ def _bookkeeping_cases(built):
 
 def test_block_matrix_matches_sparse_cut_of_differential(built):
     # block_columns holds exactly the nonzero columns of the block's cut of
-    # d^k, each under its cochain and with each entry in the row of the
-    # cochain it stands for: the transpose of the block's rows of d^k; and
-    # block_matrix lists those columns
+    # the brute-force target-side d^k, each under its cochain and with each
+    # entry in the row named by the cochain it stands for; and block_matrix
+    # lists those columns
     for alg, module in _bookkeeping_cases(built):
         cx = CochainComplex(alg, module)
         for k in range(3):
-            d = cx.indexed_differential(k)
+            d = _target_side_differential(cx, k)
             src, dst = cx.degree(k), cx.degree(k + 1)
             for key in set(src.blocks) | set(dst.blocks):
-                cols = src.blocks.get(key, [])
-                rows = dst.blocks.get(key, [])
-                cut = {c: {r: d[(r, c)] for r in rows if (r, c) in d} for c in cols}
-                nonzero = {c: col for c, col in cut.items() if col}
+                cols = set(src.blocks.get(key, []))
+                nonzero = {}
+                for name, row in d.items():
+                    for c, v in row.items():
+                        if c in cols:
+                            nonzero.setdefault(c, {})[name] = v
                 names, columns = cx.block_columns(k, key)
                 assert len(set(names)) == len(names), (module.name, k, key)
-                assert {c: {dst.word_index[names[rid][0]] * module.dim + names[rid][1]: v
-                            for rid, v in col.items()}
+                assert {c: {names[rid]: v for rid, v in col.items()}
                         for c, col in columns.items()} == nonzero, (module.name, k, key)
                 listed = cx.block_matrix(k, key)
                 assert listed == list(columns.values()), (module.name, k, key)
@@ -670,7 +694,8 @@ def _target_side_differential(cx, k):
     from supernil.linalg import add_to
 
     alg, m = cx.alg, cx.module
-    src, nm = cx.degree(k), m.dim
+    nm = m.dim
+    index = {w: i for i, w in enumerate(cx.degree(k).words)}
     d = {}
     for word in monomial_words(alg.parities, k + 1):
         pars = [alg.parities[x] for x in word]
@@ -679,7 +704,7 @@ def _target_side_differential(cx, k):
             prefix[t + 1] = prefix[t] ^ p
         for i, x in enumerate(word):
             rest = word[:i] + word[i + 1:]
-            xi = src.word_index[rest]
+            xi = index[rest]
             for (r, c), val in m.action[x].items():
                 f_par = (prefix[-1] ^ pars[i] ^ m.parities[c]) % 2
                 tau = i + pars[i] * (prefix[i] + f_par)
@@ -694,7 +719,7 @@ def _target_side_differential(cx, k):
                     if s:
                         val = cval if (-1) ** sigma * s > 0 else -cval
                         for w in range(nm):
-                            add_to(d, ((word, w), src.word_index[canon] * nm + w), val)
+                            add_to(d, ((word, w), index[canon] * nm + w), val)
     rows = {}
     for (name, c), v in d.items():
         rows.setdefault(name, {})[c] = v
@@ -1022,13 +1047,13 @@ def test_clearing_leaves_out_pivot_rows_only(built, monkeypatch, family, params)
             assert cohomology(a, module, k, complex_cache=cx).blocks == want.blocks, \
                 (module.name, k)
             assert cx.clearing is None
-            index, nm = cx.degree(k).word_index, module.dim
-            for c, j, key, cochains, passed in cleared:
+            index, nm = {w: i for i, w in enumerate(cx.degree(k).words)}, module.dim
+            for c, j, key, cleared_names, passed in cleared:
+                cochains = {index[w] * nm + m for w, m in cleared_names}
                 assert c is cx and j == k and cochains <= set(cx.degree(k).blocks[key])
                 assert len(cochains) == cx.ranks[k - 1, key] == plain.ranks[k - 1, key]
                 names, cols = made[cx, k - 1, key]
-                rows = [{rid: v for rid, v in col.items()
-                         if index[names[rid][0]] * nm + names[rid][1] in cochains}
+                rows = [{rid: v for rid, v in col.items() if names[rid] in cleared_names}
                         for col in cols.values()]
                 assert linalg.rank(rows) == len(cochains), (module.name, k, key)
                 assert passed == sum(1 for idx in made[cx, k, key][1] if idx not in cochains)
@@ -1119,14 +1144,15 @@ def test_relabelling_odd_ids_first_maps_the_complex_through(built):
             return normalize_word(a.parities, [inv[x] for x in word])
 
         for k in range(4):
-            src, new_src = old.degree(k), new.degree(k)
+            new_src = new.degree(k)
+            index = {w: i for i, w in enumerate(old.degree(k).words)}
             mapped = {}
             for (w, r), row in new.differential(k).items():
                 sr, w_old = to_old(w)
                 out = mapped[(w_old, r)] = {}
                 for c, v in row.items():
                     sc, u_old = to_old(new_src.words[c // nm])
-                    out[src.word_index[u_old] * nm + c % nm] = sr * sc * v
+                    out[index[u_old] * nm + c % nm] = sr * sc * v
             assert mapped == old.differential(k), (module.name, k)
             assert (cohomology(b, relabelled, k).blocks
                     == cohomology(a, module, k).blocks), (module.name, k)

@@ -165,7 +165,7 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
     j = 2
     lam = [dict(act) for act in ic.action(j)]
     lam_next = ic.action(j + 1)
-    spectral._assert_commutes_with_d(cx, j, lam, lam_next)
+    spectral._assert_commutes_with_d(ic, j, lam, lam_next)
     # an action entry whose row feeds d^j: doubling it breaks commutation
     used = {c for row in cx.differential(j).values() for c in row}
     pid, pos = next(
@@ -173,7 +173,7 @@ def test_commutes_with_d_detects_a_corrupted_action(built):
     )
     lam[pid][pos] *= 2
     with pytest.raises(AssertionError, match="does not commute"):
-        spectral._assert_commutes_with_d(cx, j, lam, lam_next)
+        spectral._assert_commutes_with_d(ic, j, lam, lam_next)
 
 
 def test_abelian_e2_page_builds_the_dual_module_once(built, monkeypatch):

@@ -11,11 +11,13 @@ cleared, with no dense matrix built.  The blocks stream: each block of
 d^{k-1} and then d^k is assembled alone, ranked and dropped before the
 next (`CochainComplex.block_rank`), so d^k is never held whole, and the
 complex keeps each rank for the next degree; d^{k-1} is ranked only on
-blocks C^{k-1} has.  The d^{k-1} block's pivot rows clear d^k's columns
-at those cochains, which d o d = 0 puts in the span of the others: d^k
-is ranked on the rest alone ("clearing", Chen and Kerber, 2011).  Every
-rank is taken in the calling process, one block at a time.  Only C^{k-1} (when C^k has a block) and C^k are enumerated; d^k is
-assembled from its source side, so H^k never builds the basis of C^{k+1}.
+blocks C^{k-1} has.  Ranking a d^{k-1} block names its pivot rows, and
+the d^k block is ranked without its columns at those cochains, which
+d o d = 0 puts in the span of the others (the twist of Chen and Kerber,
+2011); the names pass from one call to the next as an argument.  Every
+rank is taken in the calling process, one block at a time.  Only C^{k-1}
+(when C^k has a block) and C^k are enumerated; d^k is assembled from its
+source side, so H^k never builds the basis of C^{k+1}.
 Two independent degree-specific routes (dual of the abelianization for H^1
 with trivial coefficients, and the superderivation quotient for H^1 with
 any coefficients) plus the fixed-point route for H^0 serve as cross-checks;
@@ -143,12 +145,11 @@ def cohomology(
     # is order-free
     for key, cols in src.blocks.items():
         h = len(cols)
+        pivots: set = set()
         if key in before:
             # d^{k-1} first: its pivot rows clear columns of d^k (`block_rank`)
-            if (k, key) not in cx.ranks:
-                cx.clearing = (k, key, set())
-            h -= cx.block_rank(k - 1, key)
-        h -= cx.block_rank(k, key)
+            h -= cx.block_rank(k - 1, key, None if (k, key) in cx.ranks else pivots)
+        h -= cx.block_rank(k, key, cleared=pivots)
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")
         res.add(*key, h)
@@ -253,9 +254,9 @@ class CentralExtension:
     def __init__(self, alg: NilpotentAlgebra, h: dict[tuple[int, int], Rational]):
         self.alg = alg
         _check_words(alg, h)
-        for (i, j), val in h.items():
-            if val and (alg.parities[i] + alg.parities[j]) % 2 != EVEN:
-                raise ValueError("extension cochain must be even")
+        for w, val in h.items():
+            if val and (alg.parities[w[0]] + alg.parities[w[1]]) % 2 != EVEN:
+                raise ValueError(f"extension cochain must be even: {w!r} is an odd word")
         self.h = {k: exact(Fraction(v)) for k, v in h.items() if v}
 
     def pair(self, i: int, j: int) -> Rational:
@@ -298,35 +299,33 @@ def is_cocycle(
     h: dict[tuple[int, int], Rational],
     complex_cache: CochainComplex | None = None,
 ) -> bool:
-    """Whether d^2 h = 0, read off d^2 row by row up to the first nonzero
-    value, C^3 not enumerated; h's keys must be canonical degree-2 words.
-    `complex_cache` is alg's trivial-coefficient complex, if already built."""
+    """Whether d^2 h = 0, read off the rows of d^2's blocks that hold h's
+    cochains up to the first nonzero value, C^3 not enumerated; h's keys
+    must be canonical degree-2 words.  `complex_cache` is alg's
+    trivial-coefficient complex, if already built."""
     _check_words(alg, h)
     cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
-    vec = {c: exact(Fraction(h[w])) for c, w in enumerate(cx.degree(2).words) if w in h}
+    data = cx.degree(2)
+    vec = {c: exact(Fraction(h[w])) for c, w in enumerate(data.words) if w in h}
     return not any(sum(v * vec[c] for c, v in row.items() if c in vec)
-                   for row in cx.differential(2).values())
+                   for key in {data.keys[c] for c in vec}
+                   for row in cx.named_rows(2, key).values())
 
 
 def cocycle_space(alg: NilpotentAlgebra, complex_cache: CochainComplex | None = None):
-    """Bases of (even 2-cocycles, even non-cocycle complement) as cochains.
-    `complex_cache` is alg's trivial-coefficient complex, if already built."""
+    """Bases of (even 2-cocycles, even non-cocycle complement) as cochains,
+    from the rows of d^2's even blocks.  `complex_cache` is alg's
+    trivial-coefficient complex, if already built."""
     cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
-    words = cx.degree(2).words
-    even_cols = [
-        i
-        for i, w in enumerate(words)
-        if (alg.parities[w[0]] + alg.parities[w[1]]) % 2 == EVEN
-    ]
-    # the rows of d^2 on the even columns; d^2 keeps parity, so a row's
-    # columns are all even or all odd
-    even_set = set(even_cols)
-    rows = [row for row in cx.differential(2).values() if next(iter(row)) in even_set]
+    data = cx.degree(2)
+    even_cols = [c for c, key in enumerate(data.keys) if key[1] == EVEN]
+    rows = [row for key in data.blocks if key[1] == EVEN
+            for row in cx.named_rows(2, key).values()]
     red, piv_cols = linalg.rref(rows)
     kernel = linalg.kernel_of_rref(red, piv_cols, even_cols)
-    cocycles = [{words[c]: v for c, v in vec.items()} for vec in kernel]
+    cocycles = [{data.words[c]: v for c, v in vec.items()} for vec in kernel]
     # pivot-column unit vectors span a complement of the kernel
-    non_cocycles = [{words[c]: Fraction(1)} for c in piv_cols]
+    non_cocycles = [{data.words[c]: Fraction(1)} for c in piv_cols]
     return cocycles, non_cocycles
 
 

@@ -57,12 +57,14 @@ letters packed only as wide as the row words need (`_narrowed`), a few
 bits a coordinate rather than 64.  `block_rank` ranks a block's columns
 (`block_matrix`) in the calling process and keeps only the rank, so H^k
 holds one block of d^k at a time and H^k and H^{k+1} on one complex
-assemble d^k once between them.  While `clearing` names a block of d^k,
-ranking that block of d^{k-1} also names a maximal independent set of its
-rows, and `block_matrix` leaves their d^k columns out: by d o d = 0 they
-cannot raise the rank (`block_rank`).  `check_d_squared` meets each row
-of a d^k block with the d^{k+1} column of the cochain it names;
-`differential(k)` keeps all of d^k's `named_rows`, for the cocycle scan.
+assemble d^k once between them.  Ranking a block of d^{k-1} can fill a
+set `pivots` with the names of a maximal independent set of its rows;
+passed on as `cleared` to that block of d^k, it leaves their d^k columns
+out, which by d o d = 0 cannot raise the rank (`block_rank`).
+`check_d_squared` meets each row of a d^k block with the d^{k+1} column
+of the cochain it names.  `named_rows(k, key)`, a block turned into named
+rows, is kept once built, for the readers that need rows (the cocycle
+scan, H^j of an ideal); `differential(k)` is the union of those blocks.
 
 Every dual action is (x.f)(v) = -(-1)^{|x||f|} f(x.v), f the column
 functional, written once, in `contragredient`.  `dual_module` (I* over
@@ -80,7 +82,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import Sparse, SparseRow, add_to, rank
 from .realize import Ideal, NilpotentAlgebra, supercommutator, verify_ideal
@@ -350,7 +352,7 @@ class CochainComplex:
         self._keys: dict[int, BlockKey] = {}  # by packed key int (`_key_int`)
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
-        self._diffs: dict[int, dict[Row, SparseRow]] = {}
+        self._rows: dict[tuple[int, BlockKey], dict[Row, SparseRow]] = {}  # `named_rows`
         # dim M = 1 and so no action: each word has one cochain, in one block
         self._one_dim = module.dim == 1 and not any(module.action)
         # with dim M > 1, per degree: word index -> that word's terms in d,
@@ -362,9 +364,6 @@ class CochainComplex:
         self._narrow: dict[int, list[int]] = {}  # width -> letters (`_narrowed`)
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
-        # (k, key, C^k cochain names) while `cohomology` ranks one block: the
-        # cochains whose d^k columns `block_matrix` clears (see `block_rank`)
-        self.clearing: tuple[int, BlockKey, set[Row]] | None = None
 
     def _fits(self, letters: int) -> None:  # keys of words of that many letters pack injectively
         if (letters * self._max_coord + self._max_mod) >> 63:
@@ -617,21 +616,22 @@ class CochainComplex:
 
     def named_rows(self, k: int, key: BlockKey) -> dict[Row, SparseRow]:
         """The d^k block `key` as rows {C^k cochain index: value}, each named
-        by its degree-(k+1) cochain: its `block_columns` turned."""
-        names, columns = self.block_columns(k, key)
-        rows: dict[Row, SparseRow] = {}
-        for idx, col in columns.items():
-            for rid, v in col.items():
-                rows.setdefault(names[rid], {})[idx] = v
-        return rows
+        by its degree-(k+1) cochain: its `block_columns` turned, kept once
+        built."""
+        found = self._rows.get((k, key))
+        if found is None:
+            names, columns = self.block_columns(k, key)
+            found = self._rows[k, key] = {}
+            for idx, col in columns.items():
+                for rid, v in col.items():
+                    found.setdefault(names[rid], {})[idx] = v
+        return found
 
     def differential(self, k: int) -> dict[Row, SparseRow]:
-        """d^k: C^k -> C^{k+1} as the `named_rows` of every block of C^k,
-        kept once built; C^{k+1} is not enumerated."""
-        if k not in self._diffs:
-            self._diffs[k] = {name: row for key in self.degree(k).blocks
-                              for name, row in self.named_rows(k, key).items()}
-        return self._diffs[k]
+        """d^k: C^k -> C^{k+1} as the union of the `named_rows` of every
+        block of C^k; C^{k+1} is not enumerated."""
+        return {name: row for key in self.degree(k).blocks
+                for name, row in self.named_rows(k, key).items()}
 
     def check_d_squared(self, k: int) -> bool:
         """Exact check that d^{k+1} o d^k = 0, block by block: each row of a
@@ -652,41 +652,41 @@ class CochainComplex:
         return True
 
     def block_matrix(
-        self, k: int, key: BlockKey, names: list[Row] | None = None
+        self, k: int, key: BlockKey, names: list[Row] | None = None,
+        cleared: Collection[Row] = frozenset(),
     ) -> list[SparseRow]:
         """The nonzero columns of the d^k block `key` (see `block_columns`)
-        less those of the cochains that `clearing` names for it; a list
+        less those of the cochains named in the set `cleared`; a list
         `names` is extended by the names of the block's rows."""
         rows, columns = self.block_columns(k, key)
         if names is not None:
             names += rows
-        clear = self.clearing
-        if clear is not None and clear[:2] == (k, key):
+        if cleared:
             words, nm = self._degrees[k].words, self.module.dim
             return [col for idx, col in columns.items()
-                    if (words[idx // nm], idx % nm) not in clear[2]]
+                    if (words[idx // nm], idx % nm) not in cleared]
         return list(columns.values())
 
-    def block_rank(self, k: int, key: BlockKey) -> int:
+    def block_rank(
+        self, k: int, key: BlockKey, pivots: set[Row] | None = None,
+        cleared: Collection[Row] = frozenset(),
+    ) -> int:
         """The rank of the d^k block `key`, computed once per complex and
-        kept in `ranks` as an int; the block's columns are not kept.
-        While `clearing` is (k + 1, key, names), the names of a maximal
-        independent set R of this block's rows (`rank`'s basis) fill
-        `names`, and ranking d^{k+1} on `key` ends the clearing.
-        Without its columns at R the d^{k+1} block D keeps its rank: with
+        kept in `ranks` as an int; the block's columns are not kept.  When
+        it is computed, a set `pivots` is filled with the names of a maximal
+        independent set R of the block's rows (`rank`'s basis), and the
+        columns of the cochains named in `cleared` are left out.  Without
+        its columns at R the d^{k+1} block D on `key` keeps its rank: with
         this block V, DV = 0 and V[R, J] invertible for some columns J give
         D[:, R] = -D[:, R^c] V[R^c, J] V[R, J]^-1."""
         job = (k, key)
         found = self.ranks.get(job)
-        clear = self.clearing
         if found is None:
-            if clear is not None and clear[:2] == (k + 1, key):
-                names, rows = [], []
-                found = rank(self.block_matrix(k, key, names), rows)
-                clear[2].update(map(names.__getitem__, rows))
+            if pivots is None:
+                found = rank(self.block_matrix(k, key, cleared=cleared))
             else:
-                found = rank(self.block_matrix(k, key))
+                names, rows = [], []
+                found = rank(self.block_matrix(k, key, names, cleared), rows)
+                pivots.update(map(names.__getitem__, rows))
             self.ranks[job] = found
-        if clear is not None and clear[:2] == job:
-            self.clearing = None
         return found

@@ -35,10 +35,8 @@ from .cohomology import (
     h0_fixed_points,
 )
 from .koszul import (
-    BlockKey,
     CochainComplex,
     GModule,
-    Row,
     contragredient,
     dual_module,
     ideal_module,
@@ -72,8 +70,9 @@ class IdealComplex:
     on C^j(I) = Lambda_s^j(I)*, the `contragredient` of `word_action` on
     `ideal_module` over the words of `cx.degree(j)`.  The action commutes
     with d_I exactly (asserted by `hj_ideal_module`), which makes the
-    Hochschild-Serre coefficient modules well defined.  Each action, and
-    each block of d_I, is built once and shared by the H^j(I, C) of every j."""
+    Hochschild-Serre coefficient modules well defined.  Each action is built
+    once, and each block of d_I kept by `cx.named_rows`, for the H^j(I, C)
+    of every j."""
 
     def __init__(self, parent: NilpotentAlgebra, ideal: Ideal):
         self.parent = parent
@@ -82,7 +81,6 @@ class IdealComplex:
         self.cx = CochainComplex(self.sub, trivial_module(self.sub))
         self.adjoint = ideal_module(parent, ideal)
         self._actions: dict[int, list[Sparse]] = {}
-        self._blocks: dict[int, dict[BlockKey, dict[Row, linalg.SparseRow]]] = {}
 
     def action(self, j: int) -> list[Sparse]:
         """Per parent basis vector, its Lie-derivative action on C^j(I)."""
@@ -94,12 +92,6 @@ class IdealComplex:
                 for pid, mat in enumerate(word_action(self.adjoint, words))
             ]
         return self._actions[j]
-
-    def blocks(self, k: int) -> dict[BlockKey, dict[Row, linalg.SparseRow]]:
-        """d_I^k by the blocks of C^k(I), each block's `named_rows`."""
-        if k not in self._blocks:
-            self._blocks[k] = {key: self.cx.named_rows(k, key) for key in self.cx.degree(k).blocks}
-        return self._blocks[k]
 
 
 def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GModule:
@@ -120,8 +112,9 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     deg = ic.cx.degree(j)
     lam = ic.action(j)
     _assert_commutes_with_d(ic, j, lam, ic.action(j + 1))
-    # d^j's blocks are kept from that check, and d^{j-1}'s from H^{j-1}(I, C)
-    d_outs, d_ins = ic.blocks(j), ic.blocks(j - 1)
+    # the complex keeps d^j's blocks from that check, and d^{j-1}'s from
+    # H^{j-1}(I, C)
+    named = ic.cx.named_rows
 
     classes: Sparse = {}  # class representatives as columns over C^j(I)
     class_of: dict[int, int] = {}  # free cochain of a class -> class index
@@ -129,7 +122,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
     parities = []
     weights = []
     for key in sorted(deg.blocks):
-        d_out = list(d_outs[key].values())
+        d_out = list(named(j, key).values())
         # keyed by free cochain: a kernel vector's other entries are at earlier pivots
         kernel = {max(vec): vec for vec in linalg.nullspace(d_out, deg.blocks[key])}
         # the image of d^{j-1} is spanned by the columns of its block, each
@@ -137,7 +130,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
         # own; free cochain c is labelled -c, so each row leads at its last
         own = {deg.words[c]: c for c in deg.blocks[key]}  # trivial coefficients
         img: dict[int, linalg.SparseRow] = {}
-        for (w, _), row in d_ins.get(key, {}).items():
+        for (w, _), row in named(j - 1, key).items():
             r = own[w]
             if r in kernel:
                 for c, x in row.items():
@@ -167,7 +160,7 @@ def hj_ideal_module(ic: IdealComplex, quotient: NilpotentAlgebra, j: int) -> GMo
             if key not in deg.blocks:
                 raise AssertionError("action leaves computed blocks")
             if any(sum(x * cells.get(c, 0) for c, x in row.items())
-                   for row in d_outs[key].values()):
+                   for row in named(j, key).values()):
                 raise AssertionError("action leaves the cohomology subquotient")
             coords = {c: v for c, v in cells.items() if c in class_of or c in lead}
             for c in [c for c in coords if c in lead]:
@@ -196,8 +189,8 @@ def _assert_commutes_with_d(
     derivative `lam` on C^j(I) and `lam_next` on C^{j+1}(I), each numbering
     a cochain by its word's place in `degree`, as d_I^j's rows are here."""
     index = {w: r for r, w in enumerate(ic.cx.degree(j + 1).words)}
-    d = {(index[w], c): v for rows in ic.blocks(j).values()
-         for (w, _), row in rows.items() for c, v in row.items()}
+    d = {(index[w], c): v for key in ic.cx.degree(j).blocks
+         for (w, _), row in ic.cx.named_rows(j, key).items() for c, v in row.items()}
     for pid, (act, act_next) in enumerate(zip(lam, lam_next, strict=True)):
         if sparse_matmul(d, act) != sparse_matmul(act_next, d):
             raise AssertionError(

@@ -25,15 +25,17 @@ checked block by block wherever a test asks for it.
 
 Block bookkeeping is done in integers too.  Each complex scales the
 algebra and module weights once by the lcm of their denominators (1 for
-every family) and packs each into one int, sum_i v_i * 2**(64 i)
-(`_packed`: linear, and injective while every |v_i| < 2**63, which
-`_fits` checks); a letter packs as (parity,) + weight.  A cochain's block
-has the packed key int 2 * (packed weight) + parity (`_key_int`), from one
-sum of its word's packed letters, and blocks are interned by that int, one
-key object per block.  A key equals (weight, parity), the weight the exact
-tuple of its coordinates (`key[0]`); `degree` files cochains, and
-`block_columns` finds a block, under any key equal to it.  A block lists
-its cochain indices in ascending order.
+every family) and packs an int vector one way, sum_i v_i * 2**(width i)
+(`_packed`: linear, and injective while every |v_i| < 2**(width - 1)).
+The width follows the complex's own weights (`_packing`): the fewest bits
+in which a module weight less the weights of a word's letters packs, so
+no weight is out of range.  A letter packs as (parity,) + weight, and a
+cochain's block has the key int 2 * (m_c's packed weight less its word's
+letters') + parity, from one sum of those letters.  `degree` interns its
+blocks by that int, one key object per block.  A key equals (weight,
+parity), the weight the exact tuple of its coordinates (`key[0]`);
+`degree` files cochains, and `block_columns` finds a block, under any key
+equal to it.  A block lists its cochain indices in ascending order.
 
 d^k is assembled from the source side, by columns, and never enumerates
 C^{k+1}.  The terms of a degree-k word u (`_word_terms`) are the column
@@ -52,15 +54,15 @@ of its own block, so a block's columns come from that block's own C^k
 cochains alone, and every row's key, from its own word's letters, is
 asserted to be the block's.  With dim M = 1 the module has no action (its
 one weight would move); with dim M > 1 a word's terms are made once per
-complex and shared by the blocks of its cochains.  The letter checks sum
-letters packed only as wide as the row words need (`_narrowed`), a few
-bits a coordinate rather than 64.  `block_rank` ranks a block's columns
-(`block_matrix`) in the calling process and keeps only the rank, so H^k
-holds one block of d^k at a time and H^k and H^{k+1} on one complex
-assemble d^k once between them.  Ranking a block of d^{k-1} can fill a
-set `pivots` with the names of a maximal independent set of its rows;
-passed on as `cleared` to that block of d^k, it leaves their d^k columns
-out, which by d o d = 0 cannot raise the rank (`block_rank`).
+complex and shared by the blocks of its cochains.  Every row is checked
+in the packed form that `degree` filed the block's cochains by.
+`block_rank` ranks a block's columns (`block_matrix`) in the calling
+process and keeps only the rank, so H^k holds one block of d^k at a time
+and H^k and H^{k+1} on one complex assemble d^k once between them.
+Ranking a block of d^{k-1} can fill a set `pivots` with the names of a
+maximal independent set of its rows; passed on as `cleared` to that block
+of d^k, it leaves their d^k columns out, which by d o d = 0 cannot raise
+the rank (`block_rank`).
 `check_d_squared` meets each row of a d^k block with the d^{k+1} column
 of the cochain it names.  `named_rows(k, key)`, a block turned into named
 rows, is kept once built, for the readers that need rows (the cocycle
@@ -319,19 +321,12 @@ def _scaled(w: Weight, scale: int) -> tuple[int, ...]:
     return tuple(c.numerator * (scale // c.denominator) for c in w)
 
 
-def _packed(v: Sequence[int]) -> int:
-    """sum_i v_i * 2**(64 i): linear, and injective while every |v_i| < 2**63.
-    A sum s of letters packed as (parity,) + weight has their odd count, in
-    [0, 2**63), as its lowest coordinate: s & 1 is the parity, s >> 64 the weight."""
-    if any(abs(c) >> 63 for c in v):
-        raise ValueError(f"weight coordinate out of the packed range: {v}")
-    return sum(c << 64 * i for i, c in enumerate(v))
-
-
-def _key_int(mw: int, mp: Parity, s: int) -> int:
-    """2 * packed weight + parity of the block of (word, c), from m_c's packed
-    weight mw and parity mp and the sum s of the word's packed letters."""
-    return (mw - (s >> 64)) * 2 + (mp ^ (s & 1))
+def _packed(v: Sequence[int], width: int) -> int:
+    """sum_i v_i * 2**(width i): linear, and injective while every
+    |v_i| < 2**(width - 1).  A sum s of letters packed as (parity,) + weight
+    has their odd count, below 2**width, as its lowest coordinate: s & 1 is
+    the parity, s >> width the packed weight."""
+    return sum(c << width * i for i, c in enumerate(v))
 
 
 class CochainComplex:
@@ -345,11 +340,9 @@ class CochainComplex:
         self._scale = lcm(*(c.denominator for w in alg.weights + module.weights for c in w))
         self._alg_iw = [_scaled(w, self._scale) for w in alg.weights]
         self._mod_iw = [_scaled(w, self._scale) for w in module.weights]
-        self._alg_pw = [_packed((p,) + iw) for p, iw in zip(alg.parities, self._alg_iw)]
-        self._mod_pw = [_packed(iw) for iw in self._mod_iw]
         self._max_coord = max((abs(c) for iw in self._alg_iw for c in iw), default=0)
         self._max_mod = max((abs(c) for iw in self._mod_iw for c in iw), default=0)
-        self._keys: dict[int, BlockKey] = {}  # by packed key int (`_key_int`)
+        self._packs: dict[int, tuple[int, list[int], list[int]]] = {}  # `_packing`, by width
         self._zero = (0,) * len(alg.symbols)
         self._degrees: dict[int, DegreeData] = {}
         self._rows: dict[tuple[int, BlockKey], dict[Row, SparseRow]] = {}  # `named_rows`
@@ -359,61 +352,58 @@ class CochainComplex:
         # (sum of its packed letters, [(row word, value)], action terms)
         self._shared_terms: dict[int, dict[int, tuple[int, list[tuple[Word, Rational]],
                                                       list[ActionTerm]]]] = {}
-        self._row_sums: dict[Word, int] = {}  # action row word -> its packed letters' sum
         self._terms: Callable[..., list[ActionTerm]] | None = None
-        self._narrow: dict[int, list[int]] = {}  # width -> letters (`_narrowed`)
         # (k, block key) -> rank of that block of d^k
         self.ranks: dict[tuple[int, BlockKey], int] = {}
 
-    def _fits(self, letters: int) -> None:  # keys of words of that many letters pack injectively
-        if (letters * self._max_coord + self._max_mod) >> 63:
-            raise ValueError(f"weights of {letters} letters leave the packed range")
-
-    def _narrowed(self, letters: int) -> tuple[list[int], int]:
-        """Each letter's (parity,) + scaled weight packed `width` bits a
-        coordinate, width the fewest in which sums of `letters` letters pack
-        injectively as `_fits` bounds them for 64 bits, and the mask that
-        keeps such a sum's weight and parity: two sums s agree on s & mask
-        iff their words share weight and parity (the odd count fills the
-        lowest field, and the mask keeps its lowest bit).  The row words'
-        letter checks sum these (4 bits a coordinate for gl(7|7) H^3, a
-        60-bit int, against 64 and a 960-bit int in `_packed`)."""
-        width = max(letters * self._max_coord, letters).bit_length() + 1
-        found = self._narrow.get(width)
+    def _packing(self, letters: int) -> tuple[int, list[int], list[int]]:
+        """(width, packed letters, packed module weights), kept per width:
+        each letter's (parity,) + scaled weight and each module vector's
+        scaled weight `_packed` width bits a coordinate, width the fewest in
+        which a module weight less the weights of `letters` letters packs
+        injectively and their odd count fits the lowest field.  Two sums s of
+        up to that many letters agree on s & (-1 << width | 1) iff their
+        words share weight and parity, and the key int of the cochain
+        (word, c), 2 * (m_c's packed weight - s >> width) + (|m_c| ^ s & 1),
+        is that of its block."""
+        width = max(letters * self._max_coord + self._max_mod, letters).bit_length() + 1
+        found = self._packs.get(width)
         if found is None:
-            found = self._narrow[width] = [
-                sum(c << width * i for i, c in enumerate((p,) + iw))
-                for p, iw in zip(self.alg.parities, self._alg_iw)]
-        return found, -1 << width | 1
+            found = self._packs[width] = (
+                width,
+                [_packed((p,) + iw, width) for p, iw in zip(self.alg.parities, self._alg_iw)],
+                [_packed(iw, width) for iw in self._mod_iw])
+        return found
 
-    def _new_key(self, ki: int, word: Word, c: int) -> BlockKey:
-        """The BlockKey (weight, parity) of the cochain (word, c), interned
-        under its packed key int ki (`_key_int`), which no key has yet."""
+    def _block_key(self, word: Word, c: int, parity: Parity) -> BlockKey:
+        """The BlockKey (weight, parity) of the cochain (word, c): m_c's
+        weight less the word's letters', as an exact tuple."""
         iw = map(sum, zip(self._zero, *[self._alg_iw[x] for x in word]))
         wt = tuple(a - b for a, b in zip(self._mod_iw[c], iw))
         if self._scale != 1:
             wt = tuple(exact(Fraction(v, self._scale)) for v in wt)
-        key = self._keys[ki] = (wt, ki & 1)
-        return key
+        return wt, parity
 
     # cochain index = (its word's index in `words`) * dim(M) + module index
     def degree(self, k: int) -> DegreeData:
-        """C^k: its words and each cochain's block, found by its packed key
-        int from one sum of the word's packed letters."""
+        """C^k: its words and each cochain's block, found by its key int
+        from one sum of the word's letters packed by `_packing(k + 1)`, the
+        form block_columns(k) checks d^k's rows in.  Blocks are interned
+        here by key int, one key object per block."""
         if k in self._degrees:
             return self._degrees[k]
-        self._fits(k + 1)
+        width, letters, mod_ws = self._packing(k + 1)
         words = monomial_words(self.alg.parities, k)
         keys: list[BlockKey] = []
         blocks: dict[BlockKey, list[int]] = {}
-        pw, interned = self._alg_pw, self._keys
-        mods = list(enumerate(zip(self._mod_pw, self.module.parities)))
+        interned: dict[int, BlockKey] = {}
+        mods = list(enumerate(zip(mod_ws, self.module.parities)))
         for w in words:
-            s = sum(map(pw.__getitem__, w))
-            ws, p = s >> 64, s & 1
+            s = sum(map(letters.__getitem__, w))
+            ws, p = s >> width, s & 1
             for c, (mw, mp) in mods:
-                ki = (mw - ws) * 2 + (mp ^ p)  # `_key_int`
-                key = interned.get(ki) or self._new_key(ki, w, c)
+                ki = (mw - ws) * 2 + (mp ^ p)
+                key = interned.get(ki) or interned.setdefault(ki, self._block_key(w, c, mp ^ p))
                 blocks.setdefault(key, []).append(len(keys))
                 keys.append(key)
         data = DegreeData(words, keys, blocks)
@@ -433,7 +423,7 @@ class CochainComplex:
         col[ids[w]].  A row word met for the first time is numbered there,
         ids[w] = len(names), appended to names and checked there, once, from
         its own letters: with check = (letter, mask, want), the sum s of
-        letter(x) over its letters x must have s & mask == want (`_narrowed`).
+        letter(x) over its letters x must have s & mask == want (`_packing`).
         An action term (w, by_col, even, odd), one per letter x acting
         nontrivially, w = x + u, gives the column (u, c) v * total in the row
         (w, r) for each (r, v) of by_col[c], the column c of x's action, total
@@ -525,28 +515,27 @@ class CochainComplex:
         Every d^k entry is made here, from the block's own cochains, and
         nothing is kept but, with dim M > 1, the words' terms; an unknown key
         gives ([], {}).  Any key equal to a block's key finds that block.
-        Each row's `_key_int`, from its word's letters, must be that of the
-        block's first cochain.
+        Each row's key int, from its word's letters packed by `_packing`
+        as `degree` packed them, must be that of the block's first cochain.
 
         With dim M = 1 (and so no action) each word has one cochain, and
         `_word_terms` puts its terms straight into that cochain's column and
         numbers and checks each new row there: the block's rows share M's
-        weight and parity, so their letters' masked sums (`_narrowed`) must
-        be the first word's.  With dim M > 1 a word's cochains spread over
-        many blocks, so its terms are made once, into a column of its own,
-        and shared by those blocks: there each bracket row's letters are
-        checked against the word's, and here each new row's `_key_int`, from
-        its module vector and its word's letters (a bracket row's word
-        having its source word's), against the block's."""
+        weight and parity, so their letters' masked sums must be the first
+        word's.  With dim M > 1 a word's cochains spread over many blocks,
+        so its terms are made once, into a column of its own, and shared by
+        those blocks: there each bracket row's letters are checked against
+        the word's, and here each new row's key int, from its module vector
+        and its word's letters (a bracket row's word having its source
+        word's), against the block's."""
         terms = self._word_terms()
-        self._fits(k + 2)  # the row words
         data = self._degrees.get(k) or self.degree(k)
         cochains = data.blocks.get(key, ())
         if not cochains:
             return [], {}
         words = data.words
-        letters, mask = self._narrowed(k + 2)
-        letter = letters.__getitem__
+        width, letters, mw = self._packing(k + 1)
+        letter, mask = letters.__getitem__, -1 << width | 1
         columns: dict[int, SparseRow] = {}
         if self._one_dim:
             row_words: list[Word] = []
@@ -560,10 +549,11 @@ class CochainComplex:
                 if col:
                     columns[idx] = col
             return [(w, 0) for w in row_words], columns
-        shared, sums = self._shared_terms.setdefault(k, {}), self._row_sums
-        pw, mw, mpar, nm = self._alg_pw, self._mod_pw, self.module.parities, self.module.dim
+        shared = self._shared_terms.setdefault(k, {})
+        mpar, nm = self.module.parities, self.module.dim
         ui, c = divmod(cochains[0], nm)
-        want = _key_int(mw[c], mpar[c], sum(map(pw.__getitem__, words[ui])))
+        su = sum(map(letter, words[ui]))
+        want = (mw[c] - (su >> width)) * 2 + (mpar[c] ^ (su & 1))  # the block's key int
         names: list[Row] = []
         # module index -> row word -> row id
         by_module: defaultdict[int, dict[Word, int]] = defaultdict(dict)
@@ -575,11 +565,10 @@ class CochainComplex:
                 found = shared.get(ui)
                 if found is None:
                     u = words[ui]
-                    su = sum(map(pw.__getitem__, u))
+                    su = sum(map(letter, u))
                     wcol: SparseRow = {}
                     wnames: list[Word] = []
-                    own = sum(map(letter, u)) & mask  # u's weight and parity
-                    actions = terms(u, wcol, {}, wnames, (letter, mask, own))
+                    actions = terms(u, wcol, {}, wnames, (letter, mask, su & mask))
                     found = shared[ui] = (su, [(wnames[i], v) for i, v in wcol.items() if v],
                                           actions)
                 su, brackets, actions = found
@@ -591,7 +580,7 @@ class CochainComplex:
                     rid = ids[w] = len(names)
                     names.append((w, c))
                     # d keeps (weight, parity) blocks; `terms` checked w's against u's
-                    if (mw[c] - (su >> 64)) * 2 + (mpar[c] ^ (su & 1)) != want:  # `_key_int`
+                    if (mw[c] - (su >> width)) * 2 + (mpar[c] ^ (su & 1)) != want:
                         raise AssertionError("differential entry crosses weight blocks")
                 col[rid] = val
             for w, by_col, even, odd in actions:  # rows (w, r)
@@ -602,10 +591,8 @@ class CochainComplex:
                     if rid is None:
                         rid = rids[w] = len(names)
                         names.append((w, r))
-                        sw = sums.get(w)
-                        if sw is None:
-                            sw = sums[w] = sum(map(pw.__getitem__, w))
-                        if (mw[r] - (sw >> 64)) * 2 + (mpar[r] ^ (sw & 1)) != want:
+                        sw = sum(map(letter, w))
+                        if (mw[r] - (sw >> width)) * 2 + (mpar[r] ^ (sw & 1)) != want:
                             raise AssertionError("differential entry crosses weight blocks")
                     col[rid] = col.get(rid, 0) + v * total
             if not all(col.values()):

@@ -19,7 +19,8 @@ def test_main_alternates_sides_and_counts_pairs_won(monkeypatch, capsys):
 
     def fake(root, argv):
         calls.append((root, argv))
-        return _run(2.0 if root == "parent" else 1.5)
+        pair = (len(calls) - 1) // 2  # 0, 1, 2 for the three pairs
+        return _run(2.0 + pair / 10 if root == "parent" else 1.5 + pair / 100)
 
     monkeypatch.setattr(deskab, "run_side", fake)
     code = deskab.main(["parent", "change", "--pairs", "3", "--", "compute", "--degree", "3"])
@@ -28,8 +29,18 @@ def test_main_alternates_sides_and_counts_pairs_won(monkeypatch, capsys):
     assert [root for root, _ in calls] == ["parent", "change", "change", "parent",
                                            "parent", "change"]
     assert all(argv == ["compute", "--degree", "3"] for _, argv in calls)
-    assert "wall_s: median parent 2, change 1.5, change won 3/3" in out
-    assert "maxrss_mb: median parent 30, change 30, change won 0/3" in out
+    # the summary is abpairs.summarize's: quartiles, pairs won and the gain rule
+    assert ("wall_s: parent q1/median/q3 2.05 2.1 2.15, change 1.505 1.51 1.515, "
+            "change won 3/3, gain holds") in out
+    assert ("maxrss_mb: parent q1/median/q3 30 30 30, change 30 30 30, "
+            "change won 0/3, gain not shown") in out
+
+
+def test_main_prints_no_summary_for_one_pair(monkeypatch, capsys):
+    monkeypatch.setattr(deskab, "run_side", lambda root, argv: _run(1.0))
+    assert deskab.main(["parent", "change", "--pairs", "1", "--", "compute"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("wall_s 1.0000") == 2 and "q1/median/q3" not in out
 
 
 @pytest.mark.parametrize("change", [_run(1.0, sha="cd" * 32), _run(1.0, code=1), None],

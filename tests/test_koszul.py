@@ -4,7 +4,7 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add, sub
 
 import pytest
@@ -315,26 +315,29 @@ def test_dual_module_is_the_contragredient_entry_for_entry(built, family, params
 
 def test_block_columns_detects_an_entry_crossing_weight_blocks(built):
     # the assertion in block_columns is the one check that d^k keeps
-    # (weight, parity) blocks: once degree(k) is built, a letter whose scaled
-    # weight is off, in both its int forms (tuple and packed with its parity),
-    # files the rows of words holding it under another block; with dim M > 1
-    # (I* and Lambda_s^2(I*)), so does a module vector r whose packed weight
-    # is off, for the rows (w, r); both the ranks and the whole differential
-    # reach it
+    # (weight, parity) blocks: once degree(k) is built, a letter whose packed
+    # weight or parity is off (`_packing`, the table degree(k) and
+    # block_columns(k) share) files the rows of words holding it under
+    # another block; with dim M > 1 (I* and Lambda_s^2(I*)), so does a
+    # module vector r whose packed weight is off, for the rows (w, r); both
+    # the ranks and the whole differential reach it
     alg, ideal = built("gl", (3, 2))
     quo = realize.quotient_algebra(alg, ideal)
     dm = dual_module(alg, ideal, quo)
     k = 1
 
     def shift_letter(cx, row):
-        letter = row[0][0]
-        cx._alg_iw[letter] = tuple(c + 1 for c in cx._alg_iw[letter])
-        cx._alg_pw[letter] = _packed((cx.alg.parities[letter],) + cx._alg_iw[letter])
+        width, letters, _ = cx._packing(k + 1)
+        letters[row[0][0]] += 1 << width  # its first weight coordinate, plus 1
+
+    def shift_parity(cx, row):
+        cx._packing(k + 1)[1][row[0][0]] += 1  # its odd count, plus 1
 
     def shift_module_vector(cx, row):
-        cx._mod_pw[row[1]] += 1
+        cx._packing(k + 1)[2][row[1]] += 1
 
     cases = [(alg, trivial_module(alg), shift_letter),
+             (alg, trivial_module(alg), shift_parity),
              (quo, dm, shift_module_vector),
              (quo, lambda_s_module(quo, dm, 2), shift_module_vector)]
     routes = [lambda cx: [cx.block_rank(k, key) for key in cx.degree(k).blocks],
@@ -386,87 +389,143 @@ def vector_pairs(coords):
     return st.integers(1, 5).flatmap(pair)
 
 
-@given(vector_pairs(st.integers(-(2**62) + 1, 2**62 - 1)))
-def test_packed_is_linear(uv):
+@given(st.integers(1, 80), vector_pairs(st.integers()))
+def test_packed_is_linear(width, uv):
     u, v = uv
-    assert _packed(u) + _packed(v) == _packed([a + b for a, b in zip(u, v)])
+    assert _packed(u, width) + _packed(v, width) == _packed([a + b for a, b in zip(u, v)], width)
 
 
-@given(vector_pairs(st.integers(-(2**63) + 1, 2**63 - 1) | st.integers(-3, 3)))
-def test_packed_is_injective_below_2_63(uv):
-    u, v = uv
-    assert (_packed(u) == _packed(v)) == (u == v)
+def width_and_pair(width):
+    """A width and two int vectors whose coordinates have |v_i| < 2**(width - 1)."""
+    top = 2 ** (width - 1) - 1
+    return st.tuples(st.just(width), vector_pairs(st.integers(-top, top) | st.integers(-1, 1)))
 
 
-def test_packed_refuses_coordinates_from_2_63():
-    # at 2**63 the packing would stop being injective: (2**64, 0) and (0, 1)
-    # would both give 2**64
-    assert _packed((2**63 - 1, -(2**63) + 1)) == 2**63 - 1 - (2**63 - 1) * 2**64
-    for v in [(2**63,), (0, -(2**63)), (1, 2**64)]:
-        with pytest.raises(ValueError, match="packed range"):
-            _packed(v)
+@given(st.integers(1, 80).flatmap(width_and_pair))
+def test_packed_is_injective_while_coordinates_fit_the_width(wuv):
+    width, (u, v) = wuv
+    assert (_packed(u, width) == _packed(v, width)) == (u == v)
 
 
-@pytest.mark.parametrize("big", [2**62, -(2**62)])
-def test_block_keys_refuse_sums_past_the_packed_range(built, big):
-    # a letter at 2**62 packs, but two of them sum to a coordinate that
-    # carries into the next one: degree(k) sums k+1 letters, and
-    # block_columns(k) the k+2 of a row word
-    alg, _ = built("gl", (3, 2))
-    alg = copy.copy(alg)
-    alg.weights = ((big,) + alg.weights[0][1:],) + alg.weights[1:]
-    cx = CochainComplex(alg, trivial_module(alg))
-    key = cx.degree(0).keys[0]
-    for call in [lambda: cx.block_columns(1, key), lambda: cx.block_columns(0, key),
-                 lambda: cx.degree(1)]:
-        with pytest.raises(ValueError, match="packed range"):
-            call()
+def test_packed_is_exact_at_and_past_2_63():
+    # coordinates at and past 2**63 pack injectively once the width holds
+    # them: at 64 bits (2**63, 0) and (-(2**63), 1) would both give 2**63
+    assert _packed((2**63, 0), 65) != _packed((-(2**63), 1), 65)
+    assert _packed((2**63, 0), 64) == _packed((-(2**63), 1), 64)
+    for v in [(2**63,), (0, -(2**63)), (1, 2**64), (-(2**70), 2**70 - 1, 3)]:
+        width = max(map(abs, v)).bit_length() + 1
+        s = _packed(v, width)
+        back = []
+        for _ in v:  # the lowest field, read as a signed width-bit int
+            low = s & (2**width - 1)
+            low -= (low >> (width - 1)) << width
+            back.append(low)
+            s = (s - low) >> width
+        assert tuple(back) == v and s == 0
 
 
-@pytest.mark.parametrize("big", [2**63 - 1, -(2**63) + 1])
-def test_block_keys_refuse_module_weights_past_the_packed_range(built, big):
-    # a module weight packs up to 2**63 - 1, but a cochain's packed key int
-    # takes that weight less its word's letters, which would carry into the
-    # next coordinate
-    alg, _ = built("gl", (3, 2))
-    weight = (big,) + (0,) * (len(alg.symbols) - 1)
-    module = GModule(alg, "C(big)", (EVEN,), (weight,), [{} for _ in range(alg.dim)])
-    cx = CochainComplex(alg, module)
-    for call in [lambda: cx.degree(0), lambda: cx.degree(1),
-                 lambda: cx.block_columns(0, (weight, EVEN))]:
-        with pytest.raises(ValueError, match="packed range"):
-            call()
-
-
-packed_letters = st.integers(1, 4).flatmap(lambda n: st.lists(
+packed_letters = st.tuples(st.integers(3, 80), st.integers(1, 4).flatmap(lambda n: st.lists(
     st.tuples(st.integers(0, 1), st.lists(st.integers(-(2**60), 2**60), min_size=n,
                                           max_size=n)),
-    min_size=1, max_size=6))
+    min_size=1, max_size=6)))
 
 
 @given(packed_letters)
-def test_packed_letters_sum_to_the_packed_weight_and_the_parity(letters):
-    # a letter packed as (parity,) + weight: a sum of up to 6 such letters
-    # keeps the odd count in its lowest 64 bits
-    s = sum(_packed((p,) + tuple(v)) for p, v in letters)
-    assert s >> 64 == _packed([sum(c) for c in zip(*(v for _, v in letters))])
+def test_packed_letters_sum_to_the_packed_weight_and_the_parity(width_letters):
+    # a letter packed as (parity,) + weight: a sum of up to 6 such letters at
+    # a width of at least 3 bits keeps the odd count in its lowest field
+    width, letters = width_letters
+    s = sum(_packed((p,) + tuple(v), width) for p, v in letters)
+    assert s >> width == _packed([sum(c) for c in zip(*(v for _, v in letters))], width)
+    assert s & (2**width - 1) == sum(p for p, _ in letters)
     assert s & 1 == sum(p for p, _ in letters) % 2
 
 
 @pytest.mark.parametrize("family,params", [("gl", (3, 2)), ("q", (4,)), ("exc", ("G3",))])
 def test_narrowed_letter_sums_keep_weight_and_parity(built, family, params):
-    # the row words' letter check compares narrowed sums under a mask: over
-    # all words of 1 to 3 letters, two agree under the mask exactly when
-    # their `_packed` sums agree on weight and parity
+    # the row words' letter check compares sums of `_packing` letters under
+    # a mask: over all words of 1 to 3 letters, two agree under the mask
+    # exactly when their exact weight sums and parities agree
     alg, _ = built(family, params)
     cx = CochainComplex(alg, trivial_module(alg))
-    letters, mask = cx._narrowed(3)
+    width, letters, _ = cx._packing(3)
+    mask = -1 << width | 1
+    zero = (0,) * len(alg.symbols)
     pairs = set()
     for n in (1, 2, 3):
         for w in itertools.combinations_with_replacement(range(alg.dim), n):
-            s = sum(cx._alg_pw[x] for x in w)
-            pairs.add((sum(letters[x] for x in w) & mask, (s >> 64, s & 1)))
+            exact = (tuple(map(sum, zip(zero, *[alg.weights[x] for x in w]))),
+                     sum(alg.parities[x] for x in w) % 2)
+            pairs.add((sum(letters[x] for x in w) & mask, exact))
     assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+def test_packing_width_holds_the_weights_of_d_k_rows(built):
+    # `_packing(k + 1)`, the form of degree(k) and block_columns(k), packs
+    # the weight of every cochain of C^k and C^{k+1}, scaled to ints,
+    # injectively: each coordinate is below 2**(width - 1) in absolute value
+    for alg, module in _bookkeeping_cases(built):
+        cx = CochainComplex(alg, module)
+        for k in range(3):
+            width = cx._packing(k + 1)[0]
+            top = max(abs(c) * cx._scale for j in (k, k + 1)
+                      for key in cx.degree(j).blocks for c in key[0])
+            assert top < 2 ** (width - 1), (module.name, k)
+
+
+def _scaled_weights(alg, module, scale):
+    """alg and module with every weight times scale, nothing else changed."""
+    big = copy.copy(alg)
+    big.weights = tuple(tuple(c * scale for c in w) for w in alg.weights)
+    weights = tuple(tuple(c * scale for c in w) for w in module.weights)
+    return big, GModule(big, module.name, module.parities, weights, module.action)
+
+
+@pytest.mark.parametrize("scale", [2**62, -(2**62), 2**70])
+@pytest.mark.parametrize("coefficients", ["trivial", "L2-ideal-dual"])
+@pytest.mark.parametrize("family,params", [("gl", (3, 2)), ("osp_even", (2, 2))])
+def test_weights_past_2_63_give_the_unscaled_blocks(built, family, params, coefficients,
+                                                    scale):
+    # every algebra and module weight times scale: the weights of words and
+    # of cochains pass 2**63, yet H^0..H^3 have the unscaled complex's
+    # blocks, each at its weight times scale
+    parent, ideal = built(family, params)
+    alg, module = parent, trivial_module(parent)
+    if coefficients == "L2-ideal-dual":
+        alg = realize.quotient_algebra(parent, ideal)
+        module = lambda_s_module(alg, dual_module(parent, ideal, alg), 2)
+    big, big_module = _scaled_weights(alg, module, scale)
+    cx = CochainComplex(big, big_module)
+    for k in range(4):
+        plain = cohomology(alg, module, k).blocks
+        assert plain
+        expected = {tuple(c * scale for c in key): eo for key, eo in plain.items()}
+        assert cohomology(big, big_module, k, complex_cache=cx).blocks == expected
+    assert max(abs(c) for key in cx.degree(3).blocks for c in key[0]) >= 2**63
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def test_a_module_whose_denominators_pass_2_63_shifts_trivial_cohomology(built):
+    # 16 trivial summands at weights (1/p, 0, ...), p the primes to 53: the
+    # complex scales every weight by their lcm, past 2**63; H^k(n, M) is
+    # H^k(n, C) shifted to each summand's weight
+    alg, _ = built("osp_odd", (2, 1))
+    assert lcm(*PRIMES) > 2**63
+    rank = len(alg.symbols)
+    weights = tuple((Fraction(1, p),) + (0,) * (rank - 1) for p in PRIMES)
+    mod = GModule(alg, "16 C(1/p)", (EVEN,) * len(PRIMES), weights,
+                  [{} for _ in range(alg.dim)])
+    cx = CochainComplex(alg, mod)
+    totals = []
+    for k in range(3):
+        res = cohomology(alg, mod, k, complex_cache=cx)
+        expected = {tuple(map(add, key, w)): eo
+                    for key, eo in cohomology(alg, None, k).blocks.items() for w in weights}
+        assert res.blocks == expected
+        totals.append(res.total)
+    assert totals == [16, 64, 112]
 
 
 def test_lambda_s_module_degree_zero_is_trivial():

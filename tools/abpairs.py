@@ -17,7 +17,12 @@ reports `correct: false` or gives no result line, else 0.
 The benchmark's `peak_rss_mb` moves by about 0.1 MB with the length of
 the checkout path alone, so it warns on stderr when the absolute paths of
 PARENT and CHANGE differ in length; name the checkouts alike (say
-`a/repo` and `b/repo`) to compare memory.
+`a/repo` and `b/repo`) to compare memory.  It also moves, by up to about
+0.2 MB either way, with source text that the workload never executes
+(comments, docstrings, code on other paths) and with the environment the
+children inherit (a pyenv shim's variables, the working directory), so a
+`peak_rss_mb` difference near its bound need not come from what the run
+holds; a `tracemalloc` peak of the same call tells the two apart.
 """
 
 from __future__ import annotations
@@ -59,6 +64,13 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def describe(s: dict) -> str:
+    """One `summarize` result as text: quartiles, pairs won and the gain rule."""
+    quart = {side: " ".join(f"{v:.4g}" for v in s[side]) for side in ("parent", "change")}
+    return (f"parent q1/median/q3 {quart['parent']}, change {quart['change']}, "
+            f"change won {s['wins']}/{s['pairs']}, gain {'holds' if s['gain'] else 'not shown'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
@@ -94,11 +106,8 @@ def main(argv=None) -> int:
         if len(parent) != args.pairs or len(change) != args.pairs:
             print(f"{name}: incomplete ({len(parent)} parent, {len(change)} change runs)")
             continue
-        s = summarize(parent, change, metric["better"])
-        quart = {side: " ".join(f"{v:.4g}" for v in s[side]) for side in sides}
         print(f"{args.workload} {name} ({metric['unit']}, {metric['better']} is better): "
-              f"parent q1/median/q3 {quart['parent']}, change {quart['change']}, "
-              f"change won {s['wins']}/{s['pairs']}, gain {'holds' if s['gain'] else 'not shown'}")
+              + describe(summarize(parent, change, metric["better"])))
         print(f"  runs in pair order: parent {' '.join(f'{v:.4g}' for v in parent)}; "
               f"change {' '.join(f'{v:.4g}' for v in change)}")
     return 0 if correct else 1

@@ -7,9 +7,12 @@ PARENT and CHANGE are two checkouts of this repository.  Each pair runs
 checkout's `src`; the side that runs first alternates from pair to pair.
 No cache directory reaches the children, so every run computes.  For each
 run it prints the wall time of the `cli.main` call, the child's
-`ru_maxrss` and the sha256 of its stdout; then each side's medians and
-the pairs the change won (ties count for neither side; a pair with a
-failed run counts for neither).
+`ru_maxrss` and the sha256 of its stdout; then, over the pairs in which
+both runs succeeded, once there are two, the summary of `abpairs.summarize`
+for `wall_s` and `maxrss_mb`: each side's quartiles, the pairs the change
+won (ties count for neither side), and whether a gain may be claimed (the
+change wins at least 9 of every 10 pairs and its median beats the
+parent's by more than the parent's interquartile range).
 
 The exit code is 1 if any run exits nonzero or fails, or if the stdout
 sha256 differs between runs, else 0.
@@ -20,9 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
+
+from abpairs import describe, summarize
 
 # one run in a fresh interpreter: argv[1] is the checkout's src, the rest
 # the CLI's arguments; hashlib and json are imported after the run, so that
@@ -89,14 +93,12 @@ def main(argv=None) -> int:
     if len(digests) > 1:
         print(f"stdout sha256 differs between runs: {sorted(digests)}", file=sys.stderr)
         ok = False
+    if len(done) < 2:  # quartiles need two values a side
+        return 0 if ok else 1
     for metric in ("wall_s", "maxrss_mb"):
-        if not done:
-            break
-        parent = [runs["parent"][i][metric] for i in done]
-        change = [runs["change"][i][metric] for i in done]
-        wins = sum(1 for p, c in zip(parent, change) if c < p)
-        print(f"{metric}: median parent {statistics.median(parent):.4g}, "
-              f"change {statistics.median(change):.4g}, change won {wins}/{len(done)}")
+        print(f"{metric}: " + describe(summarize([runs["parent"][i][metric] for i in done],
+                                                 [runs["change"][i][metric] for i in done],
+                                                 "lower")))
     return 0 if ok else 1
 
 

@@ -126,18 +126,11 @@ def cohomology(
     k: int,
     complex_cache: CochainComplex | None = None,
 ) -> CohomologyResult:
-    """H^k(n, M) with full (weight, parity) decomposition, Koszul route;
-    ValueError unless `complex_cache` is None or the complex of alg and
-    module (a trivial module if module is None)."""
-    cx = complex_cache
-    if cx is None:
-        cx = CochainComplex(alg, module if module is not None else trivial_module(alg))
-    elif cx.alg is not alg or (cx.module is not module if module is not None
-                               else not _is_trivial(cx.module)):
-        raise ValueError("complex_cache is not the complex of this algebra and module")
-    module = cx.module
+    """H^k(n, M) with full (weight, parity) decomposition, Koszul route
+    (`complex_cache`: see `_complex`)."""
+    cx = _complex(alg, module, complex_cache)
     src = cx.degree(k)
-    res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, module.name,
+    res = CohomologyResult(alg.name, k, ROUTE_KOSZUL, cx.module.name,
                            family=alg.family, params=alg.params)
     # rank d^{k-1} = 0 on a block C^{k-1} lacks
     before = cx.degree(k - 1).blocks if k > 0 and src.blocks else {}
@@ -148,12 +141,25 @@ def cohomology(
         pivots: set = set()
         if key in before:
             # d^{k-1} first: its pivot rows clear columns of d^k (`block_rank`)
-            h -= cx.block_rank(k - 1, key, None if (k, key) in cx.ranks else pivots)
+            h -= cx.block_rank(k - 1, key, pivots)
         h -= cx.block_rank(k, key, cleared=pivots)
         if h < 0:
             raise AssertionError(f"negative block dimension at {key}")
         res.add(*key, h)
     return res
+
+
+def _complex(alg: NilpotentAlgebra, module: GModule | None,
+             cx: CochainComplex | None) -> CochainComplex:
+    """The complex of alg and module (a trivial module if module is None):
+    the given `cx` if it is that complex, a new one if it is None;
+    ValueError otherwise."""
+    if cx is None:
+        return CochainComplex(alg, module if module is not None else trivial_module(alg))
+    if cx.alg is not alg or (cx.module is not module if module is not None
+                             else not _is_trivial(cx.module)):
+        raise ValueError("complex_cache is not the complex of this algebra and module")
+    return cx
 
 
 def _is_trivial(module: GModule) -> bool:
@@ -302,9 +308,10 @@ def is_cocycle(
     """Whether d^2 h = 0, read off the rows of d^2's blocks that hold h's
     cochains up to the first nonzero value, C^3 not enumerated; h's keys
     must be canonical degree-2 words.  `complex_cache` is alg's
-    trivial-coefficient complex, if already built."""
+    trivial-coefficient complex, if already built (ValueError if it is
+    another, see `_complex`)."""
     _check_words(alg, h)
-    cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
+    cx = _complex(alg, None, complex_cache)
     data = cx.degree(2)
     vec = {c: exact(Fraction(h[w])) for c, w in enumerate(data.words) if w in h}
     return not any(sum(v * vec[c] for c, v in row.items() if c in vec)
@@ -315,8 +322,9 @@ def is_cocycle(
 def cocycle_space(alg: NilpotentAlgebra, complex_cache: CochainComplex | None = None):
     """Bases of (even 2-cocycles, even non-cocycle complement) as cochains,
     from the rows of d^2's even blocks.  `complex_cache` is alg's
-    trivial-coefficient complex, if already built."""
-    cx = complex_cache if complex_cache is not None else CochainComplex(alg, trivial_module(alg))
+    trivial-coefficient complex, if already built (ValueError if it is
+    another, see `_complex`)."""
+    cx = _complex(alg, None, complex_cache)
     data = cx.degree(2)
     even_cols = [c for c, key in enumerate(data.keys) if key[1] == EVEN]
     rows = [row for key in data.blocks if key[1] == EVEN
@@ -339,7 +347,10 @@ def euler_characteristic_check(alg: NilpotentAlgebra, weight: Weight) -> dict:
     word w_1 .. w_k has weight -(wt(w_1) + .. + wt(w_k)).  The grading
     functional bounds the degrees in which the weight can occur, so both
     sums are finite.  Trivial coefficients.
+    ValueError unless `weight` has one coordinate per symbol of alg.
     """
+    if len(weight) != len(alg.symbols):
+        raise ValueError(f"weight {weight} is not over the symbol system {alg.symbols}")
     cx = CochainComplex(alg, trivial_module(alg))
     vals = [alg.grading_value(b.weight) for b in alg.basis]
     if not vals:

@@ -660,20 +660,18 @@ class CochainComplex:
     ) -> int:
         """The rank of the d^k block `key`, computed once per complex and
         kept in `ranks` as an int; the block's columns are not kept.  When
-        it is computed, a set `pivots` is filled with the names of a maximal
-        independent set R of the block's rows (`rank`'s basis), and the
-        columns of the cochains named in `cleared` are left out.  Without
-        its columns at R the d^{k+1} block D on `key` keeps its rank: with
-        this block V, DV = 0 and V[R, J] invertible for some columns J give
-        D[:, R] = -D[:, R^c] V[R^c, J] V[R, J]^-1."""
+        it is computed, the columns of the cochains named in `cleared` are
+        left out, and a given set `pivots` is filled with the names of a
+        maximal independent set R of the block's rows (`rank`'s basis).
+        Without its columns at R the d^{k+1} block D on `key` keeps its
+        rank: with this block V, DV = 0 and V[R, J] invertible for some
+        columns J give D[:, R] = -D[:, R^c] V[R^c, J] V[R, J]^-1."""
         job = (k, key)
         found = self.ranks.get(job)
         if found is None:
-            if pivots is None:
-                found = rank(self.block_matrix(k, key, cleared=cleared))
-            else:
-                names, rows = [], []
-                found = rank(self.block_matrix(k, key, names, cleared), rows)
+            names, rows = [], []
+            found = rank(self.block_matrix(k, key, names, cleared), rows)
+            if pivots is not None:
                 pivots.update(map(names.__getitem__, rows))
             self.ranks[job] = found
         return found

@@ -13,25 +13,18 @@ and returns sparse vectors, never dense ones.
 One elimination kernel, `_echelon`, serves `rank`, `rref`, `nullspace` and
 `row_space_basis` (and `solve`, one right-hand side b as column n of the
 matrix, which no module of the package calls any more): integer
-elimination on the vectors once their denominators are cleared, one pivot
-per leading (smallest) coordinate.  A vector of nonzero plain ints, as
-every `block_matrix` column of integral data, is used as it is, not
-copied; a step whose multiplier on it is +-1 subtracts from a plain copy.
-`rank` returns at once on at most one nonzero vector or one coordinate;
-otherwise it ranks whichever side of the matrix has fewer vectors (the
-given side when asked for independent coordinates, `rank(vecs, basis)`)
-and numbers the coordinates rarest first, so that a vector leads at its
-rarest coordinate, which limits fill-in (Markowitz, 1957); `rref` and
-`nullspace` keep the caller's labels.  `Fraction`s appear again only in
-the reduced rows `rref` returns.  The RREF is unique, so kernels, row
-spaces and solutions do not depend on the order in which the kernel picks
-its pivots.
+elimination on the given vectors once their denominators are cleared, one
+pivot per leading (smallest) coordinate, the coordinates labelled as the
+caller gave them.  A vector of nonzero plain ints, as every
+`block_matrix` column of integral data, is used as it is, not copied; a
+step whose multiplier on it is +-1 subtracts from a plain copy.
+`Fraction`s appear again only in the reduced rows `rref` returns.  The
+RREF is unique, so kernels, row spaces and solutions do not depend on the
+order in which the kernel picks its pivots.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -132,49 +125,17 @@ def _echelon(vecs: list[IntRow]) -> dict[int, IntRow]:
 
 def rank(vecs: Sequence[SparseRow], basis: list[int] | None = None) -> int:
     """Exact rank of the matrix whose rows, or whose columns, are the
-    given sparse vectors: rank(A) = rank(A^T).
-
-    At most one nonzero vector or coordinate gives the rank at once.
-    Otherwise the elimination runs over the given vectors, or over the
-    other side when that has fewer; the rank is the number of pivots.  The
-    coordinates are numbered rarest first, so that the leading (smallest)
-    coordinate of a vector is its rarest one, which limits fill-in
-    (Markowitz, 1957): on the other side as it is built, and on the given
-    vectors by a renumbered copy when there are more than 8 of them (on
-    fewer the copy costs more than it saves).  Vectors of nonzero plain
-    ints are otherwise used as they are, not copied.  Stored zeros are
+    given sparse vectors: rank(A) = rank(A^T).  The elimination runs over
+    the given vectors; the rank is the number of pivots.  Stored zeros are
     ignored and the input is not modified.
 
     A list `basis` is extended by rank-many coordinates at which the
     matrix restricted to them keeps its rank: the leading coordinates of
-    the pivots, as the given vectors label them.  The elimination then
-    runs over the given vectors, whichever side is fewer.
+    the pivots, as the given vectors label them.
     """
-    vecs = _integer_vectors(vecs)
-    if len(vecs) < 2:
-        if basis is not None and vecs:
-            basis.append(min(vecs[0]))
-        return len(vecs)
-    counts = Counter(itertools.chain.from_iterable(vecs))
-    if len(counts) < 2:
-        if basis is not None:
-            basis += counts
-        return len(counts)
-    order = None
-    if len(counts) < len(vecs) and basis is None:
-        # the other side; its coordinates, the given vectors, numbered sparsest first
-        other: dict[int, IntRow] = {}
-        for r, vec in enumerate(sorted(vecs, key=len)):
-            for c, x in vec.items():
-                other.setdefault(c, {})[r] = x
-        vecs = list(other.values())
-    elif len(vecs) > 8:
-        order = sorted(counts, key=counts.__getitem__)
-        label = {c: i for i, c in enumerate(order)}
-        vecs = [{label[c]: x for c, x in vec.items()} for vec in vecs]
-    pivots = _echelon(vecs)
+    pivots = _echelon(_integer_vectors(vecs))
     if basis is not None:
-        basis += pivots if order is None else map(order.__getitem__, pivots)
+        basis += pivots
     return len(pivots)
 
 

@@ -79,6 +79,28 @@ def test_a_complex_cache_of_another_algebra_or_module_is_refused(built):
                     == cohomology(a, module, k).blocks)
 
 
+def test_cocycle_readers_refuse_a_complex_cache_of_another_algebra_or_module(built):
+    # is_cocycle and cocycle_space read d^2 of alg with trivial coefficients:
+    # another algebra's complex, or the I* complex of alg, gave wrong
+    # cocycles or an IndexError; the right complex is taken as it is
+    alg, ideal = built("gl", (3, 2))
+    other, _ = built("gl", (2, 2))
+    quo = realize.quotient_algebra(alg, ideal)
+    cocycles, non_cocycles = cocycle_space(alg)
+    assert (len(cocycles), len(non_cocycles)) == (9, 7)
+    quo_space = cocycle_space(quo)
+    for a, cx in [(alg, CochainComplex(other, trivial_module(other))),
+                  (quo, CochainComplex(quo, dual_module(alg, ideal, quo)))]:
+        with pytest.raises(ValueError, match="complex_cache"):
+            cocycle_space(a, cx)
+        for h in quo_space[0] if a is quo else cocycles:
+            with pytest.raises(ValueError, match="complex_cache"):
+                is_cocycle(a, h, cx)
+    cx = CochainComplex(quo, trivial_module(quo))
+    assert cocycle_space(quo, cx) == quo_space
+    assert all(is_cocycle(quo, h, cx) for h in quo_space[0])
+
+
 def test_h0_zero_dimensional_algebra():
     alg, _ = realize.build_gl(1, 1)
     assert alg.dim == 0
@@ -444,6 +466,17 @@ def test_euler_characteristic_blocks():
             lhs.append(rep["lhs"])
         # the identity compares nonzero sums, not 0 with 0
         assert any(lhs), (alg.name, lhs)
+
+
+def test_euler_characteristic_refuses_a_weight_of_another_length(built):
+    # a weight of the wrong length once zipped against the grading and the
+    # block keys and passed as 0 == 0
+    alg, _ = built("gl", (3, 2))
+    assert len(alg.symbols) == 5
+    for w in [(1, -1), (1, -1, 0, 0, 0, 7)]:
+        with pytest.raises(ValueError, match="symbol system"):
+            euler_characteristic_check(alg, w)
+    assert euler_characteristic_check(alg, (0,) * 5)["equal"]
 
 
 def test_result_serialization(built):

@@ -11,7 +11,7 @@ import deskab  # noqa: E402
 
 
 def _run(wall, sha="ab" * 32, code=0):
-    return {"code": code, "wall_s": wall, "maxrss_mb": 30.0, "sha256": sha}
+    return {"code": code, "wall_s": wall, "cpu_s": wall / 2, "maxrss_mb": 30.0, "sha256": sha}
 
 
 def test_main_alternates_sides_and_counts_pairs_won(monkeypatch, capsys):
@@ -31,6 +31,8 @@ def test_main_alternates_sides_and_counts_pairs_won(monkeypatch, capsys):
     assert all(argv == ["compute", "--degree", "3"] for _, argv in calls)
     # the summary is abpairs.summarize's: quartiles, pairs won and the gain rule
     assert ("wall_s: parent q1/median/q3 2.05 2.1 2.15, change 1.505 1.51 1.515, "
+            "change won 3/3, gain holds") in out
+    assert ("cpu_s: parent q1/median/q3 1.025 1.05 1.075, change 0.7525 0.755 0.7575, "
             "change won 3/3, gain holds") in out
     assert ("maxrss_mb: parent q1/median/q3 30 30 30, change 30 30 30, "
             "change won 0/3, gain not shown") in out
@@ -64,7 +66,8 @@ def test_run_side_times_cli_main_in_a_fresh_interpreter(tmp_path):
     (pkg / "cli.py").write_text("def main(argv):\n    print(' '.join(argv))\n"
                                 "    return 2 if argv == ['bad'] else 0\n")
     out = deskab.run_side(str(tmp_path), ["compute", "--degree", "3"])
-    assert out["code"] == 0 and out["wall_s"] >= 0 and out["maxrss_mb"] > 0
+    assert out["code"] == 0 and out["wall_s"] >= 0 and out["cpu_s"] >= 0
+    assert out["maxrss_mb"] > 0
     assert out["sha256"] == hashlib.sha256(b"compute --degree 3\n").hexdigest()
     assert deskab.run_side(str(tmp_path), ["bad"])["code"] == 2
     (pkg / "cli.py").write_text("raise ImportError\n")

@@ -6,13 +6,13 @@ PARENT and CHANGE are two checkouts of this repository.  Each pair runs
 `supernil.cli.main(<cli args>)` once in a fresh interpreter on each
 checkout's `src`; the side that runs first alternates from pair to pair.
 No cache directory reaches the children, so every run computes.  For each
-run it prints the wall time of the `cli.main` call, the child's
+run it prints the wall and CPU time of the `cli.main` call, the child's
 `ru_maxrss` and the sha256 of its stdout; then, over the pairs in which
 both runs succeeded, once there are two, the summary of `abpairs.summarize`
-for `wall_s` and `maxrss_mb`: each side's quartiles, the pairs the change
-won (ties count for neither side), and whether a gain may be claimed (the
-change wins at least 9 of every 10 pairs and its median beats the
-parent's by more than the parent's interquartile range).
+for `wall_s`, `cpu_s` and `maxrss_mb`: each side's quartiles, the pairs
+the change won (ties count for neither side), and whether a gain may be
+claimed (the change wins at least 9 of every 10 pairs and its median
+beats the parent's by more than the parent's interquartile range).
 
 The exit code is 1 if any run exits nonzero or fails, or if the stdout
 sha256 differs between runs, else 0.
@@ -37,21 +37,21 @@ from contextlib import redirect_stdout
 sys.path.insert(0, sys.argv[1])
 from supernil import cli
 buf = io.StringIO()
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 with redirect_stdout(buf):
     code = cli.main(sys.argv[2:])
-wall = time.perf_counter() - start
+wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 import hashlib, json
-print(json.dumps({"code": code, "wall_s": wall, "maxrss_mb": maxrss,
+print(json.dumps({"code": code, "wall_s": wall, "cpu_s": cpu, "maxrss_mb": maxrss,
                   "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}))
 """
 
 
 def run_side(root: str, argv: list[str]) -> dict | None:
     """One run of the CLI on `root`'s source: its exit code, `wall_s`,
-    `maxrss_mb` and stdout `sha256`, or None when the child gives no such
-    line."""
+    `cpu_s`, `maxrss_mb` and stdout `sha256`, or None when the child gives
+    no such line."""
     src = os.path.join(os.path.abspath(root), "src")
     env = {k: v for k, v in os.environ.items() if k != "SUPERNIL_CACHE_DIR"}
     proc = subprocess.run([sys.executable, "-c", CHILD, src, *argv],
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
                 ok = False
                 continue
             runs[side][i] = out
-            print(f"pair {i + 1} {side}: wall_s {out['wall_s']:.4f}, "
+            print(f"pair {i + 1} {side}: wall_s {out['wall_s']:.4f}, cpu_s {out['cpu_s']:.4f}, "
                   f"ru_maxrss {out['maxrss_mb']:.1f} MB, sha256 {out['sha256']}")
     done = [i for i in range(args.pairs) if runs["parent"][i] and runs["change"][i]]
     digests = {out["sha256"] for side in sides for out in runs[side] if out}
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         ok = False
     if len(done) < 2:  # quartiles need two values a side
         return 0 if ok else 1
-    for metric in ("wall_s", "maxrss_mb"):
+    for metric in ("wall_s", "cpu_s", "maxrss_mb"):
         print(f"{metric}: " + describe(summarize([runs["parent"][i][metric] for i in done],
                                                  [runs["change"][i][metric] for i in done],
                                                  "lower")))
